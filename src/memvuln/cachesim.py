@@ -19,10 +19,42 @@ Levels are non-inclusive: fills allocate in all three levels, evictions
 are independent, and hits in a lower level promote a clean copy upward
 without consuming MSHRs.  Dirty evictions percolate toward memory through
 the next level that still holds the line.
+
+Exact steady-state fast-forward.  An iterative solver emits the same
+blocks again and again, and once the caches reach their steady state the
+simulator enters each repeated block in the same state, only later in
+time.  ``emit`` therefore memoizes whole blocks, in the manner of
+SimPoint's phase fast-forwarding (Sherwood et al., ASPLOS 2002) but
+without sampling: the key is (canonical state, block contents), and a
+hit replays the recorded output instead of simulating the block.
+
+The canonical state holds, with every time taken relative to the clock:
+  * for every level and set, in dict order, each line with its LRU
+    stamp, dirty bit and ready time;
+  * for every level, the live MSHR heap entries, sorted;
+  * every pending resolution (``_track`` entry) with its fill time.
+Two states that agree on it behave identically from then on: the clock
+only moves forward and every comparison the core loop makes is between
+times or against the clock.  A ready time at or below the clock can
+never again read as in-flight, so it is clamped to "ready"; a heap entry
+at or below the clock is popped before any MSHR count is taken, so it is
+dropped.  Nothing else in the state is observable.
+
+A hit is confirmed by comparing the full state and the block's kinds,
+addresses and widths, never by a digest alone.  It appends the recorded
+requests and resolutions shifted by the change of clock (times) and of
+access count (ordinals), adds the recorded stall cycles, and installs
+the recorded post-state at the new clock.  Blocks are recorded, and the
+state snapshotted, only once the stream has repeated a block's content
+digest: a stream that never repeats (e.g. a stored trace read in
+fixed-size blocks) pays only the digest, and a solver's stream is
+recorded from its second iteration on, so the first state that recurs
+is already in the memo.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from array import array
 from dataclasses import dataclass, field
@@ -268,12 +300,41 @@ class SimResult:
             )
 
 
+class _BlockReplay(NamedTuple):
+    """What simulating one block did, relative to its start (see module doc)."""
+
+    d_clock: int
+    stalls: int
+    rq_t: np.ndarray  # request times minus the start clock
+    rq_k: bytes
+    rq_l: bytes
+    rq_c: bytes
+    rq_o: np.ndarray  # request ordinals minus the start access count
+    rs_l: bytes
+    rs_ft: np.ndarray  # fill times minus the start clock
+    rs_m: bytes
+    rs_rt: np.ndarray  # resolution times minus the start clock
+    post: bytes  # canonical state at the end of the block
+
+
+def _same_block(block, kinds, addrs, widths) -> bool:
+    k, a, w = block
+    return (
+        np.array_equal(k, kinds)
+        and np.array_equal(a, addrs)
+        and (w is None) == (widths is None)
+        and (w is None or np.array_equal(w, widths))
+    )
+
+
 class CacheSimulator:
     """Observer that replays an access stream through the hierarchy.
 
     Feed it with ``emit`` blocks (it implements the same observer protocol
     the solver drives) and call ``finish()`` — or ``close()`` — to flush
     dirty lines, resolve pending fills, and obtain the SimResult.
+    ``blocks_simulated`` and ``blocks_replayed`` count how each non-empty
+    block was handled.
     """
 
     def __init__(self, config: CacheConfig | None = None):
@@ -309,6 +370,12 @@ class CacheSimulator:
         self._rs_m = array("H")
         self._rs_rt = array("q")
         self._result: SimResult | None = None
+        self._seen: set = set()  # digests of every block emitted
+        self._repeating = False  # has any block been emitted twice?
+        self._blocks: dict = {}  # digest -> (kinds, addrs, widths) copy
+        self._memo: dict = {}  # (digest, canonical state) -> _BlockReplay
+        self.blocks_simulated = 0
+        self.blocks_replayed = 0
 
     # -- observer protocol ----------------------------------------------------
 
@@ -334,13 +401,163 @@ class CacheSimulator:
         addrs = np.asarray(addrs)
         if int(addrs.max()) + 8 > self.cfg.memory_capacity:
             raise ValueError("trace address outside configured memory capacity")
-        kl = np.asarray(kinds, dtype=np.uint8).tolist()
-        al = addrs.astype(np.int64).tolist()
-        wl = None if widths is None else np.asarray(widths, dtype=np.int64).tolist()
-        self._run(kl, al, wl)
+        kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+        addrs = np.ascontiguousarray(addrs)
+        # In-range unsigned addresses have the same bytes as signed ones.
+        if addrs.dtype == np.uint64:
+            addrs = addrs.view(np.int64)
+        else:
+            addrs = addrs.astype(np.int64, copy=False)
+        if widths is not None:
+            widths = np.asarray(widths)
+            # Full-word widths are the default; dropping them keeps the
+            # core loop and the digest free of a per-access width list.
+            widths = (
+                None
+                if np.all(widths == 8)
+                else np.ascontiguousarray(widths, dtype=np.int64)
+            )
+        h = hashlib.sha256(kinds)
+        h.update(addrs)
+        if widths is not None:
+            h.update(widths)
+        digest = h.digest()
+        if digest in self._seen:
+            self._repeating = True
+        else:
+            self._seen.add(digest)
+            if not self._repeating:
+                self._simulate(kinds, addrs, widths)
+                return
+        block = self._blocks.get(digest)
+        if block is None:
+            # The copy only has to compare equal; storing addresses that
+            # fit 32 bits in 32 bits halves what the memo holds.
+            small = addrs.min() >= 0 and addrs.max() < 1 << 32
+            block = self._blocks[digest] = (
+                kinds.copy(),
+                addrs.astype(np.uint32 if small else np.int64),
+                None if widths is None else widths.copy(),
+            )
+        if not _same_block(block, kinds, addrs, widths):
+            self._simulate(kinds, addrs, widths)  # digest collision
+            return
+        key = (digest, self._state())
+        rec = self._memo.get(key)  # dict lookup compares the full state
+        if rec is not None:
+            self._replay(rec, len(kinds))
+        else:
+            self._memo[key] = self._record(kinds, addrs, widths)
 
     def close(self) -> None:
         self.finish()
+
+    # -- block memo ---------------------------------------------------------------
+
+    def _record(self, kinds, addrs, widths) -> _BlockReplay:
+        """Simulate one block and return what it did, relative to its start."""
+        clock, stalls = self._clock, self._stalls
+        n_req, n_res, ord0 = len(self._rq_t), len(self._rs_l), self._n_accesses
+        self._simulate(kinds, addrs, widths)
+
+        def since(arr, start, base):
+            return np.frombuffer(arr, dtype=np.int64)[start:] - base
+
+        return _BlockReplay(
+            d_clock=self._clock - clock,
+            stalls=self._stalls - stalls,
+            rq_t=since(self._rq_t, n_req, clock),
+            rq_k=self._rq_k[n_req:].tobytes(),
+            rq_l=self._rq_l[n_req:].tobytes(),
+            rq_c=self._rq_c[n_req:].tobytes(),
+            rq_o=since(self._rq_o, n_req, ord0),
+            rs_l=self._rs_l[n_res:].tobytes(),
+            rs_ft=since(self._rs_ft, n_res, clock),
+            rs_m=self._rs_m[n_res:].tobytes(),
+            rs_rt=since(self._rs_rt, n_res, clock),
+            post=self._state(),
+        )
+
+    def _simulate(self, kinds, addrs, widths) -> None:
+        self.blocks_simulated += 1
+        # The core loop wants Python ints; converting in slices bounds the
+        # size of the temporary lists.
+        step = 1 << 14
+        for i in range(0, len(kinds), step):
+            self._run(
+                kinds[i : i + step].tolist(),
+                addrs[i : i + step].tolist(),
+                None if widths is None else widths[i : i + step].tolist(),
+            )
+
+    def _state(self) -> bytes:
+        """Canonical state (see module docstring), packed as int64 words."""
+        c = self._clock
+        flat = []
+        for level in self._levels:
+            at = len(flat)
+            flat.append(0)
+            for st in level["sets"]:
+                for ln, (stamp, dirty, ready) in st.items():
+                    flat += (ln, stamp - c, dirty, ready - c if ready > c else 0)
+            flat[at] = (len(flat) - at - 1) // 4
+            live = sorted(t - c for t in level["heap"] if t > c)
+            flat.append(len(live))
+            flat += live
+        flat.append(len(self._track))
+        for ln, (fill_time, cov, resolved, overwritten) in self._track.items():
+            flat += (
+                ln, fill_time - c, cov & 0xFFFFFFFF, cov >> 32, resolved, overwritten
+            )
+        return array("q", flat).tobytes()
+
+    def _restore(self, state: bytes) -> None:
+        """Install a canonical state at the current clock."""
+        c = self._clock
+        flat = memoryview(state).cast("q")
+        pos = 0
+        for level in self._levels:
+            nsets = level["nsets"]
+            sets = [dict() for _ in range(nsets)]
+            end = pos + 1 + 4 * flat[pos]
+            for j in range(pos + 1, end, 4):
+                ln, ready = flat[j], flat[j + 3]
+                sets[ln % nsets][ln] = [
+                    flat[j + 1] + c, bool(flat[j + 2]), ready + c if ready else 0
+                ]
+            level["sets"] = sets
+            pos = end + 1 + flat[end]
+            # Stored sorted, so the list is already a valid heap.
+            level["heap"] = [t + c for t in flat[end + 1 : pos]]
+        track = self._track
+        track.clear()
+        for j in range(pos + 1, pos + 1 + 6 * flat[pos], 6):
+            track[flat[j]] = [
+                flat[j + 1] + c,
+                flat[j + 2] | flat[j + 3] << 32,
+                flat[j + 4],
+                flat[j + 5],
+            ]
+
+    def _replay(self, rec: _BlockReplay, n: int) -> None:
+        self.blocks_replayed += 1
+        c = self._clock
+        for arr, part in (
+            (self._rq_t, rec.rq_t + c),
+            (self._rq_k, rec.rq_k),
+            (self._rq_l, rec.rq_l),
+            (self._rq_c, rec.rq_c),
+            (self._rq_o, rec.rq_o + self._n_accesses),
+            (self._rs_l, rec.rs_l),
+            (self._rs_ft, rec.rs_ft + c),
+            (self._rs_m, rec.rs_m),
+            (self._rs_rt, rec.rs_rt + c),
+        ):
+            arr.frombytes(memoryview(part).cast("B"))
+        self._clock = c + rec.d_clock
+        self._stalls += rec.stalls
+        self._n_accesses += n
+        self._restore(rec.post)
 
     # -- core loop --------------------------------------------------------------
 
@@ -550,6 +767,9 @@ class CacheSimulator:
     def finish(self) -> SimResult:
         if self._result is not None:
             return self._result
+        self._seen.clear()
+        self._blocks.clear()
+        self._memo.clear()
         flush_time = self._clock + self._req_lat if self._n_accesses else 0
         # Resolve every outstanding fill, then write back dirty lines once
         # each (the freshest copy wins; deeper stale copies are subsumed).
@@ -594,15 +814,11 @@ def simulate(trace, config: CacheConfig | None = None) -> SimResult:
     """Replay a stored trace (path or TraceReader) through the hierarchy."""
     from .trace import TraceReader
 
-    reader = trace if isinstance(trace, TraceReader) else TraceReader(trace)
+    if not isinstance(trace, TraceReader):
+        with TraceReader(trace) as reader:
+            return simulate(reader, config)
     sim = CacheSimulator(config)
-    sim.register_structures(reader.structures)
-    sim.roi_begin()
-    for block in reader.iter_blocks():
+    sim.register_structures(trace.structures)
+    for block in trace.iter_blocks():
         sim.emit(block["kind"], block["addr"], None, block["width"])
-    sim.roi_end()
     return sim.finish()
-
-
-def simulated_time(trace, config: CacheConfig | None = None) -> int:
-    return simulate(trace, config).T

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _stats
 
-from .cachesim import CacheConfig, CacheSimulator, SimResult
+from .cachesim import CacheConfig, CacheSimulator, SimResult, simulate
 from .cg import default_structure_map, default_tol, generate_poisson27, solve, spmv
 from .faultmodel import (
     AccessTimeline,
@@ -122,31 +122,7 @@ def build_problem(side: int, tol_factor: float):
 def replay_trace(path: str, cfg: CacheConfig):
     """Feed a recorded trace through the hierarchy; returns (result, smap)."""
     with TraceReader(path) as rd:
-        sim = CacheSimulator(cfg)
-        sim.register_structures(rd.structures)
-        begin, end = rd.roi.roi_start, rd.roi.roi_end
-        pos = 0
-        for block in rd.iter_blocks():
-            n = len(block)
-            cuts = sorted(
-                {0, n, min(max(begin - pos, 0), n), min(max(end - pos, 0), n)}
-            )
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                if pos + lo == begin:
-                    sim.roi_begin()
-                if pos + lo == end:
-                    sim.roi_end()
-                sim.emit(
-                    block["kind"][lo:hi],
-                    block["addr"][lo:hi],
-                    block["sid"][lo:hi],
-                )
-            pos += n
-        if begin == pos:
-            sim.roi_begin()
-        if end == pos:
-            sim.roi_end()
-        return sim.finish(), rd.structures
+        return simulate(rd, cfg), rd.structures
 
 
 def _config_digest(cfg: CacheConfig) -> str:
@@ -188,6 +164,12 @@ def simulate_problem(
     if not (rec.converged and rec.verified):
         raise RuntimeError("reference solve did not converge and verify")
     result = sim.finish()
+    if progress:
+        progress(
+            f"simulated {sim.blocks_simulated} of "
+            f"{sim.blocks_simulated + sim.blocks_replayed} blocks, "
+            f"replayed {sim.blocks_replayed}"
+        )
     # Write-then-rename so an interrupted run never leaves a bad cache;
     # the temp name keeps the .npz suffix the writer insists on.
     tmp = cache_path[: -len(".npz")] + ".tmp.npz"

@@ -30,6 +30,7 @@ Every run is classified into exactly one outcome class:
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import multiprocessing
@@ -740,8 +741,18 @@ def _outcome_row(oc: Outcome) -> dict:
 
 
 def _read_log(path, structure_id, seed):
+    """Finished runs of a campaign log, and the byte offset they end at.
+
+    An unterminated final line is a run interrupted mid-write, not a
+    finished one, so it is left out.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.rfind(b"\n") + 1
+    if end == 0:
+        return [], 0
     outcomes = []
-    with open(path, newline="") as fh:
+    with io.StringIO(data[:end].decode(), newline="") as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing campaign header line")
@@ -772,7 +783,7 @@ def _read_log(path, structure_id, seed):
                     row["detail"],
                 )
             )
-    return outcomes
+    return outcomes, end
 
 
 def run_campaign(
@@ -803,7 +814,7 @@ def run_campaign(
     writer = None
     if log_path is not None:
         if os.path.exists(log_path) and os.path.getsize(log_path) > 0:
-            outcomes = _read_log(log_path, structure_id, seed)
+            outcomes, end = _read_log(log_path, structure_id, seed)
             if len(outcomes) > n_runs:
                 outcomes = outcomes[:n_runs]
             for oc, plan in zip(outcomes, plans):
@@ -817,7 +828,11 @@ def run_campaign(
                     )
         if len(outcomes) < n_runs:
             fresh = not outcomes
-            log_fh = open(log_path, "a", newline="")
+            if not fresh:
+                os.truncate(log_path, end)  # drop a torn final line
+            # A log without a finished run (e.g. torn inside its header) is
+            # rewritten, so it never carries a second header.
+            log_fh = open(log_path, "w" if fresh else "a", newline="")
             if fresh:
                 log_fh.write(
                     f"# campaign structure={structure_id} seed={seed} "

@@ -425,3 +425,149 @@ class TestDeterminismAndIo:
         sim = CacheSimulator(cfg)
         with pytest.raises(ValueError):
             sim.emit(np.array([0], dtype=np.uint8), np.array([1 << 21], dtype=np.int64))
+
+
+RESULT_ARRAYS = ("req_time", "req_kind", "req_line", "req_cause", "req_ord",
+                 "res_line", "res_fill_time", "res_mask", "res_time")
+
+
+def assert_same_result(got, want):
+    for name in RESULT_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert (got.t_start, got.t_end, got.n_accesses, got.n_stall_cycles) == (
+        want.t_start, want.t_end, want.n_accesses, want.n_stall_cycles)
+
+
+def unrepeated_feed(cfg, kinds, addrs, widths=None):
+    """Simulate a stream in blocks of strictly increasing length, so no
+    block's contents ever repeat and the block memo never replays."""
+    sim = CacheSimulator(cfg)
+    pos, size = 0, 1
+    while pos < len(kinds):
+        end = pos + size
+        sim.emit(kinds[pos:end], addrs[pos:end], None,
+                 None if widths is None else widths[pos:end])
+        pos, size = end, size + 1
+    res = sim.finish()
+    assert sim.blocks_replayed == 0
+    return res
+
+
+class TestBlockMemo:
+    """The memo must reproduce the simulation it skips exactly."""
+
+    @pytest.mark.parametrize("side", [8, 16])
+    def test_solver_stream_matches_unrepeated_feed(self, side):
+        from memvuln.cg import solve
+        from memvuln.cli import build_problem
+        from memvuln.trace import CollectingObserver
+
+        A, b, tol = build_problem(side, 1e-8)
+        cfg = CacheConfig.desk_scaled(side)
+        sim = CacheSimulator(cfg)
+        solve(A, b, tol=tol, observer=sim)
+        memo = sim.finish()
+        assert sim.blocks_replayed > 0
+        coll = CollectingObserver()
+        solve(A, b, tol=tol, observer=coll)
+        kinds, addrs, _ = coll.arrays()
+        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
+
+    @staticmethod
+    def _phase_blocks(rng, n_blocks=4):
+        """Random blocks over 24 lines with partial-word stores; half end in
+        a load sweep over 80 other lines, which flushes the tiny caches and
+        leaves a fill in flight that the next block's first load merges
+        with."""
+        sweep = list(range(64 * 1000, 64 * 1080, 64))
+        blocks = []
+        for b in range(n_blocks):
+            n = rng.randrange(50, 300)
+            widths = [8] + [rng.choice((8, 4, 2, 1)) for _ in range(n)]
+            kinds = [KIND_LOAD] + [
+                KIND_STORE if rng.random() < 0.6 else KIND_LOAD for _ in range(n)
+            ]
+            addrs = [sweep[-1] + 24] + [
+                64 * rng.randrange(24) + w * rng.randrange(64 // w)
+                for w in widths[1:]
+            ]
+            if b % 2 == 0:
+                kinds += [KIND_LOAD] * len(sweep)
+                addrs += sweep
+                widths += [8] * len(sweep)
+            blocks.append((np.array(kinds, dtype=np.uint8),
+                           np.array(addrs, dtype=np.int64),
+                           np.array(widths, dtype=np.int64)))
+        return blocks
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_phase_streams_match_unrepeated_feed(self, seed):
+        rng = random.Random(seed)
+        blocks = self._phase_blocks(rng)
+        order = [rng.randrange(len(blocks)) for _ in range(60)]
+        cfg = tiny_config(mshrs=(1, 2, 2))
+        sim = CacheSimulator(cfg)
+        for i in order:
+            sim.emit(blocks[i][0], blocks[i][1], None, blocks[i][2])
+        memo = sim.finish()
+        assert sim.blocks_replayed > 10
+        assert sim.blocks_simulated + sim.blocks_replayed == len(order)
+        assert memo.n_stall_cycles > 0
+        kinds, addrs, widths = (np.concatenate([blocks[i][j] for i in order])
+                                for j in range(3))
+        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs, widths))
+
+    def test_never_repeating_stream_takes_no_snapshot(self, monkeypatch):
+        calls = []
+        real = CacheSimulator._state
+        monkeypatch.setattr(CacheSimulator, "_state",
+                            lambda self: calls.append(1) or real(self))
+        rng = np.random.default_rng(5)
+        kinds = rng.integers(0, 2, 5000).astype(np.uint8)
+        addrs = 8 * rng.integers(0, 4096, 5000)
+        unrepeated_feed(tiny_config(), kinds, addrs)
+        assert calls == []
+
+    def test_repeated_block_replays_and_counts(self):
+        # One MSHR in L1 serialises the misses, so the state at the end of
+        # each sweep is the same from the first block on.
+        cfg = tiny_config(mshrs=(1, 2, 2))
+        kinds = np.zeros(300, dtype=np.uint8)
+        addrs = 64 * np.arange(300, dtype=np.int64)  # streams past every level
+        sim = CacheSimulator(cfg)
+        for _ in range(12):
+            sim.emit(kinds, addrs)
+        memo = sim.finish()
+        # The first block is simulated unrecorded, the second recorded.
+        assert (sim.blocks_simulated, sim.blocks_replayed) == (2, 10)
+        ref = unrepeated_feed(cfg, np.tile(kinds, 12), np.tile(addrs, 12))
+        assert_same_result(memo, ref)
+
+    def test_digest_collisions_never_replay_a_different_block(self, monkeypatch):
+        class _OneDigest:
+            def __init__(self, *_):
+                pass
+
+            def update(self, _):
+                pass
+
+            def digest(self):
+                return b"same"
+
+        import memvuln.cachesim as cachesim
+
+        monkeypatch.setattr(cachesim.hashlib, "sha256", _OneDigest)
+        rng = random.Random(7)
+        blocks = self._phase_blocks(rng)
+        order = [rng.randrange(len(blocks)) for _ in range(30)]
+        cfg = tiny_config(mshrs=(1, 2, 2))
+        sim = CacheSimulator(cfg)
+        for i in order:
+            sim.emit(blocks[i][0], blocks[i][1], None, blocks[i][2])
+        memo = sim.finish()
+        monkeypatch.undo()
+        kinds, addrs, widths = (np.concatenate([blocks[i][j] for i in order])
+                                for j in range(3))
+        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs, widths))

@@ -599,6 +599,43 @@ class TestCampaign:
         assert resumed.p_unace == full.p_unace
         assert len(path.read_text().splitlines()) == 2 + 14
 
+    @pytest.mark.parametrize("where", ["row", "csv-header", "campaign-header"])
+    def test_torn_log_line_is_rerun(self, small_problem, tmp_path, where):
+        *_, ctx = small_problem
+        full_path = tmp_path / "full.csv"
+        run_campaign(
+            ctx, "Av", 14, seed=21, log_path=str(full_path), time_limit=30.0
+        )
+        full = full_path.read_bytes()
+        lines = full.splitlines(keepends=True)
+        if where == "row":
+            # Cut the sixth row inside its outcome field, before `detail`.
+            keep = b"".join(lines[: 2 + 5])
+            row = lines[2 + 5]
+            cut = keep + row[: row.index(b",ACE,") + 3]
+        elif where == "csv-header":
+            cut = lines[0] + lines[1][:10]
+        else:
+            cut = lines[0][:10]
+        path = tmp_path / "torn.csv"
+        path.write_bytes(cut)
+        resumed = run_campaign(
+            ctx, "Av", 14, seed=21, log_path=str(path), time_limit=30.0
+        )
+        assert resumed.n_runs == 14
+
+        def without_wall_time(text):
+            out = []
+            for line in text.splitlines(keepends=True):
+                if line[:1].isdigit():  # a run row; wall_time is field 6
+                    fields = line.split(b",")
+                    fields[6] = b""
+                    line = b",".join(fields)
+                out.append(line)
+            return out
+
+        assert without_wall_time(path.read_bytes()) == without_wall_time(full)
+
     def test_log_guards_against_mismatch(self, small_problem, tmp_path):
         *_, ctx = small_problem
         path = tmp_path / "campaign.csv"
