@@ -2,9 +2,10 @@
 
 The simulator consumes an access stream (directly as an observer, or from
 a stored trace) and produces the main-memory request stream — fills and
-write-backs with simulated timestamps — plus one FillResolution per fill
+write-backs with simulated timestamps — plus one resolution per fill
 recording, per 64-bit word of the fetched line, whether the word was
-consumed (loaded) or fully overwritten by stores before any load.
+consumed (loaded) or fully overwritten by stores before any load (bit w
+of ``res_mask`` set means word w was overwritten).
 
 Timing model (deliberately simple, fixed-latency):
   * the core issues one access per cycle; an access that needs a
@@ -101,8 +102,6 @@ class CacheConfig:
     )
     memory_latency: int = 155
     memory_capacity: int = 32 * 1024**3
-    #: Documentation only — bandwidth is not modeled as a queue.
-    memory_bandwidth_bytes_per_cycle: float = 8.0
 
     def validate(self) -> None:
         if self.line_size != 64:
@@ -152,7 +151,6 @@ class CacheConfig:
         lines += [
             f"memory.latency = {self.memory_latency}",
             f"memory.capacity = {self.memory_capacity}",
-            f"memory.bandwidth_bytes_per_cycle = {self.memory_bandwidth_bytes_per_cycle}",
         ]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -182,31 +180,8 @@ class CacheConfig:
         cfg.l1, cfg.l2, cfg.l3 = lvl("l1"), lvl("l2"), lvl("l3")
         cfg.memory_latency = int(kv["memory.latency"])
         cfg.memory_capacity = int(kv["memory.capacity"])
-        cfg.memory_bandwidth_bytes_per_cycle = float(
-            kv["memory.bandwidth_bytes_per_cycle"]
-        )
         cfg.validate()
         return cfg
-
-
-class MemoryRequest(NamedTuple):
-    time: int
-    kind: int  # REQ_FILL or REQ_WRITEBACK
-    line_addr: int
-    fill_cause: int  # CAUSE_* (CAUSE_NONE for write-backs)
-
-
-class FillResolution(NamedTuple):
-    line_addr: int
-    fill_time: int
-    overwritten_mask: int  # bit w set => word w overwritten before any load
-    resolution_time: int
-
-    def verdicts(self) -> tuple:
-        return tuple(
-            "overwritten" if self.overwritten_mask >> w & 1 else "consumed"
-            for w in range(8)
-        )
 
 
 @dataclass
@@ -239,24 +214,6 @@ class SimResult:
     @property
     def n_writebacks(self) -> int:
         return int(np.sum(self.req_kind == REQ_WRITEBACK))
-
-    def requests(self):
-        for i in range(len(self.req_time)):
-            yield MemoryRequest(
-                int(self.req_time[i]),
-                int(self.req_kind[i]),
-                int(self.req_line[i]),
-                int(self.req_cause[i]),
-            )
-
-    def resolutions(self):
-        for i in range(len(self.res_line)):
-            yield FillResolution(
-                int(self.res_line[i]),
-                int(self.res_fill_time[i]),
-                int(self.res_mask[i]),
-                int(self.res_time[i]),
-            )
 
     def save(self, path) -> None:
         np.savez_compressed(
@@ -804,10 +761,6 @@ class CacheSimulator:
             n_stall_cycles=self._stalls,
         )
         return self._result
-
-    @property
-    def result(self) -> SimResult:
-        return self.finish()
 
 
 def simulate(trace, config: CacheConfig | None = None) -> SimResult:

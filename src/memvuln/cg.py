@@ -6,17 +6,31 @@ otherwise, the two direction buffers swap roles at the end of every
 iteration, and all reductions run in a fixed blocked order so fault-free
 runs are bit-reproducible.  An optional observer receives every logical
 load/store to the nine tracked structures as vectorized event blocks.
+
+The phase table (``Phase`` and ``PHASES``) is the one description of the
+access layout: each of the seven phases lists its per-element accesses
+(or, for a sparse sweep, its source vector and per-row trailer) and owns
+the arithmetic that places an access in the stream.  The access emitter
+builds its blocks from it, and the injector (``inject._InjectedSolve``)
+finds from it where a flipped word is read or written.  Both run the
+recurrence through the one loop, ``iterate``, with their own hooks.
 """
 
 from __future__ import annotations
 
-import struct
 import time as _time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .trace import KIND_LOAD, KIND_STORE, StructureMap, StructureRegion
+from .trace import (
+    KIND_LOAD,
+    KIND_STORE,
+    TRACKED_STRUCTURES,
+    StructureMap,
+    StructureRegion,
+)
 
 #: Hard cap on generated rows; beyond this the CSR arrays alone would
 #: exceed the 32 GB simulated memory capacity.
@@ -115,18 +129,6 @@ def generate_poisson27(side: int) -> CsrMatrix:
     return CsrMatrix(n, row_ptr, cols.astype(np.int64), vals)
 
 
-def make_diagonal(diag: np.ndarray) -> CsrMatrix:
-    """Diagonal CSR matrix (converges in one CG iteration)."""
-    diag = np.asarray(diag, dtype=np.float64)
-    n = len(diag)
-    return CsrMatrix(
-        n,
-        np.arange(n + 1, dtype=np.int64),
-        np.arange(n, dtype=np.int64),
-        diag.copy(),
-    )
-
-
 def norm2_blocked(v: np.ndarray, block: int = REDUCE_BLOCK) -> float:
     """Sum of squares in a fixed blocked order (bit-reproducible)."""
     total = 0.0
@@ -191,6 +193,154 @@ def default_tol(b: np.ndarray, factor: float = 1e-8) -> float:
     return factor * norm2_blocked(b)
 
 
+def default_structure_map(A: CsrMatrix) -> StructureMap:
+    """Page-aligned flat layout of the nine tracked structures."""
+    words = {"Ar": A.n_rows + 1, "Ac": A.nnz, "Av": A.nnz}
+    regions = []
+    base = 0
+    for name in TRACKED_STRUCTURES:
+        length = 8 * words.get(name, A.n_rows)
+        regions.append(StructureRegion(name, base, length))
+        base += -(-length // _PAGE) * _PAGE
+    return StructureMap(regions)
+
+
+# ---------------------------------------------------------------------------
+# Phase table
+
+
+def _role(name, parity: int):
+    """The buffer playing role ``name`` at this parity; d and dp swap."""
+    if parity and name in ("d", "dp"):
+        return "dp" if name == "d" else "d"
+    return name
+
+
+class Phase(NamedTuple):
+    """One solver phase, as the memory hierarchy sees it.
+
+    ``ops`` lists the (operand, kind) accesses the phase makes for each
+    element, in stream order.  A sparse sweep (``src`` set) reads each row
+    as its two row-pointer loads, a (column, value, source) load triplet
+    per nonzero, and then ``ops`` as the row's trailer.  The operands
+    ``d`` and ``dp`` are roles that swap buffers with parity.  Every
+    ordinal is an access's offset from the start of the phase's block.
+    """
+
+    name: str
+    ops: tuple
+    src: str | None = None
+
+    def operands(self, parity: int) -> tuple:
+        return tuple((_role(name, parity), kind) for name, kind in self.ops)
+
+    def source(self, parity: int):
+        return _role(self.src, parity)
+
+    def nz_operands(self, parity: int) -> tuple:
+        """The operands of a nonzero's column, value and source loads."""
+        return ("Ac", "Av", self.source(parity))
+
+    @property
+    def _row_len(self) -> int:
+        """A sweep's accesses per row outside its nonzeros."""
+        return 2 + len(self.ops)
+
+    def length(self, n: int, nnz: int) -> int:
+        if self.src is None:
+            return len(self.ops) * n
+        return self._row_len * n + 3 * nnz
+
+    def op_ord(self, k, i, row_ptr):
+        """Access k of ``ops`` for element i, or in row i's trailer."""
+        if self.src is None:
+            return len(self.ops) * i + k
+        return self._row_len * i + 3 * row_ptr[i + 1] + 2 + k
+
+    def row_ptr_ord(self, k, r, row_ptr):
+        """Row r's row-pointer load k, which reads entry r + k."""
+        return self._row_len * r + 3 * row_ptr[r] + k
+
+    def nz_ord(self, k, j, row):
+        """Load k (column, value, source) of nonzero j, which lies in row."""
+        return self._row_len * row + 2 + 3 * j + k
+
+
+G_RECOMPUTE = Phase("g_recompute", (("b", KIND_LOAD), ("g", KIND_STORE)), src="x")
+G_AXPY = Phase("g_axpy", (("g", KIND_LOAD), ("q", KIND_LOAD), ("g", KIND_STORE)))
+EPS = Phase("eps", (("g", KIND_LOAD),))
+D_UPDATE = Phase(
+    "d_update", (("dp", KIND_LOAD), ("g", KIND_LOAD), ("d", KIND_STORE))
+)
+Q_SPMV = Phase("q_spmv", (("q", KIND_STORE),), src="d")
+ALPHA_DOT = Phase("alpha_dot", (("q", KIND_LOAD), ("d", KIND_LOAD)))
+X_UPDATE = Phase(
+    "x_update", (("x", KIND_LOAD), ("d", KIND_LOAD), ("x", KIND_STORE))
+)
+PHASES = (G_RECOMPUTE, G_AXPY, EPS, D_UPDATE, Q_SPMV, ALPHA_DOT, X_UPDATE)
+
+#: Every iteration opens with one of these: the residual is recomputed
+#: from scratch every RECOMPUTE_EVERY iterations and updated otherwise.
+RESIDUAL_PHASES = (G_RECOMPUTE, G_AXPY)
+RECOMPUTE_EVERY = 50
+
+
+def iterate(arr: dict, tol, t_max, open_phase, product, native=False):
+    """The solver loop over the named vectors ``arr`` (b, x, g, d, dp, q).
+
+    ``open_phase(phase, t, parity)`` runs as each phase opens and
+    ``product(phase, parity, out)`` writes a sweep's sparse product to
+    ``out``.  Returns (converged, iterations, eps), where iterations is
+    the loop index at which the convergence test fired.  A zero <q, d>
+    raises CgBreakdownError unless ``native``, which keeps the float
+    semantics of the compiled program: the run goes on with inf or nan.
+    """
+    b, x, g, q = arr["b"], arr["x"], arr["g"], arr["q"]
+    d, dp = arr["d"], arr["dp"]
+    scratch = np.empty(len(x))
+    eps = eps_old = float("inf")
+    alpha = 0.0
+    parity = 0
+    for t in range(t_max):
+        if t % RECOMPUTE_EVERY == 0:
+            open_phase(G_RECOMPUTE, t, parity)
+            product(G_RECOMPUTE, parity, g)
+            np.subtract(b, g, out=g)
+        else:
+            open_phase(G_AXPY, t, parity)
+            np.multiply(q, alpha, out=scratch)
+            np.subtract(g, scratch, out=g)
+        open_phase(EPS, t, parity)
+        eps = norm2_blocked(g)
+        if eps < tol:
+            return True, t, eps
+        beta = eps / eps_old  # eps_old failed the test, so it is not 0
+        open_phase(D_UPDATE, t, parity)
+        np.multiply(dp, beta, out=d)
+        d += g
+        open_phase(Q_SPMV, t, parity)
+        product(Q_SPMV, parity, q)
+        open_phase(ALPHA_DOT, t, parity)
+        denom = dot_blocked(q, d)
+        if denom != 0.0:
+            alpha = eps / denom
+        elif native:
+            alpha = float(np.float64(eps) / denom)  # inf or nan
+        else:
+            raise CgBreakdownError(f"<q,d> = 0 at iteration {t}")
+        open_phase(X_UPDATE, t, parity)
+        np.multiply(d, alpha, out=scratch)
+        x += scratch
+        eps_old = eps
+        d, dp = dp, d
+        parity ^= 1
+    return False, t_max, eps
+
+
+def _no_hook(*_args) -> None:
+    pass
+
+
 def solve(
     A: CsrMatrix,
     b: np.ndarray,
@@ -199,17 +349,11 @@ def solve(
     t_max: int = 2000,
     vectors: CgVectors | None = None,
     observer=None,
-    roi_begin_cb=None,
-    roi_end_cb=None,
-    verify_with: tuple[CsrMatrix, np.ndarray] | None = None,
 ) -> SolveRecord:
-    """Run the solver loop; see module docstring for the exact recurrence.
+    """Run the solver loop (``iterate``) and verify against (A, b).
 
-    ``iterations`` in the returned record is the loop index at which the
-    convergence test fired (the number of completed search steps).  A NaN
-    residual never satisfies the test, so poisoned runs fall through to
-    t_max and fail verification.  ``verify_with`` supplies pristine copies
-    for the final residual check; it defaults to (A, b) themselves.
+    A NaN residual never satisfies the convergence test, so poisoned runs
+    fall through to t_max and fail verification.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -219,114 +363,40 @@ def solve(
     if np.any(np.diff(A.row_ptr) == 0):
         raise ValueError("matrices with empty rows are not supported")
     v = vectors if vectors is not None else CgVectors.allocate(n)
-    v.x[:] = 0.0
-    v.g[:] = 0.0
-    v.q[:] = 0.0
-    v.d[:] = 0.0
-    v.dp[:] = 0.0
+    arr = {"b": b, "x": v.x, "g": v.g, "d": v.d, "dp": v.dp, "q": v.q}
+    for name in ("x", "g", "q", "d", "dp"):
+        arr[name][:] = 0.0
     prod = np.empty(A.nnz)
-    scratch = np.empty(n)
 
-    emitter = _AccessEmitter(A, observer) if observer is not None else None
-    if emitter is not None:
+    def product(phase, parity, out):
+        spmv(A, arr[phase.source(parity)], out=out, prod=prod)
+
+    open_phase = _no_hook
+    if observer is not None:
+        emitter = _AccessEmitter(A, observer)
         observer.register_structures(emitter.smap)
 
-    eps = float("inf")
-    eps_old = float("inf")
-    alpha = 0.0
-    cur_d, cur_dp = v.d, v.dp
-    parity = 0  # 0 while v.d plays the role of d
-    iterations = t_max
-    converged = False
+        def open_phase(phase, t, parity):
+            emitter.emit(phase, parity)
 
     t0 = _time.perf_counter()
-    if roi_begin_cb is not None:
-        roi_begin_cb()
-    if emitter is not None:
+    if observer is not None:
         observer.roi_begin()
-    for t in range(t_max):
-        if t % 50 == 0:
-            spmv(A, v.x, out=v.g, prod=prod)
-            np.subtract(b, v.g, out=v.g)
-            if emitter is not None:
-                emitter.emit_g_recompute()
-        else:
-            np.multiply(v.q, alpha, out=scratch)
-            np.subtract(v.g, scratch, out=v.g)
-            if emitter is not None:
-                emitter.emit_g_axpy()
-        eps = norm2_blocked(v.g)
-        if emitter is not None:
-            emitter.emit_eps()
-        if eps < tol:
-            iterations = t
-            converged = True
-            break
-        beta = eps / eps_old
-        np.multiply(cur_dp, beta, out=cur_d)
-        cur_d += v.g
-        if emitter is not None:
-            emitter.emit_d_update(parity)
-        spmv(A, cur_d, out=v.q, prod=prod)
-        if emitter is not None:
-            emitter.emit_q_spmv(parity)
-        denom = dot_blocked(v.q, cur_d)
-        if emitter is not None:
-            emitter.emit_alpha_dot(parity)
-        if denom == 0.0:
-            raise CgBreakdownError(f"<q,d> = 0 at iteration {t}")
-        alpha = eps / denom
-        np.multiply(cur_d, alpha, out=scratch)
-        v.x += scratch
-        if emitter is not None:
-            emitter.emit_x_update(parity)
-        eps_old = eps
-        cur_d, cur_dp = cur_dp, cur_d
-        parity ^= 1
-    if emitter is not None:
+    converged, iterations, eps = iterate(arr, tol, t_max, open_phase, product)
+    if observer is not None:
         observer.roi_end()
-    if roi_end_cb is not None:
-        roi_end_cb()
     wall = _time.perf_counter() - t0
 
-    pv = verify_with if verify_with is not None else (A, b)
-    verified = converged and verify(pv[0], pv[1], v.x, tol)
+    verified = converged and verify(A, b, v.x, tol)
     return SolveRecord(iterations, converged, float(eps), verified, wall)
 
 
-# ---------------------------------------------------------------------------
-# Access observation
-
-
-def default_structure_map(A: CsrMatrix) -> StructureMap:
-    """Page-aligned flat layout of the nine tracked structures."""
-    n = A.n_rows
-    sizes = {
-        "Ar": (n + 1) * 8,
-        "Ac": A.nnz * 8,
-        "Av": A.nnz * 8,
-        "x": n * 8,
-        "b": n * 8,
-        "g": n * 8,
-        "d": n * 8,
-        "dp": n * 8,
-        "q": n * 8,
-    }
-    regions = []
-    base = 0
-    for name in ("Ar", "Ac", "Av", "x", "b", "g", "d", "dp", "q"):
-        regions.append(StructureRegion(name, base, sizes[name]))
-        base += -(-sizes[name] // _PAGE) * _PAGE
-    return StructureMap(regions)
-
-
 class _AccessEmitter:
-    """Builds and replays per-phase access templates.
+    """Streams each phase's access block, built from the phase table.
 
-    Each solver phase touches its operands element-sequentially, so the
-    event block of a phase is identical every iteration up to the role of
-    the two direction buffers; templates are therefore cached per phase
-    and per buffer parity, and streamed to the observer in bounded chunks.
+    A phase's block is the same every iteration up to the parity of the
+    direction buffers, so blocks are cached per phase and resolved
+    operands and streamed to the observer in bounded chunks.
     """
 
     CHUNK = 1 << 20
@@ -339,74 +409,8 @@ class _AccessEmitter:
         self._sid = {r.name: self.smap.ordinal_of(r.name) for r in self.smap.regions}
         self._cache: dict = {}
 
-    # -- template helpers ---------------------------------------------------
-
-    def _addr(self, name: str, idx: np.ndarray | int):
-        return self._base[name] + 8 * np.asarray(idx, dtype=np.uint64)
-
-    def _elementwise(self, key, ops):
-        """ops = list of (name, kind); one event per op per element i."""
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        n = self.A.n_rows
-        m = len(ops)
-        idx = np.arange(n, dtype=np.uint64)
-        kinds = np.empty(m * n, dtype=np.uint8)
-        addrs = np.empty(m * n, dtype=np.uint64)
-        sids = np.empty(m * n, dtype=np.uint16)
-        for k, (name, kind) in enumerate(ops):
-            kinds[k::m] = kind
-            addrs[k::m] = self._addr(name, idx)
-            sids[k::m] = self._sid[name]
-        self._cache[key] = (kinds, addrs, sids)
-        return self._cache[key]
-
-    def _spmv_like(self, key, src: str, trailer):
-        """Row-major sparse sweep: per row, the two row-pointer loads, then
-        (column, value, gathered source) triplets, then the trailer ops."""
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        A = self.A
-        n, nnz = A.n_rows, A.nnz
-        tr = len(trailer)
-        total = (2 + tr) * n + 3 * nnz
-        kinds = np.empty(total, dtype=np.uint8)
-        addrs = np.empty(total, dtype=np.uint64)
-        sids = np.empty(total, dtype=np.uint16)
-        rows = np.arange(n, dtype=np.int64)
-        row_of = np.repeat(rows, np.diff(A.row_ptr))
-        start = (2 + tr) * rows + 3 * A.row_ptr[:-1]
-        j = np.arange(nnz, dtype=np.int64)
-        trip = (2 + tr) * row_of + 2 + 3 * j
-        # Row-pointer loads: entries r and r+1 of the row array.
-        for k in (0, 1):
-            pos = start + k
-            kinds[pos] = KIND_LOAD
-            addrs[pos] = self._addr("Ar", rows + k)
-            sids[pos] = self._sid["Ar"]
-        # Column index, value, gathered source element.
-        kinds[trip] = KIND_LOAD
-        addrs[trip] = self._addr("Ac", j)
-        sids[trip] = self._sid["Ac"]
-        kinds[trip + 1] = KIND_LOAD
-        addrs[trip + 1] = self._addr("Av", j)
-        sids[trip + 1] = self._sid["Av"]
-        kinds[trip + 2] = KIND_LOAD
-        addrs[trip + 2] = self._addr(src, A.col_idx)
-        sids[trip + 2] = self._sid[src]
-        tpos = (2 + tr) * rows + 3 * A.row_ptr[1:] + 2
-        for k, (name, kind) in enumerate(trailer):
-            pos = tpos + k
-            kinds[pos] = kind
-            addrs[pos] = self._addr(name, rows)
-            sids[pos] = self._sid[name]
-        self._cache[key] = (kinds, addrs, sids)
-        return self._cache[key]
-
-    def _emit(self, template) -> None:
-        kinds, addrs, sids = template
+    def emit(self, phase: Phase, parity: int) -> None:
+        kinds, addrs, sids = self._template(phase, parity)
         for i in range(0, len(kinds), self.CHUNK):
             self.obs.emit(
                 kinds[i : i + self.CHUNK],
@@ -414,116 +418,33 @@ class _AccessEmitter:
                 sids[i : i + self.CHUNK],
             )
 
-    def _d_name(self, parity: int) -> str:
-        return "d" if parity == 0 else "dp"
+    def _template(self, phase: Phase, parity: int):
+        key = (phase.name, phase.operands(parity), phase.source(parity))
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        A = self.A
+        size = phase.length(A.n_rows, A.nnz)
+        kinds = np.empty(size, dtype=np.uint8)
+        addrs = np.empty(size, dtype=np.uint64)
+        sids = np.empty(size, dtype=np.uint16)
 
-    def _dp_name(self, parity: int) -> str:
-        return "dp" if parity == 0 else "d"
+        def put(pos, name, kind, idx):
+            kinds[pos] = kind
+            addrs[pos] = self._base[name] + 8 * np.asarray(idx, dtype=np.uint64)
+            sids[pos] = self._sid[name]
 
-    # -- phases ---------------------------------------------------------------
-
-    def emit_g_recompute(self) -> None:
-        self._emit(
-            self._spmv_like(
-                "grec", "x", [("b", KIND_LOAD), ("g", KIND_STORE)]
-            )
-        )
-
-    def emit_g_axpy(self) -> None:
-        self._emit(
-            self._elementwise(
-                "gaxpy",
-                [("g", KIND_LOAD), ("q", KIND_LOAD), ("g", KIND_STORE)],
-            )
-        )
-
-    def emit_eps(self) -> None:
-        self._emit(self._elementwise("eps", [("g", KIND_LOAD)]))
-
-    def emit_d_update(self, parity: int) -> None:
-        self._emit(
-            self._elementwise(
-                ("dupd", parity),
-                [
-                    (self._dp_name(parity), KIND_LOAD),
-                    ("g", KIND_LOAD),
-                    (self._d_name(parity), KIND_STORE),
-                ],
-            )
-        )
-
-    def emit_q_spmv(self, parity: int) -> None:
-        self._emit(
-            self._spmv_like(
-                ("spmv", parity), self._d_name(parity), [("q", KIND_STORE)]
-            )
-        )
-
-    def emit_alpha_dot(self, parity: int) -> None:
-        self._emit(
-            self._elementwise(
-                ("adot", parity),
-                [("q", KIND_LOAD), (self._d_name(parity), KIND_LOAD)],
-            )
-        )
-
-    def emit_x_update(self, parity: int) -> None:
-        self._emit(
-            self._elementwise(
-                ("xupd", parity),
-                [
-                    ("x", KIND_LOAD),
-                    (self._d_name(parity), KIND_LOAD),
-                    ("x", KIND_STORE),
-                ],
-            )
-        )
-
-
-# ---------------------------------------------------------------------------
-# Binary serialization
-
-_MAT_MAGIC = b"MVCM"
-_VEC_MAGIC = b"MVVE"
-_SER_VERSION = 1
-
-
-def save_matrix(path, A: CsrMatrix) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sHHQQ", _MAT_MAGIC, _SER_VERSION, 0, A.n_rows, A.nnz))
-        fh.write(A.row_ptr.astype("<i8").tobytes())
-        fh.write(A.col_idx.astype("<i8").tobytes())
-        fh.write(A.values.astype("<f8").tobytes())
-
-
-def load_matrix(path) -> CsrMatrix:
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sHHQQ"))
-        magic, version, _, n_rows, nnz = struct.unpack("<4sHHQQ", head)
-        if magic != _MAT_MAGIC:
-            raise ValueError("not a matrix file")
-        if version != _SER_VERSION:
-            raise ValueError(f"matrix file version {version} unsupported")
-        row_ptr = np.fromfile(fh, dtype="<i8", count=n_rows + 1).astype(np.int64)
-        col_idx = np.fromfile(fh, dtype="<i8", count=nnz).astype(np.int64)
-        values = np.fromfile(fh, dtype="<f8", count=nnz).astype(np.float64)
-    A = CsrMatrix(n_rows, row_ptr, col_idx, values)
-    A.validate()
-    return A
-
-
-def save_vector(path, v: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sHHQ", _VEC_MAGIC, _SER_VERSION, 0, len(v)))
-        fh.write(np.asarray(v, dtype="<f8").tobytes())
-
-
-def load_vector(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sHHQ"))
-        magic, version, _, n = struct.unpack("<4sHHQ", head)
-        if magic != _VEC_MAGIC:
-            raise ValueError("not a vector file")
-        if version != _SER_VERSION:
-            raise ValueError(f"vector file version {version} unsupported")
-        return np.fromfile(fh, dtype="<f8", count=n).astype(np.float64)
+        rows = np.arange(A.n_rows, dtype=np.int64)
+        for k, (name, kind) in enumerate(phase.operands(parity)):
+            put(phase.op_ord(k, rows, A.row_ptr), name, kind, rows)
+        if phase.src is not None:
+            for k in (0, 1):
+                put(phase.row_ptr_ord(k, rows, A.row_ptr), "Ar", KIND_LOAD, rows + k)
+            j = np.arange(A.nnz, dtype=np.int64)
+            row_of = np.repeat(rows, np.diff(A.row_ptr))
+            for k, (name, idx) in enumerate(
+                zip(phase.nz_operands(parity), (j, j, A.col_idx))
+            ):
+                put(phase.nz_ord(k, j, row_of), name, KIND_LOAD, idx)
+        self._cache[key] = (kinds, addrs, sids)
+        return self._cache[key]

@@ -119,6 +119,21 @@ def build_problem(side: int, tol_factor: float):
     return A, b, tol
 
 
+def _problem_config(args) -> CacheConfig:
+    """The ``--config`` file, or the hierarchy scaled to ``--side``."""
+    if args.config:
+        return CacheConfig.load(args.config)
+    return CacheConfig.desk_scaled(args.side)
+
+
+def _campaign_log(scratch: str, args, structure: str, seed: int) -> str:
+    return os.path.join(
+        scratch,
+        f"campaign-side{args.side}-tf{args.tol_factor:.3e}-"
+        f"{structure}-seed{seed}.csv",
+    )
+
+
 def replay_trace(path: str, cfg: CacheConfig):
     """Feed a recorded trace through the hierarchy; returns (result, smap)."""
     with TraceReader(path) as rd:
@@ -412,11 +427,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    cfg = (
-        CacheConfig.load(args.config)
-        if args.config
-        else CacheConfig.desk_scaled(args.side)
-    )
+    cfg = _problem_config(args)
     scratch = _ensure_dir(args.scratch)
     A, b, tol, result = simulate_problem(
         args.side, args.tol_factor, cfg, scratch,
@@ -424,11 +435,7 @@ def cmd_inject(args) -> int:
     )
     ctx = build_context(A, b, tol, result)
     measure_baseline(ctx)
-    log_path = args.log or os.path.join(
-        scratch,
-        f"campaign-side{args.side}-tf{args.tol_factor:.3e}-"
-        f"{args.structure}-seed{args.seed}.csv",
-    )
+    log_path = args.log or _campaign_log(scratch, args, args.structure, args.seed)
     res = run_campaign(
         ctx,
         args.structure,
@@ -503,11 +510,7 @@ def cmd_pipeline(args) -> int:
         print(f"[{_time.perf_counter() - t0:8.1f}s] {msg}", file=sys.stderr)
 
     try:
-        cfg = (
-            CacheConfig.load(args.config)
-            if args.config
-            else CacheConfig.desk_scaled(args.side)
-        )
+        cfg = _problem_config(args)
     except Exception as exc:
         raise StageError("configuration", exc) from exc
 
@@ -533,17 +536,12 @@ def cmd_pipeline(args) -> int:
             baseline_iterations = ctx.baseline.iterations
             names = [r.name for r in analysis.structures]
             for i, name in enumerate(names):
-                log_path = os.path.join(
-                    scratch,
-                    f"campaign-side{args.side}-tf{args.tol_factor:.3e}-"
-                    f"{name}-seed{args.seed + i}.csv",
-                )
                 campaigns[name] = run_campaign(
                     ctx,
                     name,
                     args.runs,
                     args.seed + i,
-                    log_path=log_path,
+                    log_path=_campaign_log(scratch, args, name, args.seed + i),
                     parallel=args.parallel,
                 )
                 note(
@@ -613,7 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="convergence tolerance factor")
         if with_config:
             sp.add_argument("--config", default=None,
-                            help="cache configuration file")
+                            help="cache configuration file (default: "
+                            "CacheConfig.desk_scaled(side))")
 
     tp = sub.add_parser("trace", help="record a solver access trace")
     add_problem_flags(tp, with_config=False)
@@ -624,7 +623,12 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="vulnerability metrics for a recorded trace"
     )
     mp.add_argument("--trace", required=True, help="trace file to replay")
-    mp.add_argument("--config", default=None, help="cache configuration file")
+    mp.add_argument(
+        "--config", default=None,
+        help="cache configuration file (default: the full-size reference "
+        "hierarchy; pipeline and inject default to one scaled to the "
+        "problem, CacheConfig.desk_scaled(side))",
+    )
     mp.add_argument("--fit-rate", type=float, default=1e-9,
                     help="per-bit fault rate used by the dvf column")
     mp.add_argument("--csv", default="/dev/stdout",

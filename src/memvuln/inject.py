@@ -31,20 +31,25 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import math
 import multiprocessing
 import os
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .cg import CsrMatrix, default_structure_map, dot_blocked, norm2_blocked, verify
+from .cg import (
+    RESIDUAL_PHASES,
+    CsrMatrix,
+    Phase,
+    default_structure_map,
+    iterate,
+    verify,
+)
 from .cachesim import REQ_FILL, SimResult
-
-log = logging.getLogger(__name__)
+from .trace import KIND_LOAD
 
 OUTCOME_ACE = "ACE"
 OUTCOME_CRASH = "crash"
@@ -304,12 +309,8 @@ def draw_plans(ctx: InjectionContext, structure_id: str, n_runs: int, seed: int)
     rng = np.random.Generator(np.random.Philox(seed))
     plans = []
     for i in range(n_runs):
-        while True:
-            bit = int(rng.integers(0, bits))
-            at = int(rng.integers(1, ctx.T))
-            if 0 < at < ctx.T:
-                break
-            log.info("plan %d fell outside the window; redrawn", i)
+        bit = int(rng.integers(0, bits))
+        at = int(rng.integers(1, ctx.T))  # strictly inside the window
         plans.append(InjectionPlan(structure_id, bit, at, seed, i))
     return plans
 
@@ -318,17 +319,25 @@ def draw_plans(ctx: InjectionContext, structure_id: str, n_runs: int, seed: int)
 # Instrumented solver
 
 
+class _Hung(Exception):
+    """The wall-clock guard fired at an iteration boundary."""
+
+
 class _InjectedSolve:
     """Replays the solver with one flip applied at an exact access ordinal.
 
-    Phases mirror the clean solver's operations verbatim so an unapplied
-    or erased flip reproduces the baseline bit for bit.  The cursor
-    counts logical accesses in the same order the trace emitter streams
-    them; when the flip ordinal falls inside a phase, the phase runs in
-    two pieces split at the flipped word's own accesses.  Arithmetic
-    follows native float semantics — a zero denominator yields inf/nan
-    rather than an exception, so poisoned runs drift to the iteration
-    cap or the wall-clock guard just as the real program would.
+    The run goes through the clean solver's own loop (``cg.iterate``), so
+    an unapplied or erased flip reproduces the baseline bit for bit.  As
+    each phase opens, the cursor advances by the phase's length; when the
+    flip ordinal falls inside the phase, the phase table (see the ``cg``
+    module) gives the flipped word's own accesses, and the first of them
+    at or after the ordinal decides: a load sees the flip, a store erases
+    it, and past them all the flip waits for the next phase.  A sweep
+    whose matrix or source carries the flip splits its sparse product at
+    the same ordinals.  Arithmetic follows native float semantics — a zero
+    denominator yields inf/nan rather than an exception, so poisoned runs
+    drift to the iteration cap or the wall-clock guard just as the real
+    program would.
     """
 
     def __init__(self, ctx: InjectionContext, plan: InjectionPlan, apply_ord, pause=False):
@@ -346,28 +355,23 @@ class _InjectedSolve:
         self.erased = False
         self.pause = pause
         self.cum = 0
+        self.e_off = None  # flip ordinal within the open phase, if inside it
         self.iter_done = 0
+        self.deadline = float("inf")
         self.ar_flip_entry = None
 
-        self.rp_w = ctx.A.row_ptr.copy() if target == "Ar" else ctx.A.row_ptr
-        self.ci_w = ctx.A.col_idx.copy() if target == "Ac" else ctx.A.col_idx
-        self.av_w = ctx.A.values.copy() if target == "Av" else ctx.A.values
-        b_w = ctx.b.copy() if target == "b" else ctx.b
-        self.arr = {
-            "Ar": self.rp_w,
-            "Ac": self.ci_w,
-            "Av": self.av_w,
-            "b": b_w,
-            "x": np.zeros(n),
-            "g": np.zeros(n),
-            "d": np.zeros(n),
-            "dp": np.zeros(n),
-            "q": np.zeros(n),
+        # The memory image: inputs are shared with the pristine problem
+        # except the one the flip targets.
+        inputs = {
+            "Ar": ctx.A.row_ptr, "Ac": ctx.A.col_idx, "Av": ctx.A.values, "b": ctx.b
         }
+        self.arr = {k: v.copy() if k == target else v for k, v in inputs.items()}
+        for name in ("x", "g", "d", "dp", "q"):
+            self.arr[name] = np.zeros(n)
         if target == PAD_STRUCTURE:
             self.arr[PAD_STRUCTURE] = np.zeros(ctx.pad_words)
+        self.rp_w, self.ci_w, self.av_w = (self.arr[k] for k in ("Ar", "Ac", "Av"))
         self.prod = np.empty(nnz)
-        self.scratch = np.empty(n)
 
     # -- flip plumbing -------------------------------------------------------
 
@@ -395,32 +399,48 @@ class _InjectedSolve:
         self.pending = False
         self.erased = True
 
-    def _enter(self, length) -> bool:
-        if self.pending and self.e <= self.cum:
-            self._apply()
-        return self.pending and self.e < self.cum + length
+    # -- loop hooks -------------------------------------------------------------
 
-    def _leave(self, length):
-        self.cum += length
-
-    def _elem_mid(self, m, roles):
-        """Split an elementwise phase at the flipped word's accesses.
-
-        roles maps structure name to (load offset, store offset) within
-        an element's event group; every such phase loads before storing.
-        """
-        e_off = self.e - self.cum
-        acc = roles.get(self.target)
-        if acc is None:
+    def open_phase(self, phase: Phase, t: int, parity: int) -> None:
+        """Advance the cursor over the phase; settle a flip landing in it."""
+        if phase in RESIDUAL_PHASES:
+            self.iter_done = t
+            if _time.perf_counter() > self.deadline:
+                raise _Hung
+        start = self.cum
+        self.cum += phase.length(self.n, self.nnz)
+        self.e_off = None
+        if not self.pending or self.e >= self.cum:
+            return
+        if self.e <= start:
             self._apply()
             return
-        load_k, store_k = acc
-        w = self.word
-        if load_k is not None and e_off <= m * w + load_k:
+        e_off = self.e - start
+        own = [
+            (phase.op_ord(k, self.word, self.rp), kind)
+            for k, (name, kind) in enumerate(phase.operands(parity))
+            if name == self.target
+        ]
+        if own:
+            for ordinal, kind in own:
+                if e_off <= ordinal:
+                    if kind == KIND_LOAD:
+                        self._apply()
+                    else:
+                        self._cancel()
+                    break
+            # past the word's last access: it applies as the next phase opens
+        elif phase.src is None:
             self._apply()
-        elif store_k is not None and e_off <= m * w + store_k:
-            self._cancel()
-        # otherwise every access saw the old value: apply at the next phase
+        else:
+            self.e_off = e_off  # the sweep's product splits itself
+
+    def product(self, phase: Phase, parity: int, out) -> None:
+        """Sparse product of a sweep under the memory image it reads."""
+        if self.e_off is None:
+            self._spmv_value(phase.source(parity), out)
+        else:
+            self._spmv_mid(phase, parity, out)
 
     # -- sparse products -------------------------------------------------------
 
@@ -447,49 +467,38 @@ class _InjectedSolve:
                         int(self.rp_w[r]), int(self.rp_w[r + 1])
                     )
 
-    def _spmv_mid(self, tr, src_name, out, e_off):
+    def _spmv_mid(self, phase: Phase, parity: int, out):
         """Sparse sweep with the flip surfacing mid-phase.
 
-        Per row the sweep reads the two row bounds, then per element the
-        column, the value, and the gathered source entry; accesses at or
-        past the flip ordinal see the new value, earlier ones the old.
+        Accesses at or past the flip ordinal see the new value, earlier
+        ones the old.
         """
+        e_off = self.e_off
         t = self.target
         w = self.word
+        src_name = phase.source(parity)
+        nz_ops = phase.nz_operands(parity)
         if t == src_name:
             np.take(self.arr[src_name], self.ci_w, out=self.prod)
             np.multiply(self.av_w, self.prod, out=self.prod)
             lo = np.searchsorted(self.ctx.col_sorted, w, side="left")
             hi = np.searchsorted(self.ctx.col_sorted, w, side="right")
             occ = self.ctx.col_order[lo:hi]
-            sees_new = (
-                (2 + tr) * self.ctx.row_of[occ] + 4 + 3 * occ >= e_off
-            )
+            sees_new = phase.nz_ord(2, occ, self.ctx.row_of[occ]) >= e_off
             occ_new = occ[sees_new]
             self._apply()
             if len(occ_new):
                 self.prod[occ_new] = self.av_w[occ_new] * self.arr[src_name][w]
             np.add.reduceat(self.prod, self.rp[:-1], out=out)
-        elif t == "Av":
-            seen_at = (2 + tr) * int(self.ctx.row_of[w]) + 3 + 3 * w
-            if e_off <= seen_at:
-                self._apply()
-            self._spmv_value(src_name, out)
-        elif t == "Ac":
-            seen_at = (2 + tr) * int(self.ctx.row_of[w]) + 2 + 3 * w
-            if e_off <= seen_at:
+        elif t in nz_ops:
+            if e_off <= phase.nz_ord(nz_ops.index(t), w, self.ctx.row_of[w]):
                 self._apply()
             self._spmv_value(src_name, out)
         elif t == "Ar":
+            # Entry w is read as the end of row w - 1 and the start of row w.
             r0 = w
-            as_end = (
-                None
-                if r0 == 0
-                else (2 + tr) * (r0 - 1) + 3 * int(self.rp[r0 - 1]) + 1
-            )
-            as_start = (
-                None if r0 == self.n else (2 + tr) * r0 + 3 * int(self.rp[r0])
-            )
+            as_end = None if r0 == 0 else phase.row_ptr_ord(1, r0 - 1, self.rp)
+            as_start = None if r0 == self.n else phase.row_ptr_ord(0, r0, self.rp)
             if as_end is not None and e_off <= as_end:
                 self._apply()
                 self._spmv_value(src_name, out)
@@ -505,138 +514,20 @@ class _InjectedSolve:
             self._apply()
             self._spmv_value(src_name, out)
 
-    # -- phases -----------------------------------------------------------------
-
-    def _d_name(self, parity):
-        return "d" if parity == 0 else "dp"
-
-    def _dp_name(self, parity):
-        return "dp" if parity == 0 else "d"
-
-    def phase_g_recompute(self):
-        tr = 2
-        length = (2 + tr) * self.n + 3 * self.nnz
-        g = self.arr["g"]
-        if self._enter(length):
-            e_off = self.e - self.cum
-            if self.target == "b":
-                seen_at = 4 * self.word + 3 * int(self.rp[self.word + 1]) + 2
-                if e_off <= seen_at:
-                    self._apply()
-                self._spmv_value("x", g)
-            elif self.target == "g":
-                stored_at = 4 * self.word + 3 * int(self.rp[self.word + 1]) + 3
-                if e_off <= stored_at:
-                    self._cancel()
-                self._spmv_value("x", g)
-            else:
-                self._spmv_mid(tr, "x", g, e_off)
-        else:
-            self._spmv_value("x", g)
-        np.subtract(self.arr["b"], g, out=g)
-        self._leave(length)
-
-    def phase_g_axpy(self, alpha):
-        length = 3 * self.n
-        if self._enter(length):
-            self._elem_mid(3, {"g": (0, 2), "q": (1, None)})
-        np.multiply(self.arr["q"], alpha, out=self.scratch)
-        np.subtract(self.arr["g"], self.scratch, out=self.arr["g"])
-        self._leave(length)
-
-    def phase_eps(self) -> float:
-        length = self.n
-        if self._enter(length):
-            self._elem_mid(1, {"g": (0, None)})
-        eps = norm2_blocked(self.arr["g"])
-        self._leave(length)
-        return eps
-
-    def phase_d_update(self, beta, parity):
-        length = 3 * self.n
-        if self._enter(length):
-            self._elem_mid(
-                3,
-                {
-                    self._dp_name(parity): (0, None),
-                    "g": (1, None),
-                    self._d_name(parity): (None, 2),
-                },
-            )
-        cur_d = self.arr[self._d_name(parity)]
-        np.multiply(self.arr[self._dp_name(parity)], beta, out=cur_d)
-        cur_d += self.arr["g"]
-        self._leave(length)
-
-    def phase_q_spmv(self, parity):
-        tr = 1
-        length = (2 + tr) * self.n + 3 * self.nnz
-        src = self._d_name(parity)
-        q = self.arr["q"]
-        if self._enter(length):
-            e_off = self.e - self.cum
-            if self.target == "q":
-                stored_at = 3 * self.word + 3 * int(self.rp[self.word + 1]) + 2
-                if e_off <= stored_at:
-                    self._cancel()
-                self._spmv_value(src, q)
-            else:
-                self._spmv_mid(tr, src, q, e_off)
-        else:
-            self._spmv_value(src, q)
-        self._leave(length)
-
-    def phase_alpha_dot(self, parity) -> float:
-        length = 2 * self.n
-        if self._enter(length):
-            self._elem_mid(
-                2, {"q": (0, None), self._d_name(parity): (1, None)}
-            )
-        denom = dot_blocked(self.arr["q"], self.arr[self._d_name(parity)])
-        self._leave(length)
-        return denom
-
-    def phase_x_update(self, alpha, parity):
-        length = 3 * self.n
-        if self._enter(length):
-            self._elem_mid(
-                3, {"x": (0, 2), self._d_name(parity): (1, None)}
-            )
-        np.multiply(self.arr[self._d_name(parity)], alpha, out=self.scratch)
-        self.arr["x"] += self.scratch
-        self._leave(length)
-
     # -- main loop ----------------------------------------------------------------
 
     def run(self, time_limit: float):
-        """Returns (converged, iterations); wall guard raises nothing."""
-        tol = self.ctx.tol
-        t_max = self.ctx.t_max
-        eps_old = float("inf")
-        alpha = 0.0
-        parity = 0
-        t0 = _time.perf_counter()
-        with np.errstate(all="ignore"):
-            for t in range(t_max):
-                self.iter_done = t
-                if _time.perf_counter() - t0 > time_limit:
-                    return None, t  # hung
-                if t % 50 == 0:
-                    self.phase_g_recompute()
-                else:
-                    self.phase_g_axpy(alpha)
-                eps = self.phase_eps()
-                if eps < tol:
-                    return True, t
-                beta = float(np.float64(eps) / np.float64(eps_old))
-                self.phase_d_update(beta, parity)
-                self.phase_q_spmv(parity)
-                denom = self.phase_alpha_dot(parity)
-                alpha = float(np.float64(eps) / np.float64(denom))
-                self.phase_x_update(alpha, parity)
-                eps_old = eps
-                parity ^= 1
-        return False, t_max
+        """Returns (converged, iterations); the wall guard raises nothing."""
+        self.deadline = _time.perf_counter() + time_limit
+        try:
+            with np.errstate(all="ignore"):
+                converged, iterations, _eps = iterate(
+                    self.arr, self.ctx.tol, self.ctx.t_max,
+                    self.open_phase, self.product, native=True,
+                )
+        except _Hung:
+            return None, self.iter_done
+        return converged, iterations
 
 
 def run_one(ctx: InjectionContext, plan: InjectionPlan, time_limit=None) -> Outcome:

@@ -61,9 +61,6 @@ class StructureRegion:
     def end(self) -> int:
         return self.base + self.length
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
-
 
 @dataclass(frozen=True)
 class RoiMarkers:
@@ -107,21 +104,6 @@ class StructureMap:
 
     def names(self) -> list[str]:
         return [r.name for r in self.regions]
-
-    def ordinal_of_addr(self, addr: int) -> int:
-        for i, reg in enumerate(self.regions):
-            if reg.contains(addr):
-                return i
-        return OTHER_ORDINAL
-
-
-@dataclass(frozen=True)
-class AccessEvent:
-    time: int
-    kind: int
-    addr: int
-    width: int
-    sid: int
 
 
 class TraceWriter:
@@ -284,18 +266,6 @@ class TraceReader:
             remaining -= take
             yield block
 
-    def iter_events(self):
-        """Yield scalar AccessEvents (slow; intended for tests and spot checks)."""
-        for block in self.iter_blocks(1 << 14):
-            for rec in block:
-                yield AccessEvent(
-                    int(rec["time"]),
-                    int(rec["kind"]),
-                    int(rec["addr"]),
-                    int(rec["width"]),
-                    int(rec["sid"]),
-                )
-
     def close(self) -> None:
         self._fh.close()
 
@@ -357,30 +327,3 @@ class CollectingObserver:
             np.concatenate(self._addrs),
             np.concatenate(self._sids),
         )
-
-
-class TeeObserver:
-    """Fan an event stream out to several observers."""
-
-    def __init__(self, *observers):
-        self.observers = observers
-
-    def register_structures(self, smap) -> None:
-        for o in self.observers:
-            o.register_structures(smap)
-
-    def roi_begin(self) -> None:
-        for o in self.observers:
-            o.roi_begin()
-
-    def roi_end(self) -> None:
-        for o in self.observers:
-            o.roi_end()
-
-    def emit(self, kinds, addrs, sids=None, widths=None) -> None:
-        for o in self.observers:
-            o.emit(kinds, addrs, sids, widths)
-
-    def close(self) -> None:
-        for o in self.observers:
-            o.close()

@@ -311,19 +311,3 @@ def analyze(
             structure_report(ledgers[reg.name], result.T, fit_rate)
         )
     return report
-
-
-def write_word_histograms(ledgers: dict, T: int, path, bins: int = 20) -> None:
-    """Per-structure histogram of word vulnerability factors (plot-ready)."""
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    with open(path, "w") as fh:
-        fh.write("# structure bin_lo bin_hi mvf_words fea_words\n")
-        for name, led in ledgers.items():
-            hm, _ = np.histogram(led.mvf_words(T), bins=edges)
-            hf, _ = np.histogram(led.fea_words(T), bins=edges)
-            for i in range(bins):
-                fh.write(
-                    f"{name} {edges[i]:.4f} {edges[i + 1]:.4f} "
-                    f"{int(hm[i])} {int(hf[i])}\n"
-                )
-            fh.write("\n")

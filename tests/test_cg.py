@@ -12,6 +12,13 @@ def as_scipy(A):
     return sp.csr_matrix((A.values, A.col_idx, A.row_ptr), shape=(A.n_rows, A.n_rows))
 
 
+def diagonal_csr(diag):
+    """Diagonal CSR matrix (converges in one CG iteration)."""
+    n = len(diag)
+    idx = np.arange(n + 1, dtype=np.int64)
+    return cg.CsrMatrix(n, idx, idx[:-1].copy(), np.asarray(diag, dtype=np.float64))
+
+
 def brute_force_neighbor_count(side, row):
     """Count grid neighbors (incl. self) by direct enumeration."""
     z, rem = divmod(row, side * side)
@@ -102,7 +109,7 @@ class TestReductions:
 class TestSolve:
     def test_diagonal_converges_in_one_iteration(self):
         # A scaled identity has a single eigenvalue, so CG needs one step.
-        A = cg.make_diagonal(np.full(64, 2.0))
+        A = diagonal_csr(np.full(64, 2.0))
         b = np.random.default_rng(5).standard_normal(64)
         rec = cg.solve(A, b, tol=cg.default_tol(b))
         assert rec.converged and rec.iterations == 1
@@ -161,7 +168,7 @@ class TestSolve:
     def test_verify_trivial_cases(self):
         rng = np.random.default_rng(11)
         diag = rng.uniform(1.0, 2.0, 16)
-        A = cg.make_diagonal(diag)
+        A = diagonal_csr(diag)
         b = rng.standard_normal(16)
         assert cg.verify(A, b, b / diag, 1e-20)
         assert not cg.verify(A, b, np.zeros(16), 1e-8)
@@ -172,18 +179,17 @@ class TestSolve:
 # plain per-element loop and demand exact sequence equality.
 
 
-def oracle_event_stream(A, smap, iterations, converged):
-    base = {r.name: r.base for r in smap.regions}
-    sid = {r.name: smap.ordinal_of(r.name) for r in smap.regions}
-    kinds, addrs, sids = [], [], []
+def oracle_phase(A, name, parity):
+    """One phase's accesses, as (kind, structure, index), by a plain loop."""
+    d_name, dp_name = ("d", "dp") if parity == 0 else ("dp", "d")
+    n = A.n_rows
+    out = []
 
     def ev(kind, name, i):
-        kinds.append(kind)
-        addrs.append(base[name] + 8 * i)
-        sids.append(sid[name])
+        out.append((kind, name, int(i)))
 
     def spmv_like(src, trailer):
-        for r in range(A.n_rows):
+        for r in range(n):
             ev(KIND_LOAD, "Ar", r)
             ev(KIND_LOAD, "Ar", r + 1)
             for j in range(A.row_ptr[r], A.row_ptr[r + 1]):
@@ -193,39 +199,83 @@ def oracle_event_stream(A, smap, iterations, converged):
             for name, kind in trailer:
                 ev(kind, name, r)
 
-    n = A.n_rows
-    d_names = ("d", "dp")
-    for t in range(iterations + 1 if converged else iterations):
-        d_name = d_names[t % 2]
-        dp_name = d_names[1 - t % 2]
-        if t % 50 == 0:
-            spmv_like("x", [("b", KIND_LOAD), ("g", KIND_STORE)])
-        else:
-            for i in range(n):
-                ev(KIND_LOAD, "g", i)
-                ev(KIND_LOAD, "q", i)
-                ev(KIND_STORE, "g", i)
+    if name == "g_recompute":
+        spmv_like("x", [("b", KIND_LOAD), ("g", KIND_STORE)])
+    elif name == "q_spmv":
+        spmv_like(d_name, [("q", KIND_STORE)])
+    else:
+        ops = {
+            "g_axpy": [(KIND_LOAD, "g"), (KIND_LOAD, "q"), (KIND_STORE, "g")],
+            "eps": [(KIND_LOAD, "g")],
+            "d_update": [
+                (KIND_LOAD, dp_name), (KIND_LOAD, "g"), (KIND_STORE, d_name)
+            ],
+            "alpha_dot": [(KIND_LOAD, "q"), (KIND_LOAD, d_name)],
+            "x_update": [(KIND_LOAD, "x"), (KIND_LOAD, d_name), (KIND_STORE, "x")],
+        }[name]
         for i in range(n):
-            ev(KIND_LOAD, "g", i)
+            for kind, op in ops:
+                ev(kind, op, i)
+    return out
+
+
+def oracle_event_stream(A, smap, iterations, converged):
+    base = {r.name: r.base for r in smap.regions}
+    sid = {r.name: smap.ordinal_of(r.name) for r in smap.regions}
+    phases = []
+    for t in range(iterations + 1 if converged else iterations):
+        parity = t % 2
+        phases.append(("g_recompute" if t % 50 == 0 else "g_axpy", parity))
+        phases.append(("eps", parity))
         if converged and t == iterations:
             break
-        for i in range(n):
-            ev(KIND_LOAD, dp_name, i)
-            ev(KIND_LOAD, "g", i)
-            ev(KIND_STORE, d_name, i)
-        spmv_like(d_name, [("q", KIND_STORE)])
-        for i in range(n):
-            ev(KIND_LOAD, "q", i)
-            ev(KIND_LOAD, d_name, i)
-        for i in range(n):
-            ev(KIND_LOAD, "x", i)
-            ev(KIND_LOAD, d_name, i)
-            ev(KIND_STORE, "x", i)
+        for name in ("d_update", "q_spmv", "alpha_dot", "x_update"):
+            phases.append((name, parity))
+    events = [e for name, parity in phases for e in oracle_phase(A, name, parity)]
     return (
-        np.array(kinds, dtype=np.uint8),
-        np.array(addrs, dtype=np.uint64),
-        np.array(sids, dtype=np.uint16),
+        np.array([k for k, _, _ in events], dtype=np.uint8),
+        np.array([base[s] + 8 * i for _, s, i in events], dtype=np.uint64),
+        np.array([sid[s] for _, s, _ in events], dtype=np.uint16),
     )
+
+
+class TestPhaseTable:
+    """The table's lengths and ordinals against the loop oracle's blocks
+    and the emitter's, for every phase and parity."""
+
+    def decode(self, smap, kinds, addrs):
+        regions = list(smap)
+        out = []
+        for kind, addr in zip(kinds.tolist(), addrs.tolist()):
+            reg = next(r for r in regions if r.base <= addr < r.end)
+            out.append((kind, reg.name, (addr - reg.base) // 8))
+        return out
+
+    @pytest.mark.parametrize("phase", cg.PHASES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("parity", (0, 1))
+    def test_ordinals_locate_every_access(self, phase, parity):
+        A = cg.generate_poisson27(3)
+        n, rp = A.n_rows, A.row_ptr
+        want = oracle_phase(A, phase.name, parity)
+        obs = CollectingObserver()
+        emitter = cg._AccessEmitter(A, obs)
+        emitter.emit(phase, parity)
+        kinds, addrs, _sids = obs.arrays()
+        assert phase.length(n, A.nnz) == len(want) == len(kinds)
+        assert self.decode(emitter.smap, kinds, addrs) == want
+        for k, (name, kind) in enumerate(phase.operands(parity)):
+            for i in range(n):
+                assert want[phase.op_ord(k, i, rp)] == (kind, name, i)
+        if phase.src is None:
+            return
+        for r in range(n):
+            for k in (0, 1):
+                assert want[phase.row_ptr_ord(k, r, rp)] == (KIND_LOAD, "Ar", r + k)
+        for r in range(n):
+            for j in range(rp[r], rp[r + 1]):
+                idx = (j, j, A.col_idx[j])
+                for k, name in enumerate(phase.nz_operands(parity)):
+                    assert want[phase.nz_ord(k, j, r)] == (KIND_LOAD, name, idx[k])
 
 
 class TestObservedAccesses:
@@ -288,27 +338,3 @@ class TestObservedAccesses:
         cg.solve(A, b, tol=1e-8, t_max=0, observer=obs)
         assert obs.roi_start == obs.roi_stop == 0
         assert obs.n_events == 0
-
-
-class TestSerialization:
-    def test_matrix_round_trip(self, tmp_path):
-        A = cg.generate_poisson27(3)
-        path = tmp_path / "m.bin"
-        cg.save_matrix(path, A)
-        B = cg.load_matrix(path)
-        assert B.n_rows == A.n_rows
-        assert np.array_equal(B.row_ptr, A.row_ptr)
-        assert np.array_equal(B.col_idx, A.col_idx)
-        assert np.array_equal(B.values, A.values)
-
-    def test_vector_round_trip(self, tmp_path):
-        v = np.random.default_rng(1).standard_normal(100)
-        path = tmp_path / "v.bin"
-        cg.save_vector(path, v)
-        assert np.array_equal(cg.load_vector(path), v)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\0" * 64)
-        with pytest.raises(ValueError):
-            cg.load_matrix(path)

@@ -11,6 +11,7 @@ independent oracles:
   value at the injection ordinal.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -24,6 +25,9 @@ from memvuln.cachesim import (
     LevelConfig,
 )
 from memvuln.cg import (
+    EPS,
+    Q_SPMV,
+    X_UPDATE,
     _AccessEmitter,
     default_tol,
     generate_poisson27,
@@ -311,15 +315,15 @@ def scalar_sweep_oracle(ctx, template, src_name, values, flip, e_off):
 @pytest.fixture(scope="module")
 def phase_rig():
     A, _b, _tol, _res, ctx = build_problem(side=4)
-    emitter = _AccessEmitter(A, None)
-    template = emitter._spmv_like("probe", "d", [("q", KIND_STORE)])
+    template = _AccessEmitter(A, None)._template(Q_SPMV, 0)
     rng = np.random.default_rng(23)
     d0 = rng.normal(size=A.n_rows)
     return A, ctx, template, d0
 
 
 class TestMidPhaseSplits:
-    """Drive single phases directly against independent oracles."""
+    """Drive single phases through the loop's hooks against independent
+    oracles; the tests do a phase's elementwise arithmetic themselves."""
 
     def make_runner(self, ctx, plan, e, d0):
         runner = _InjectedSolve(ctx, plan, apply_ord=e)
@@ -327,7 +331,8 @@ class TestMidPhaseSplits:
         return runner
 
     def q_after_phase(self, runner):
-        runner.phase_q_spmv(parity=0)
+        runner.open_phase(Q_SPMV, 0, 0)
+        runner.product(Q_SPMV, 0, runner.arr["q"])
         return runner.arr["q"].copy()
 
     def flipped_value(self, arr, word, bit):
@@ -338,24 +343,28 @@ class TestMidPhaseSplits:
     def test_source_vector_split_all_offsets(self, phase_rig):
         A, ctx, template, d0 = phase_rig
         values = {"Ac": A.col_idx, "Av": A.values, "d": d0}
+        d_base = ctx.regions["d"][0]
         rng = random.Random(3)
         for _ in range(25):
             word = rng.randrange(A.n_rows)
             bit = rng.choice([48, 52, 58, 62])
-            e = rng.randrange(1, len(template[0]))
-            plan = InjectionPlan("d", 64 * word + bit, 1, 0, 0)
-            runner = self.make_runner(ctx, plan, e, d0)
-            new = self.flipped_value(d0, word, bit)
-            with np.errstate(all="ignore"):
-                got = self.q_after_phase(runner)
-                want = scalar_sweep_oracle(
-                    ctx, template, "d", values, ("d", word, new), e
+            # A random ordinal, and the edges of the word's gathered loads.
+            loads = np.nonzero(template[1] == d_base + 8 * word)[0]
+            edges = (int(loads[0]), int(loads[0]) + 1, int(loads[-1]) + 1)
+            for e in (rng.randrange(1, len(template[0])),) + edges:
+                plan = InjectionPlan("d", 64 * word + bit, 1, 0, 0)
+                runner = self.make_runner(ctx, plan, e, d0)
+                new = self.flipped_value(d0, word, bit)
+                with np.errstate(all="ignore"):
+                    got = self.q_after_phase(runner)
+                    want = scalar_sweep_oracle(
+                        ctx, template, "d", values, ("d", word, new), e
+                    )
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+                # The flip stays in the memory image afterwards.
+                assert runner.arr["d"].view(np.uint64)[word] == np.uint64(
+                    d0.view(np.uint64)[word] ^ np.uint64(1 << bit)
                 )
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-            # The flip stays in the memory image afterwards.
-            assert runner.arr["d"].view(np.uint64)[word] == np.uint64(
-                d0.view(np.uint64)[word] ^ np.uint64(1 << bit)
-            )
 
     def test_matrix_value_split(self, phase_rig):
         A, ctx, template, d0 = phase_rig
@@ -398,7 +407,8 @@ class TestMidPhaseSplits:
 
     def test_row_pointer_split_three_cases(self, phase_rig):
         A, ctx, template, d0 = phase_rig
-        n, tr = A.n_rows, 1
+        n = A.n_rows
+        ar_base = ctx.regions["Ar"][0]
         rng = random.Random(8)
         rp = A.row_ptr
         tested = 0
@@ -413,8 +423,9 @@ class TestMidPhaseSplits:
                 continue  # keep to single-bit flips
             bit = bits.bit_length() - 1
             tested += 1
-            as_end = (2 + tr) * (r0 - 1) + 3 * int(rp[r0 - 1]) + 1
-            as_start = (2 + tr) * r0 + 3 * int(rp[r0])
+            # Entry r0 is read twice: as the end of row r0 - 1, then as
+            # the start of row r0.
+            as_end, as_start = np.nonzero(template[1] == ar_base + 8 * r0)[0]
             prod = A.values * d0[A.col_idx]
 
             def c_row(lo, hi):
@@ -455,12 +466,13 @@ class TestMidPhaseSplits:
             runner = _InjectedSolve(ctx, plan, apply_ord=e)
             runner.arr["x"][:] = x0
             runner.arr["d"][:] = d0
-            runner.phase_x_update(alpha, parity=0)
+            runner.open_phase(X_UPDATE, 0, 0)
+            runner.arr["x"] += alpha * runner.arr["d"]
             if label == "after":
                 # Past the word's last access: the flip lands in memory
                 # only once the next phase opens.
                 assert runner.pending
-                runner.phase_eps()
+                runner.open_phase(EPS, 0, 0)
             results[label] = runner.arr["x"].copy()
         clean = x0 + alpha * d0
         flipped_then = x0.copy()
@@ -564,6 +576,31 @@ class TestFlipCheck:
         *_, ctx = small_problem
         plan = draw_plans(ctx, PAD_STRUCTURE, 1, seed=0)[0]
         assert flip_check(ctx, plan) is None
+
+
+class TestGoldenOutcomes:
+    """Pins every outcome of a fixed plan set, to guard refactors of the
+    instrumented solver and the campaign driver.
+
+    The digest was generated before the phase table replaced the
+    hand-written per-phase replay; with seed 0 the 1,000 runs are 778
+    ACE, 144 crash, 75 wrong-result and 3 extra-work.
+    """
+
+    DIGEST = "9c49e67bb96f455779a7482d41f5240431db18cd9527c8189f65eade03565218"
+    STRUCTURES = ("Ar", "Ac", "Av", "x", "b", "g", "d", "dp", "q", PAD_STRUCTURE)
+
+    def test_outcome_rows_match_digest(self, small_problem):
+        *_, ctx = small_problem
+        h = hashlib.sha256()
+        for sid in self.STRUCTURES:
+            for plan in draw_plans(ctx, sid, 100, seed=0):
+                oc = run_one(ctx, plan, time_limit=float("inf"))
+                h.update(
+                    f"{sid},{plan.bit_index},{plan.inject_time},{oc.outcome},"
+                    f"{oc.iterations},{oc.detail}\n".encode()
+                )
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestCampaign:

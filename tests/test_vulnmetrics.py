@@ -29,7 +29,6 @@ from memvuln.vulnmetrics import (
     accumulate,
     analyze,
     structure_report,
-    write_word_histograms,
 )
 
 
@@ -321,21 +320,6 @@ class TestReports:
         assert lines[0].startswith("# schema")
         assert "structure" in lines[3]
         assert len(lines) == 4 + len(report.structures)
-
-    def test_histogram_export(self, tmp_path):
-        rng = random.Random(4)
-        res = random_result(rng)
-        smap = single_region_map(6)
-        ledgers = accumulate(res, smap)
-        path = tmp_path / "hist.dat"
-        write_word_histograms(ledgers, res.T, path, bins=10)
-        rows = [
-            l.split()
-            for l in path.read_text().splitlines()
-            if l and not l.startswith("#")
-        ]
-        total = sum(int(r[3]) for r in rows if r[0] == "x")
-        assert total == ledgers["x"].n_words
 
 
 class TestEndToEnd:
