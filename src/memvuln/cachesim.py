@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import zipfile
 from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -216,23 +217,36 @@ class SimResult:
         return int(np.sum(self.req_kind == REQ_WRITEBACK))
 
     def save(self, path) -> None:
-        np.savez_compressed(
-            path,
-            version=np.int64(1),
-            req_time=self.req_time,
-            req_kind=self.req_kind,
-            req_line=self.req_line,
-            req_cause=self.req_cause,
-            req_ord=self.req_ord,
-            res_line=self.res_line,
-            res_fill_time=self.res_fill_time,
-            res_mask=self.res_mask,
-            res_time=self.res_time,
-            scalars=np.array(
+        """Write the arrays as ``.npy`` members of a deflated zip.
+
+        The file is what ``np.savez_compressed`` writes, at the fastest
+        compression level, which costs a few percent more bytes and
+        about a sixth of the time.
+        """
+        members = {
+            "version": np.int64(1),
+            "req_time": self.req_time,
+            "req_kind": self.req_kind,
+            "req_line": self.req_line,
+            "req_cause": self.req_cause,
+            "req_ord": self.req_ord,
+            "res_line": self.res_line,
+            "res_fill_time": self.res_fill_time,
+            "res_mask": self.res_mask,
+            "res_time": self.res_time,
+            "scalars": np.array(
                 [self.t_start, self.t_end, self.n_accesses, self.n_stall_cycles],
                 dtype=np.int64,
             ),
-        )
+        }
+        with zipfile.ZipFile(
+            path, "w", zipfile.ZIP_DEFLATED, compresslevel=1
+        ) as zf:
+            for name, arr in members.items():
+                with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(
+                        fh, np.asanyarray(arr), allow_pickle=False
+                    )
 
     @classmethod
     def load(cls, path) -> "SimResult":

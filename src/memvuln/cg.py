@@ -13,7 +13,9 @@ access layout: each of the seven phases lists its per-element accesses
 the arithmetic that places an access in the stream.  The access emitter
 builds its blocks from it, and the injector (``inject._InjectedSolve``)
 finds from it where a flipped word is read or written.  Both run the
-recurrence through the one loop, ``iterate``, with their own hooks.
+recurrence through the one loop, ``iterate``, with their own hooks; the
+loop can resume from a saved state (``LoopState`` and the vectors),
+which is how injected runs skip the fault-free prefix.
 """
 
 from __future__ import annotations
@@ -60,28 +62,6 @@ class CsrMatrix:
     @property
     def nnz(self) -> int:
         return len(self.col_idx)
-
-    def validate(self) -> None:
-        if self.row_ptr.dtype != np.int64 or self.col_idx.dtype != np.int64:
-            raise ValueError("index arrays must be int64")
-        if len(self.row_ptr) != self.n_rows + 1:
-            raise ValueError("row_ptr length mismatch")
-        if self.row_ptr[0] != 0 or self.row_ptr[-1] != self.nnz:
-            raise ValueError("row_ptr endpoints invalid")
-        if np.any(np.diff(self.row_ptr) < 0):
-            raise ValueError("row_ptr not non-decreasing")
-        if self.nnz and (
-            self.col_idx.min() < 0 or self.col_idx.max() >= self.n_rows
-        ):
-            raise ValueError("col_idx out of range")
-
-    def copy(self) -> "CsrMatrix":
-        return CsrMatrix(
-            self.n_rows,
-            self.row_ptr.copy(),
-            self.col_idx.copy(),
-            self.values.copy(),
-        )
 
 
 def generate_poisson27(side: int) -> CsrMatrix:
@@ -279,29 +259,58 @@ X_UPDATE = Phase(
 )
 PHASES = (G_RECOMPUTE, G_AXPY, EPS, D_UPDATE, Q_SPMV, ALPHA_DOT, X_UPDATE)
 
-#: Every iteration opens with one of these: the residual is recomputed
-#: from scratch every RECOMPUTE_EVERY iterations and updated otherwise.
-RESIDUAL_PHASES = (G_RECOMPUTE, G_AXPY)
+#: The residual is recomputed from scratch every RECOMPUTE_EVERY
+#: iterations and updated otherwise.
 RECOMPUTE_EVERY = 50
 
 
-def iterate(arr: dict, tol, t_max, open_phase, product, native=False):
+class LoopState(NamedTuple):
+    """The solver loop's scalars as iteration ``t`` opens.
+
+    Together with the vectors they are the whole state of a solve:
+    ``eps_old`` and ``alpha`` are the previous iteration's residual norm
+    and step, and ``parity`` says which buffer plays ``d``.
+    """
+
+    t: int = 0
+    eps_old: float = float("inf")
+    alpha: float = 0.0
+    parity: int = 0
+
+
+def _no_hook(*_args) -> None:
+    pass
+
+
+def iterate(
+    arr: dict,
+    tol,
+    t_max,
+    open_phase,
+    product,
+    native=False,
+    start=LoopState(),
+    boundary=_no_hook,
+):
     """The solver loop over the named vectors ``arr`` (b, x, g, d, dp, q).
 
     ``open_phase(phase, t, parity)`` runs as each phase opens and
     ``product(phase, parity, out)`` writes a sweep's sparse product to
-    ``out``.  Returns (converged, iterations, eps), where iterations is
-    the loop index at which the convergence test fired.  A zero <q, d>
-    raises CgBreakdownError unless ``native``, which keeps the float
-    semantics of the compiled program: the run goes on with inf or nan.
+    ``out``.  The loop resumes at ``start``, with ``arr`` holding the
+    vectors as they stood then, and passes its state to
+    ``boundary(state)`` as each iteration opens.  Returns (converged,
+    iterations, eps), where iterations is the loop index at which the
+    convergence test fired.  A zero <q, d> raises CgBreakdownError
+    unless ``native``, which keeps the float semantics of the compiled
+    program: the run goes on with inf or nan.
     """
     b, x, g, q = arr["b"], arr["x"], arr["g"], arr["q"]
-    d, dp = arr["d"], arr["dp"]
+    t0, eps_old, alpha, parity = start
+    d, dp = arr[_role("d", parity)], arr[_role("dp", parity)]
     scratch = np.empty(len(x))
-    eps = eps_old = float("inf")
-    alpha = 0.0
-    parity = 0
-    for t in range(t_max):
+    eps = float("inf")
+    for t in range(t0, t_max):
+        boundary(LoopState(t, eps_old, alpha, parity))
         if t % RECOMPUTE_EVERY == 0:
             open_phase(G_RECOMPUTE, t, parity)
             product(G_RECOMPUTE, parity, g)
@@ -335,10 +344,6 @@ def iterate(arr: dict, tol, t_max, open_phase, product, native=False):
         d, dp = dp, d
         parity ^= 1
     return False, t_max, eps
-
-
-def _no_hook(*_args) -> None:
-    pass
 
 
 def solve(

@@ -185,9 +185,8 @@ def simulate_problem(
             f"{sim.blocks_simulated + sim.blocks_replayed} blocks, "
             f"replayed {sim.blocks_replayed}"
         )
-    # Write-then-rename so an interrupted run never leaves a bad cache;
-    # the temp name keeps the .npz suffix the writer insists on.
-    tmp = cache_path[: -len(".npz")] + ".tmp.npz"
+    # Write-then-rename so an interrupted run never leaves a bad cache.
+    tmp = cache_path + ".tmp"
     result.save(tmp)
     os.replace(tmp, cache_path)
     return A, b, tol, result

@@ -13,6 +13,17 @@ hierarchy; the instrumented solver below applies the flip at precisely
 that point, splitting a phase's vectorized work when the ordinal lands
 inside it.
 
+No run repeats the fault-free work it shares with the baseline.  The
+baseline keeps a checkpoint as each of its iterations opens: the
+vectors x, g, d, dp and q, the loop's scalars, and the iteration's first
+access ordinal.  An injected run restarts from the last checkpoint at
+or before its flip's ordinal, since up to there it is the baseline bit
+for bit.  A flip that never surfaces (``silent``, ``writeback``) leaves
+the memory image the baseline's for the whole run, so the plan gets the
+baseline's row without a solve; an ``erased`` flip does the same from
+the moment the store overwrites it, so its run ends there.  Only the
+wall-time column tells these rows from full replays.
+
 Every run is classified into exactly one outcome class:
 
 * ``ACE`` — converged in the baseline iteration count and verified
@@ -22,7 +33,8 @@ Every run is classified into exactly one outcome class:
 * ``wrong-result`` — the run completed but the final iterate fails
   verification (or finished on a different schedule than the baseline).
 * ``extra-work`` — verified correct, but needed more iterations.
-* ``hang`` — wall time exceeded the configured multiple of the baseline.
+* ``hang`` — wall time exceeded the configured multiple of the baseline,
+  counted from the run's start (its restart checkpoint, if any).
 
 ``p_unace`` is the fraction of runs in any class but ``ACE``.
 """
@@ -35,17 +47,21 @@ import math
 import multiprocessing
 import os
 import time as _time
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import norm as _norm
 
 from .cg import (
-    RESIDUAL_PHASES,
     CsrMatrix,
+    LoopState,
     Phase,
     default_structure_map,
     iterate,
+    solve,
+    spmv,
     verify,
 )
 from .cachesim import REQ_FILL, SimResult
@@ -126,6 +142,19 @@ class Outcome:
     detail: str = ""
 
 
+#: The solver vectors a checkpoint keeps; a fault-free solve never
+#: writes its inputs.
+_STATE_VECTORS = ("x", "g", "d", "dp", "q")
+
+
+class _Checkpoint(NamedTuple):
+    """The fault-free solve as one iteration opens."""
+
+    ordinal: int  # the iteration's first access ordinal
+    state: LoopState
+    vectors: dict  # _STATE_VECTORS by buffer name; d and dp are not roles
+
+
 @dataclass(frozen=True)
 class Baseline:
     """Fault-free reference run used to classify injected runs."""
@@ -133,6 +162,7 @@ class Baseline:
     iterations: int
     wall_time: float
     final_residual_norm_sq: float
+    checkpoints: tuple = field(repr=False, compare=False)
 
 
 @dataclass
@@ -260,9 +290,11 @@ def build_context(
 
 
 def measure_baseline(ctx: InjectionContext) -> Baseline:
-    """Fault-free reference run; campaigns refuse to start without one."""
-    from .cg import solve
+    """Fault-free reference run; campaigns refuse to start without one.
 
+    The timed solve, which sets the hang budget, copies nothing; a
+    second pass of the same solve keeps the checkpoints.
+    """
     rec = solve(ctx.A, ctx.b, tol=ctx.tol, t_max=ctx.t_max)
     if not (rec.converged and rec.verified):
         raise RuntimeError("baseline run did not converge and verify")
@@ -270,8 +302,35 @@ def measure_baseline(ctx: InjectionContext) -> Baseline:
         iterations=rec.iterations,
         wall_time=rec.roi_wall_time,
         final_residual_norm_sq=rec.final_residual_norm_sq,
+        checkpoints=_checkpoints(ctx),
     )
     return ctx.baseline
+
+
+def _checkpoints(ctx: InjectionContext) -> tuple:
+    """The fault-free solve's state as each of its iterations opens.
+
+    An iteration's first access ordinal is the sum of the lengths of
+    every phase opened before it, the same cursor the injector keeps.
+    """
+    arr = {"b": ctx.b, **{k: np.zeros(ctx.n) for k in _STATE_VECTORS}}
+    prod = np.empty(ctx.nnz)
+    cum = 0
+    kept = []
+
+    def open_phase(phase, t, parity):
+        nonlocal cum
+        cum += phase.length(ctx.n, ctx.nnz)
+
+    def product(phase, parity, out):
+        spmv(ctx.A, arr[phase.source(parity)], out=out, prod=prod)
+
+    def boundary(state):
+        vectors = {k: arr[k].copy() for k in _STATE_VECTORS}
+        kept.append(_Checkpoint(cum, state, vectors))
+
+    iterate(arr, ctx.tol, ctx.t_max, open_phase, product, boundary=boundary)
+    return tuple(kept)
 
 
 def resolve_visibility(ctx: InjectionContext, plan: InjectionPlan):
@@ -319,25 +378,28 @@ def draw_plans(ctx: InjectionContext, structure_id: str, n_runs: int, seed: int)
 # Instrumented solver
 
 
-class _Hung(Exception):
-    """The wall-clock guard fired at an iteration boundary."""
+class _Stop(Exception):
+    """The run ends early: its flip was erased, or the wall guard fired."""
 
 
 class _InjectedSolve:
     """Replays the solver with one flip applied at an exact access ordinal.
 
     The run goes through the clean solver's own loop (``cg.iterate``), so
-    an unapplied or erased flip reproduces the baseline bit for bit.  As
-    each phase opens, the cursor advances by the phase's length; when the
-    flip ordinal falls inside the phase, the phase table (see the ``cg``
-    module) gives the flipped word's own accesses, and the first of them
-    at or after the ordinal decides: a load sees the flip, a store erases
-    it, and past them all the flip waits for the next phase.  A sweep
-    whose matrix or source carries the flip splits its sparse product at
-    the same ordinals.  Arithmetic follows native float semantics — a zero
-    denominator yields inf/nan rather than an exception, so poisoned runs
-    drift to the iteration cap or the wall-clock guard just as the real
-    program would.
+    an unapplied or erased flip reproduces the baseline bit for bit.  It
+    therefore starts from the baseline's last checkpoint at or before the
+    flip ordinal, with the cursor at that iteration's first access, and
+    stops at the next phase once the flip is erased: the rest is the
+    baseline's.  As each phase opens, the cursor advances by the phase's
+    length; when the flip ordinal falls inside the phase, the phase table
+    (see the ``cg`` module) gives the flipped word's own accesses, and the
+    first of them at or after the ordinal decides: a load sees the flip,
+    a store erases it, and past them all the flip waits for the next
+    phase.  A sweep whose matrix or source carries the flip splits its
+    sparse product at the same ordinals.  Arithmetic follows native float
+    semantics — a zero denominator yields inf/nan rather than an
+    exception, so poisoned runs drift to the iteration cap or the
+    wall-clock guard just as the real program would.
     """
 
     def __init__(self, ctx: InjectionContext, plan: InjectionPlan, apply_ord, pause=False):
@@ -366,7 +428,7 @@ class _InjectedSolve:
             "Ar": ctx.A.row_ptr, "Ac": ctx.A.col_idx, "Av": ctx.A.values, "b": ctx.b
         }
         self.arr = {k: v.copy() if k == target else v for k, v in inputs.items()}
-        for name in ("x", "g", "d", "dp", "q"):
+        for name in _STATE_VECTORS:
             self.arr[name] = np.zeros(n)
         if target == PAD_STRUCTURE:
             self.arr[PAD_STRUCTURE] = np.zeros(ctx.pad_words)
@@ -401,12 +463,16 @@ class _InjectedSolve:
 
     # -- loop hooks -------------------------------------------------------------
 
+    def boundary(self, state: LoopState) -> None:
+        """Note the iteration opening and apply the wall guard."""
+        self.iter_done = state.t
+        if _time.perf_counter() > self.deadline:
+            raise _Stop
+
     def open_phase(self, phase: Phase, t: int, parity: int) -> None:
         """Advance the cursor over the phase; settle a flip landing in it."""
-        if phase in RESIDUAL_PHASES:
-            self.iter_done = t
-            if _time.perf_counter() > self.deadline:
-                raise _Hung
+        if self.erased:
+            raise _Stop  # the rest of the run is the baseline's
         start = self.cum
         self.cum += phase.length(self.n, self.nnz)
         self.e_off = None
@@ -516,30 +582,54 @@ class _InjectedSolve:
 
     # -- main loop ----------------------------------------------------------------
 
+    def _restart(self) -> LoopState:
+        """Load the last checkpoint at or before the flip ordinal, if any."""
+        bl = self.ctx.baseline
+        checkpoints = bl.checkpoints if bl is not None else ()
+        i = bisect_right(checkpoints, self.e, key=lambda c: c.ordinal)
+        if i == 0:
+            return LoopState()
+        cp = checkpoints[i - 1]
+        for name, vector in cp.vectors.items():
+            self.arr[name][:] = vector
+        self.cum = cp.ordinal
+        return cp.state
+
     def run(self, time_limit: float):
-        """Returns (converged, iterations); the wall guard raises nothing."""
+        """Returns (converged, iterations), or (None, the iteration open)
+        when the run stops early: its flip erased, or hung."""
         self.deadline = _time.perf_counter() + time_limit
+        start = self._restart()
         try:
             with np.errstate(all="ignore"):
                 converged, iterations, _eps = iterate(
                     self.arr, self.ctx.tol, self.ctx.t_max,
                     self.open_phase, self.product, native=True,
+                    start=start, boundary=self.boundary,
                 )
-        except _Hung:
+        except _Stop:
             return None, self.iter_done
         return converged, iterations
 
 
 def run_one(ctx: InjectionContext, plan: InjectionPlan, time_limit=None) -> Outcome:
-    """Execute one plan and classify the outcome."""
+    """Execute one plan and classify the outcome.
+
+    A flip that never surfaces, or is erased before the program reads
+    it, leaves the memory image the baseline's: the plan gets the
+    baseline's row without a solve, or as soon as the erasure happens.
+    """
     if ctx.baseline is None:
         raise RuntimeError("no baseline run; call measure_baseline first")
     bl = ctx.baseline
     if time_limit is None:
         time_limit = HANG_FACTOR * bl.wall_time
-    apply_ord, reason = resolve_visibility(ctx, plan)
-    runner = _InjectedSolve(ctx, plan, apply_ord)
     t0 = _time.perf_counter()
+    apply_ord, reason = resolve_visibility(ctx, plan)
+    if apply_ord is None:
+        wall = _time.perf_counter() - t0
+        return Outcome(plan, OUTCOME_ACE, bl.iterations, wall, reason)
+    runner = _InjectedSolve(ctx, plan, apply_ord)
     try:
         converged, iterations = runner.run(time_limit)
     except Exception as exc:  # noqa: BLE001 - any abnormal end is a crash
@@ -548,12 +638,9 @@ def run_one(ctx: InjectionContext, plan: InjectionPlan, time_limit=None) -> Outc
             plan, OUTCOME_CRASH, runner.iter_done, wall, type(exc).__name__
         )
     wall = _time.perf_counter() - t0
-    if runner.applied:
-        detail = ""
-    elif runner.erased:
-        detail = "erased"
-    else:
-        detail = reason
+    if runner.erased:
+        return Outcome(plan, OUTCOME_ACE, bl.iterations, wall, "erased")
+    detail = "" if runner.applied else reason
     if converged is None:
         return Outcome(plan, OUTCOME_HANG, iterations, wall, detail)
     with np.errstate(all="ignore"):

@@ -37,7 +37,10 @@ class TestGenerate:
         A = cg.generate_poisson27(2)
         assert A.n_rows == 8
         assert np.all(np.diff(A.row_ptr) == 8)
-        A.validate()
+        assert A.row_ptr.dtype == np.int64 and A.col_idx.dtype == np.int64
+        assert len(A.row_ptr) == A.n_rows + 1
+        assert A.row_ptr[0] == 0 and A.row_ptr[-1] == A.nnz
+        assert A.col_idx.min() >= 0 and A.col_idx.max() < A.n_rows
 
     def test_side3_center_and_corner(self):
         A = cg.generate_poisson27(3)

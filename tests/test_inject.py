@@ -11,6 +11,7 @@ independent oracles:
   value at the injection ordinal.
 """
 
+import dataclasses
 import hashlib
 import random
 
@@ -26,13 +27,18 @@ from memvuln.cachesim import (
 )
 from memvuln.cg import (
     EPS,
+    G_AXPY,
+    G_RECOMPUTE,
     Q_SPMV,
+    RECOMPUTE_EVERY,
     X_UPDATE,
+    CsrMatrix,
     _AccessEmitter,
     default_tol,
     generate_poisson27,
     solve,
     spmv,
+    verify,
 )
 from memvuln.trace import KIND_LOAD, KIND_STORE
 from memvuln.inject import (
@@ -240,7 +246,9 @@ class TestRunnerFidelity:
             runner = _InjectedSolve(ctx, plan, apply_ord=0)
             with np.errstate(all="ignore"):
                 converged, iterations = runner.run(time_limit=60.0)
-            A2 = A.copy()
+            A2 = CsrMatrix(
+                A.n_rows, A.row_ptr.copy(), A.col_idx.copy(), A.values.copy()
+            )
             b2 = b.copy()
             arr = {"b": b2, "Av": A2.values, "Ac": A2.col_idx}[sid]
             view = arr.view(np.uint64)
@@ -263,6 +271,121 @@ class TestRunnerFidelity:
         assert oc.outcome == OUTCOME_ACE
         assert oc.detail == "erased"
         assert oc.iterations == ctx.baseline.iterations
+
+
+def without_checkpoints(ctx):
+    """The context with a baseline that makes every run start at iteration 0."""
+    baseline = dataclasses.replace(ctx.baseline, checkpoints=())
+    return dataclasses.replace(ctx, baseline=baseline)
+
+
+class _RunPastErasure(_InjectedSolve):
+    """A runner that replays the whole solve even after an erasure."""
+
+    def open_phase(self, phase, t, parity):
+        erased, self.erased = self.erased, False
+        super().open_phase(phase, t, parity)
+        self.erased = erased or self.erased
+
+
+class _BlockLog:
+    """Observer keeping each emitted block's kinds and structure ids."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def register_structures(self, smap):
+        self.sid = {r.name: smap.ordinal_of(r.name) for r in smap.regions}
+
+    def roi_begin(self):
+        pass
+
+    roi_end = roi_begin
+
+    def emit(self, kinds, addrs, sids=None, widths=None):
+        self.blocks.append((kinds.copy(), sids.copy()))
+
+
+class TestCheckpoints:
+    def test_boundary_ordinals_match_emitted_blocks(self):
+        A, b, tol, res, ctx = build_problem(side=3)
+        log = _BlockLog()
+        solve(A, b, tol=tol, observer=log)
+        # An iteration opens with its residual phase: a recompute is the
+        # only sweep that reads b, an update opens with loads of g and q.
+        starts, cum = [], 0
+        for kinds, sids in log.blocks:
+            recompute = np.any(sids == log.sid["b"])
+            update = list(sids[:2]) == [log.sid["g"], log.sid["q"]]
+            if recompute or (update and kinds[0] == KIND_LOAD):
+                starts.append(cum)
+            cum += len(kinds)
+        assert cum == res.n_accesses
+        checkpoints = ctx.baseline.checkpoints
+        assert [c.ordinal for c in checkpoints] == starts
+        assert [c.state.t for c in checkpoints] == list(
+            range(ctx.baseline.iterations + 1)
+        )
+        last = checkpoints[-1]
+        residual = G_RECOMPUTE if last.state.t % RECOMPUTE_EVERY == 0 else G_AXPY
+        assert (
+            last.ordinal + residual.length(ctx.n, ctx.nnz) + EPS.length(ctx.n, ctx.nnz)
+            == res.n_accesses
+        )
+
+    def test_restart_equals_run_from_iteration_zero(self, small_problem):
+        *_, ctx = small_problem
+        scratch = without_checkpoints(ctx)
+        ords = [c.ordinal for c in ctx.baseline.checkpoints]
+        last = len(ords) - 1
+        # (apply ordinal, iteration it restarts at): iteration 0, and the
+        # boundaries of iteration 1 and of the converging iteration.
+        cases = [(0, 0), (1, 0)]
+        for t in (1, last):
+            cases += [(ords[t] - 1, t - 1), (ords[t], t), (ords[t] + 1, t)]
+        targets = [("x", 9, 40), ("g", 3, 51), ("d", 20, 45), ("dp", 7, 52),
+                   ("q", 11, 44), ("b", 5, 48), ("Av", 30, 50)]
+        compared = 0
+        for e, t in cases:
+            for sid, word, bit in targets:
+                plan = InjectionPlan(sid, 64 * word + bit, 1, 0, 0)
+                probe = _InjectedSolve(ctx, plan, e)
+                assert probe._restart().t == t and probe.cum == ords[t]
+                got = _InjectedSolve(ctx, plan, e)
+                want = _InjectedSolve(scratch, plan, e)
+                with np.errstate(all="ignore"):
+                    rows = [r.run(time_limit=float("inf")) for r in (got, want)]
+                assert rows[0] == rows[1], (e, sid)
+                assert (got.applied, got.erased) == (want.applied, want.erased)
+                if not got.erased:  # an erased run stops where it was erased
+                    assert np.array_equal(
+                        got.arr["x"].view(np.uint64), want.arr["x"].view(np.uint64)
+                    ), (e, sid)
+                    compared += 1
+        assert compared > len(cases) * len(targets) // 2
+
+    def test_unchanged_images_settle_as_a_full_run(self, small_problem):
+        A, b, tol, _res, ctx = small_problem
+        scratch = without_checkpoints(ctx)
+        seen = set()
+        for sid in ("x", "b", "g", "d", "dp", "q", "Av", PAD_STRUCTURE):
+            for plan in draw_plans(ctx, sid, 60, seed=2):
+                apply_ord, reason = resolve_visibility(ctx, plan)
+                full = _RunPastErasure(scratch, plan, apply_ord)
+                with np.errstate(all="ignore"):
+                    converged, iterations = full.run(time_limit=float("inf"))
+                if full.applied:
+                    continue
+                # The classification of the full run, as run_one makes it.
+                assert converged and verify(A, b, full.arr["x"], tol)
+                assert iterations == ctx.baseline.iterations
+                detail = "erased" if full.erased else reason
+                oc = run_one(ctx, plan, time_limit=float("inf"))
+                assert (oc.outcome, oc.iterations, oc.detail) == (
+                    OUTCOME_ACE, iterations, detail
+                ), plan
+                seen.add(PAD_STRUCTURE if sid == PAD_STRUCTURE else detail)
+        assert {"silent", "writeback", "erased", PAD_STRUCTURE} <= seen, seen
 
 
 def decode_addr(ctx, addr):
