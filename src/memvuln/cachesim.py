@@ -50,7 +50,11 @@ state snapshotted, only once the stream has repeated a block's content
 digest: a stream that never repeats (e.g. a stored trace read in
 fixed-size blocks) pays only the digest, and a solver's stream is
 recorded from its second iteration on, so the first state that recurs
-is already in the memo.
+is already in the memo.  A block recorded ``MEMO_MISSES`` times in a row
+without a replay is simulated directly from then on and its recordings
+are freed: where the state never settles (a side-16 solve under the
+full-size hierarchy is one), the memo holds at most that many
+recordings per distinct block and stops taking snapshots.
 """
 
 from __future__ import annotations
@@ -70,6 +74,11 @@ REQ_WRITEBACK = 1
 CAUSE_NONE = 0
 CAUSE_LOAD_MISS = 1
 CAUSE_STORE_MISS = 2
+
+#: Recordings in a row without a replay after which the memo gives a
+#: block up (see the module docstring).  A solver's stream under
+#: ``desk_scaled`` needs at most three before its first replay.
+MEMO_MISSES = 4
 
 _FULL_WORD = 0xFF  # per-word byte-coverage mask
 _ALL_WORDS = 0xFF  # per-line word mask (8 words of 8 bytes)
@@ -344,7 +353,8 @@ class CacheSimulator:
         self._seen: set = set()  # digests of every block emitted
         self._repeating = False  # has any block been emitted twice?
         self._blocks: dict = {}  # digest -> (kinds, addrs, widths) copy
-        self._memo: dict = {}  # (digest, canonical state) -> _BlockReplay
+        self._memo: dict = {}  # digest -> {canonical state: _BlockReplay}
+        self._misses: dict = {}  # digest -> recordings since its last replay
         self.blocks_simulated = 0
         self.blocks_replayed = 0
 
@@ -400,6 +410,9 @@ class CacheSimulator:
             if not self._repeating:
                 self._simulate(kinds, addrs, widths)
                 return
+        if self._misses.get(digest, 0) >= MEMO_MISSES:
+            self._simulate(kinds, addrs, widths)  # its state never recurred
+            return
         block = self._blocks.get(digest)
         if block is None:
             # The copy only has to compare equal; storing addresses that
@@ -413,12 +426,17 @@ class CacheSimulator:
         if not _same_block(block, kinds, addrs, widths):
             self._simulate(kinds, addrs, widths)  # digest collision
             return
-        key = (digest, self._state())
-        rec = self._memo.get(key)  # dict lookup compares the full state
+        states = self._memo.setdefault(digest, {})
+        state = self._state()
+        rec = states.get(state)  # dict lookup compares the full state
         if rec is not None:
+            self._misses[digest] = 0
             self._replay(rec, len(kinds))
-        else:
-            self._memo[key] = self._record(kinds, addrs, widths)
+            return
+        states[state] = self._record(kinds, addrs, widths)
+        misses = self._misses[digest] = self._misses.get(digest, 0) + 1
+        if misses == MEMO_MISSES:
+            del self._memo[digest], self._blocks[digest]  # never looked up again
 
     def close(self) -> None:
         self.finish()
@@ -741,6 +759,7 @@ class CacheSimulator:
         self._seen.clear()
         self._blocks.clear()
         self._memo.clear()
+        self._misses.clear()
         flush_time = self._clock + self._req_lat if self._n_accesses else 0
         # Resolve every outstanding fill, then write back dirty lines once
         # each (the freshest copy wins; deeper stale copies are subsumed).

@@ -401,7 +401,9 @@ class _AccessEmitter:
 
     A phase's block is the same every iteration up to the parity of the
     direction buffers, so blocks are cached per phase and resolved
-    operands and streamed to the observer in bounded chunks.
+    operands and streamed to the observer in bounded chunks.  The
+    ``g_recompute`` block opens only once every ``RECOMPUTE_EVERY``
+    iterations and is built afresh each time instead of held.
     """
 
     CHUNK = 1 << 20
@@ -451,5 +453,6 @@ class _AccessEmitter:
                 zip(phase.nz_operands(parity), (j, j, A.col_idx))
             ):
                 put(phase.nz_ord(k, j, row_of), name, KIND_LOAD, idx)
-        self._cache[key] = (kinds, addrs, sids)
-        return self._cache[key]
+        if phase is not G_RECOMPUTE:
+            self._cache[key] = (kinds, addrs, sids)
+        return kinds, addrs, sids

@@ -35,7 +35,6 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
 
 from .cachesim import CacheConfig, CacheSimulator, SimResult, simulate
 from .cg import default_structure_map, default_tol, generate_poisson27, solve, spmv
@@ -53,6 +52,7 @@ from .inject import (
     measure_baseline,
     run_campaign,
 )
+from .stats import pearson, spearman
 from .trace import TraceReader, TraceWriter
 from .vulnmetrics import analyze
 
@@ -368,12 +368,8 @@ def build_validation_report(
         correlations = {"spearman": {}, "pearson": {}}
         for key in _METRIC_COLUMNS:
             vals = np.array([r.metric(key) for r in rows])
-            correlations["spearman"][key] = float(
-                _stats.spearmanr(vals, p).statistic
-            )
-            correlations["pearson"][key] = float(
-                _stats.pearsonr(vals, p).statistic
-            )
+            correlations["spearman"][key] = spearman(vals, p)
+            correlations["pearson"][key] = pearson(vals, p)
 
     violations = []
     for r in rows:

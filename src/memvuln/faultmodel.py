@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stats import wilson_ci
+
 SAFE = "safe"
 UNSAFE = "unsafe"
 
@@ -196,8 +198,6 @@ def monte_carlo_consume(
     a period closed by an unsafe access.  Returns the hit frequency with
     a Wilson score interval at the requested confidence.
     """
-    from .inject import wilson_ci
-
     _check(params, timeline)
     if trials <= 0:
         raise ValueError("trials must be positive")

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import multiprocessing
 import os
 import time as _time
@@ -52,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from .cg import (
     CsrMatrix,
@@ -65,6 +63,7 @@ from .cg import (
     verify,
 )
 from .cachesim import REQ_FILL, SimResult
+from .stats import wilson_ci
 from .trace import KIND_LOAD
 
 OUTCOME_ACE = "ACE"
@@ -88,30 +87,6 @@ PAD_STRUCTURE = "pad"
 HANG_FACTOR = 10.0
 
 _PAGE = 4096
-
-
-def wilson_ci(successes: int, n: int, confidence: float = 0.99):
-    """Wilson score interval for a binomial proportion.
-
-    The degenerate tallies keep their exact endpoints: zero successes
-    pin the lower bound to 0.0 and a full house pins the upper to 1.0.
-    """
-    if n <= 0:
-        raise ValueError("sample size must be positive")
-    if not 0 <= successes <= n:
-        raise ValueError("successes must lie in [0, n]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    z = float(_norm.ppf(0.5 + confidence / 2.0))
-    phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2.0 * n)) / denom
-    half = (z / denom) * math.sqrt(
-        phat * (1.0 - phat) / n + z * z / (4.0 * n * n)
-    )
-    lo = 0.0 if successes == 0 else max(0.0, center - half)
-    hi = 1.0 if successes == n else min(1.0, center + half)
-    return lo, hi
 
 
 @dataclass(frozen=True)

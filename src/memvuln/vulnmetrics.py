@@ -196,29 +196,35 @@ def _aligned_fill_stream(result: SimResult):
     """Sorted fills, their leading-interval durations, and resolution masks.
 
     Returns (line, duration, mask) for every fill, plus the sorted
-    write-back lines, with every array ordered by (line, time).
+    write-back lines, with every array ordered by (line, time).  Each
+    sorted copy is dropped as soon as it has been used: the request
+    stream is the largest thing ``analyze`` holds.
     """
     lines = result.req_line >> 6
-    times = result.req_time
-    order = np.lexsort((times, lines))
-    lines_s = lines[order]
-    times_s = times[order]
-    kinds_s = result.req_kind[order]
+    order = np.lexsort((result.req_time, lines))
+    lines = lines[order]
+    times = result.req_time[order]
+    kinds = result.req_kind[order]
+    del order
 
-    prev = np.empty_like(times_s)
-    if len(times_s):
-        prev[1:] = times_s[:-1]
-        starts = np.empty(len(lines_s), dtype=bool)
+    # A request's leading interval runs from the line's previous request,
+    # or from the window's start for its first one.
+    durations = np.empty_like(times)
+    if len(times):
+        np.subtract(times[1:], times[:-1], out=durations[1:])
+        starts = np.empty(len(lines), dtype=bool)
         starts[0] = True
-        np.not_equal(lines_s[1:], lines_s[:-1], out=starts[1:])
-        prev[starts] = result.t_start
-    durations = times_s - prev
+        np.not_equal(lines[1:], lines[:-1], out=starts[1:])
+        durations[starts] = times[starts] - result.t_start
 
-    fill_sel = kinds_s == REQ_FILL
-    line_f = lines_s[fill_sel]
-    time_f = times_s[fill_sel]
+    fill_sel = kinds == REQ_FILL
+    line_f = lines[fill_sel]
+    time_f = times[fill_sel]
+    del times
     dur_f = durations[fill_sel]
-    line_w = lines_s[kinds_s == REQ_WRITEBACK]
+    del durations, fill_sel
+    line_w = lines[kinds == REQ_WRITEBACK]
+    del lines, kinds
 
     res_lines = result.res_line >> 6
     r_order = np.lexsort((result.res_fill_time, res_lines))
@@ -227,8 +233,7 @@ def _aligned_fill_stream(result: SimResult):
         and np.array_equal(result.res_fill_time[r_order], time_f)
     ):
         raise ValueError("resolution stream does not match the fill stream")
-    mask_f = result.res_mask[r_order].astype(np.int64)
-    return line_f, dur_f, mask_f, line_w
+    return line_f, dur_f, result.res_mask[r_order], line_w
 
 
 def accumulate(result: SimResult, smap: StructureMap) -> dict:

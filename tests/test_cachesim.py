@@ -17,6 +17,7 @@ import pytest
 from memvuln.cachesim import (
     CAUSE_LOAD_MISS,
     CAUSE_STORE_MISS,
+    MEMO_MISSES,
     REQ_FILL,
     REQ_WRITEBACK,
     CacheConfig,
@@ -543,6 +544,35 @@ class TestBlockMemo:
         assert (sim.blocks_simulated, sim.blocks_replayed) == (2, 10)
         ref = unrepeated_feed(cfg, np.tile(kinds, 12), np.tile(addrs, 12))
         assert_same_result(memo, ref)
+
+    def test_block_whose_state_never_recurs_is_given_up(self, monkeypatch):
+        # Block a is emitted between single loads of ever-new lines, so it
+        # never meets a state it has seen: it is recorded MEMO_MISSES times,
+        # then simulated without snapshots and dropped from the memo.
+        snapshots = []
+        real = CacheSimulator._state
+        monkeypatch.setattr(CacheSimulator, "_state",
+                            lambda self: snapshots.append(1) or real(self))
+        cfg = tiny_config()
+        a_kinds = np.array([KIND_LOAD, KIND_STORE, KIND_LOAD], dtype=np.uint8)
+        a_addrs = np.array([0, 64, 128], dtype=np.int64)
+        sim = CacheSimulator(cfg)
+        per_a = []
+        for i in range(MEMO_MISSES + 4):
+            before = len(snapshots)
+            sim.emit(a_kinds, a_addrs)
+            per_a.append(len(snapshots) - before)
+            sim.emit(np.zeros(1, dtype=np.uint8), [64 * (100 + i)])
+        # Only the one-off loads are left, one recording each.
+        assert sim._memo and all(len(s) == 1 for s in sim._memo.values())
+        memo = sim.finish()
+        # Unrepeated first, then a snapshot before and after each recording.
+        assert per_a == [0] + [2] * MEMO_MISSES + [0] * 3
+        assert sim.blocks_replayed == 0
+        kinds = np.concatenate([np.append(a_kinds, KIND_LOAD)] * len(per_a))
+        addrs = np.concatenate([np.append(a_addrs, 64 * (100 + i))
+                                for i in range(len(per_a))])
+        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
 
     def test_digest_collisions_never_replay_a_different_block(self, monkeypatch):
         class _OneDigest:

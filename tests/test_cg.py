@@ -297,6 +297,19 @@ class TestObservedAccesses:
         assert np.array_equal(addrs, oa)
         assert np.array_equal(sids, os_)
 
+    def test_exact_sequence_past_a_recompute(self):
+        # A NaN right-hand side runs to the cap, so g_recompute opens at
+        # t=0 and again at t=50, after the emitter has dropped its block.
+        A = cg.generate_poisson27(2)
+        b = cg.spmv(A, np.ones(A.n_rows))
+        b[0] = np.nan
+        obs = CollectingObserver()
+        rec = cg.solve(A, b, tol=1e-8, t_max=52, observer=obs)
+        assert rec.iterations == 52 and not rec.converged
+        want = oracle_event_stream(A, obs.smap, rec.iterations, rec.converged)
+        for got, ref in zip(obs.arrays(), want):
+            assert np.array_equal(got, ref)
+
     def test_exact_sequence_side3(self):
         A, obs, rec = self.run_observed(3)
         kinds, addrs, sids = obs.arrays()
