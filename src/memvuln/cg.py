@@ -20,7 +20,6 @@ which is how injected runs skip the fault-free prefix.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -160,7 +159,6 @@ class SolveRecord:
     converged: bool
     final_residual_norm_sq: float
     verified: bool
-    roi_wall_time: float
 
 
 def verify(A: CsrMatrix, b: np.ndarray, x: np.ndarray, tol: float) -> bool:
@@ -384,16 +382,14 @@ def solve(
         def open_phase(phase, t, parity):
             emitter.emit(phase, parity)
 
-    t0 = _time.perf_counter()
     if observer is not None:
         observer.roi_begin()
     converged, iterations, eps = iterate(arr, tol, t_max, open_phase, product)
     if observer is not None:
         observer.roi_end()
-    wall = _time.perf_counter() - t0
 
     verified = converged and verify(A, b, v.x, tol)
-    return SolveRecord(iterations, converged, float(eps), verified, wall)
+    return SolveRecord(iterations, converged, float(eps), verified)
 
 
 class _AccessEmitter:
@@ -403,7 +399,11 @@ class _AccessEmitter:
     direction buffers, so blocks are cached per phase and resolved
     operands and streamed to the observer in bounded chunks.  The
     ``g_recompute`` block opens only once every ``RECOMPUTE_EVERY``
-    iterations and is built afresh each time instead of held.
+    iterations and is built afresh each time instead of held.  A sweep
+    whose source is a direction buffer (``q_spmv``) differs between the
+    parities only in that buffer, so only its parity-0 block is held; the
+    other parity's chunks are fresh copies with the source loads moved to
+    the other buffer.  No array is changed after the observer has it.
     """
 
     CHUNK = 1 << 20
@@ -417,13 +417,22 @@ class _AccessEmitter:
         self._cache: dict = {}
 
     def emit(self, phase: Phase, parity: int) -> None:
-        kinds, addrs, sids = self._template(phase, parity)
+        moved = phase.src is not None and phase.source(parity) != phase.source(0)
+        kinds, addrs, sids = self._template(phase, 0 if moved else parity)
         for i in range(0, len(kinds), self.CHUNK):
-            self.obs.emit(
-                kinds[i : i + self.CHUNK],
-                addrs[i : i + self.CHUNK],
-                sids[i : i + self.CHUNK],
-            )
+            chunk = slice(i, i + self.CHUNK)
+            a, s = addrs[chunk], sids[chunk]
+            if moved:
+                a, s = self._move_source(a, s, phase.source(0), phase.source(parity))
+            self.obs.emit(kinds[chunk], a, s)
+
+    def _move_source(self, addrs, sids, old: str, new: str):
+        """Copies of a sweep's chunk whose source loads read ``new``."""
+        src = sids == self._sid[old]
+        # Unsigned wrap-around makes a move to a lower base an addition too.
+        shift = np.uint64((self._base[new] - self._base[old]) % 2**64)
+        step = np.uint16((self._sid[new] - self._sid[old]) % 2**16)
+        return addrs + src * shift, sids + src * step
 
     def _template(self, phase: Phase, parity: int):
         key = (phase.name, phase.operands(parity), phase.source(parity))

@@ -21,8 +21,9 @@ or before its flip's ordinal, since up to there it is the baseline bit
 for bit.  A flip that never surfaces (``silent``, ``writeback``) leaves
 the memory image the baseline's for the whole run, so the plan gets the
 baseline's row without a solve; an ``erased`` flip does the same from
-the moment the store overwrites it, so its run ends there.  Only the
-wall-time column tells these rows from full replays.
+the moment the store overwrites it, so its run ends there.  Only
+``Outcome.wall_time``, which no log row carries, tells these rows from
+full replays.
 
 Every run is classified into exactly one outcome class:
 
@@ -33,8 +34,9 @@ Every run is classified into exactly one outcome class:
 * ``wrong-result`` — the run completed but the final iterate fails
   verification (or finished on a different schedule than the baseline).
 * ``extra-work`` — verified correct, but needed more iterations.
-* ``hang`` — wall time exceeded the configured multiple of the baseline,
-  counted from the run's start (its restart checkpoint, if any).
+* ``hang`` — not converged when the loop opens iteration ``HANG_ITERS``
+  times the baseline's iteration count.  An iteration count, not the
+  clock, decides, so a campaign is a pure function of its seed.
 
 ``p_unace`` is the fraction of runs in any class but ``ACE``.
 """
@@ -58,7 +60,6 @@ from .cg import (
     Phase,
     default_structure_map,
     iterate,
-    solve,
     spmv,
     verify,
 )
@@ -82,9 +83,15 @@ OUTCOME_CLASSES = (
 #: Name of the synthetic never-accessed control region campaigns may target.
 PAD_STRUCTURE = "pad"
 
-#: A run is declared hung once its wall time exceeds this multiple of the
-#: baseline's.
-HANG_FACTOR = 10.0
+#: A run is hung when the loop opens iteration HANG_ITERS times the
+#: baseline's iteration count without having converged.  Runs that end any
+#: other way end far sooner: in side-16 campaigns none passed 2.9 times
+#: the baseline, and of 9,500 side-32 runs two ended past 4 times it.
+HANG_ITERS = 4
+
+#: Version of the campaign-log layout and of the rules that fill it; a log
+#: written under another is refused, not resumed.
+LOG_SCHEMA = 2
 
 _PAGE = 4096
 
@@ -113,8 +120,9 @@ class Outcome:
     plan: InjectionPlan
     outcome: str
     iterations: int
-    wall_time: float
+    wall_time: float  # measured, never logged; no classification reads it
     detail: str = ""
+    reason: str = ""  # fill, silent, writeback or erased
 
 
 #: The solver vectors a checkpoint keeps; a fault-free solve never
@@ -135,7 +143,7 @@ class Baseline:
     """Fault-free reference run used to classify injected runs."""
 
     iterations: int
-    wall_time: float
+    wall_time: float  # a diagnostic: no classification reads it
     final_residual_norm_sq: float
     checkpoints: tuple = field(repr=False, compare=False)
 
@@ -267,26 +275,9 @@ def build_context(
 def measure_baseline(ctx: InjectionContext) -> Baseline:
     """Fault-free reference run; campaigns refuse to start without one.
 
-    The timed solve, which sets the hang budget, copies nothing; a
-    second pass of the same solve keeps the checkpoints.
-    """
-    rec = solve(ctx.A, ctx.b, tol=ctx.tol, t_max=ctx.t_max)
-    if not (rec.converged and rec.verified):
-        raise RuntimeError("baseline run did not converge and verify")
-    ctx.baseline = Baseline(
-        iterations=rec.iterations,
-        wall_time=rec.roi_wall_time,
-        final_residual_norm_sq=rec.final_residual_norm_sq,
-        checkpoints=_checkpoints(ctx),
-    )
-    return ctx.baseline
-
-
-def _checkpoints(ctx: InjectionContext) -> tuple:
-    """The fault-free solve's state as each of its iterations opens.
-
-    An iteration's first access ordinal is the sum of the lengths of
-    every phase opened before it, the same cursor the injector keeps.
+    One pass of the solver loop keeps a checkpoint as each iteration
+    opens.  An iteration's first access ordinal is the sum of the lengths
+    of every phase opened before it, the same cursor the injector keeps.
     """
     arr = {"b": ctx.b, **{k: np.zeros(ctx.n) for k in _STATE_VECTORS}}
     prod = np.empty(ctx.nnz)
@@ -304,8 +295,20 @@ def _checkpoints(ctx: InjectionContext) -> tuple:
         vectors = {k: arr[k].copy() for k in _STATE_VECTORS}
         kept.append(_Checkpoint(cum, state, vectors))
 
-    iterate(arr, ctx.tol, ctx.t_max, open_phase, product, boundary=boundary)
-    return tuple(kept)
+    t0 = _time.perf_counter()
+    converged, iterations, eps = iterate(
+        arr, ctx.tol, ctx.t_max, open_phase, product, boundary=boundary
+    )
+    wall = _time.perf_counter() - t0
+    if not (converged and verify(ctx.A, ctx.b, arr["x"], ctx.tol)):
+        raise RuntimeError("baseline run did not converge and verify")
+    ctx.baseline = Baseline(
+        iterations=iterations,
+        wall_time=wall,
+        final_residual_norm_sq=float(eps),
+        checkpoints=tuple(kept),
+    )
+    return ctx.baseline
 
 
 def resolve_visibility(ctx: InjectionContext, plan: InjectionPlan):
@@ -354,7 +357,7 @@ def draw_plans(ctx: InjectionContext, structure_id: str, n_runs: int, seed: int)
 
 
 class _Stop(Exception):
-    """The run ends early: its flip was erased, or the wall guard fired."""
+    """The run ends early: its flip was erased."""
 
 
 class _InjectedSolve:
@@ -373,8 +376,8 @@ class _InjectedSolve:
     phase.  A sweep whose matrix or source carries the flip splits its
     sparse product at the same ordinals.  Arithmetic follows native float
     semantics — a zero denominator yields inf/nan rather than an
-    exception, so poisoned runs drift to the iteration cap or the
-    wall-clock guard just as the real program would.
+    exception, so poisoned runs drift on to the iteration cap just as the
+    real program would.
     """
 
     def __init__(self, ctx: InjectionContext, plan: InjectionPlan, apply_ord, pause=False):
@@ -394,7 +397,6 @@ class _InjectedSolve:
         self.cum = 0
         self.e_off = None  # flip ordinal within the open phase, if inside it
         self.iter_done = 0
-        self.deadline = float("inf")
         self.ar_flip_entry = None
 
         # The memory image: inputs are shared with the pristine problem
@@ -439,10 +441,8 @@ class _InjectedSolve:
     # -- loop hooks -------------------------------------------------------------
 
     def boundary(self, state: LoopState) -> None:
-        """Note the iteration opening and apply the wall guard."""
+        """Note the iteration opening."""
         self.iter_done = state.t
-        if _time.perf_counter() > self.deadline:
-            raise _Stop
 
     def open_phase(self, phase: Phase, t: int, parity: int) -> None:
         """Advance the cursor over the phase; settle a flip landing in it."""
@@ -492,9 +492,14 @@ class _InjectedSolve:
             raise _SegFault("row bounds escape the matrix arrays")
         return float(np.add.reduce(self.prod[start:end]))
 
+    def _gather_products(self, src_name):
+        """prod[j] = Av[j] * src[Ac[j]] under the current memory image."""
+        # Without `out`, take checks the indices without first buffering
+        # the whole result, which makes it about twice as fast.
+        np.multiply(self.av_w, np.take(self.arr[src_name], self.ci_w), out=self.prod)
+
     def _spmv_plain(self, src_name, out):
-        np.take(self.arr[src_name], self.ci_w, out=self.prod)
-        np.multiply(self.av_w, self.prod, out=self.prod)
+        self._gather_products(src_name)
         np.add.reduceat(self.prod, self.rp[:-1], out=out)
 
     def _spmv_value(self, src_name, out):
@@ -520,8 +525,7 @@ class _InjectedSolve:
         src_name = phase.source(parity)
         nz_ops = phase.nz_operands(parity)
         if t == src_name:
-            np.take(self.arr[src_name], self.ci_w, out=self.prod)
-            np.multiply(self.av_w, self.prod, out=self.prod)
+            self._gather_products(src_name)
             lo = np.searchsorted(self.ctx.col_sorted, w, side="left")
             hi = np.searchsorted(self.ctx.col_sorted, w, side="right")
             occ = self.ctx.col_order[lo:hi]
@@ -570,15 +574,15 @@ class _InjectedSolve:
         self.cum = cp.ordinal
         return cp.state
 
-    def run(self, time_limit: float):
-        """Returns (converged, iterations), or (None, the iteration open)
-        when the run stops early: its flip erased, or hung."""
-        self.deadline = _time.perf_counter() + time_limit
+    def run(self, t_cap: int):
+        """Returns (converged, iterations) of the loop capped at ``t_cap``
+        iterations, or (None, the iteration open) when the run stops early
+        because its flip was erased."""
         start = self._restart()
         try:
             with np.errstate(all="ignore"):
                 converged, iterations, _eps = iterate(
-                    self.arr, self.ctx.tol, self.ctx.t_max,
+                    self.arr, self.ctx.tol, t_cap,
                     self.open_phase, self.product, native=True,
                     start=start, boundary=self.boundary,
                 )
@@ -587,52 +591,50 @@ class _InjectedSolve:
         return converged, iterations
 
 
-def run_one(ctx: InjectionContext, plan: InjectionPlan, time_limit=None) -> Outcome:
+def run_one(ctx: InjectionContext, plan: InjectionPlan) -> Outcome:
     """Execute one plan and classify the outcome.
 
     A flip that never surfaces, or is erased before the program reads
     it, leaves the memory image the baseline's: the plan gets the
     baseline's row without a solve, or as soon as the erasure happens.
+    A run that would open iteration ``HANG_ITERS`` times the baseline's
+    count unconverged stops there as a hang, unless the solver's own cap
+    ``t_max`` ends it first.
     """
     if ctx.baseline is None:
         raise RuntimeError("no baseline run; call measure_baseline first")
     bl = ctx.baseline
-    if time_limit is None:
-        time_limit = HANG_FACTOR * bl.wall_time
     t0 = _time.perf_counter()
     apply_ord, reason = resolve_visibility(ctx, plan)
+
+    def outcome(name, iterations, detail, why=reason):
+        wall = _time.perf_counter() - t0
+        return Outcome(plan, name, iterations, wall, detail, why)
+
     if apply_ord is None:
-        wall = _time.perf_counter() - t0
-        return Outcome(plan, OUTCOME_ACE, bl.iterations, wall, reason)
+        return outcome(OUTCOME_ACE, bl.iterations, reason)
     runner = _InjectedSolve(ctx, plan, apply_ord)
+    hang_at = HANG_ITERS * bl.iterations
     try:
-        converged, iterations = runner.run(time_limit)
+        converged, iterations = runner.run(min(hang_at, ctx.t_max))
     except Exception as exc:  # noqa: BLE001 - any abnormal end is a crash
-        wall = _time.perf_counter() - t0
-        return Outcome(
-            plan, OUTCOME_CRASH, runner.iter_done, wall, type(exc).__name__
-        )
-    wall = _time.perf_counter() - t0
+        return outcome(OUTCOME_CRASH, runner.iter_done, type(exc).__name__)
     if runner.erased:
-        return Outcome(plan, OUTCOME_ACE, bl.iterations, wall, "erased")
+        return outcome(OUTCOME_ACE, bl.iterations, "erased", "erased")
     detail = "" if runner.applied else reason
-    if converged is None:
-        return Outcome(plan, OUTCOME_HANG, iterations, wall, detail)
+    if not converged and hang_at < ctx.t_max:
+        return outcome(OUTCOME_HANG, iterations, detail)
     with np.errstate(all="ignore"):
         ok = verify(ctx.A, ctx.b, runner.arr["x"], ctx.tol)
     if ok:
         if converged and iterations == bl.iterations:
-            return Outcome(plan, OUTCOME_ACE, iterations, wall, detail)
+            return outcome(OUTCOME_ACE, iterations, detail)
         if iterations > bl.iterations:
-            return Outcome(
-                plan,
-                OUTCOME_EXTRA,
-                iterations,
-                wall,
-                detail if converged else "iteration-cap",
+            return outcome(
+                OUTCOME_EXTRA, iterations, detail if converged else "iteration-cap"
             )
-        return Outcome(plan, OUTCOME_WRONG, iterations, wall, "early-exit")
-    return Outcome(plan, OUTCOME_WRONG, iterations, wall, detail)
+        return outcome(OUTCOME_WRONG, iterations, "early-exit")
+    return outcome(OUTCOME_WRONG, iterations, detail)
 
 
 def flip_check(ctx: InjectionContext, plan: InjectionPlan):
@@ -648,7 +650,7 @@ def flip_check(ctx: InjectionContext, plan: InjectionPlan):
         return None
     runner = _InjectedSolve(ctx, plan, apply_ord, pause=True)
     try:
-        runner.run(time_limit=float("inf"))
+        runner.run(ctx.t_max)
     except _Paused as p:
         return p.clean
     return None  # erased mid-phase before ever being applied
@@ -664,20 +666,19 @@ _LOG_FIELDS = (
     "inject_time",
     "outcome",
     "iterations",
-    "wall_time",
+    "reason",
     "detail",
 )
 
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(ctx, time_limit):
+def _worker_init(ctx):
     _WORKER_STATE["ctx"] = ctx
-    _WORKER_STATE["time_limit"] = time_limit
 
 
 def _worker_run(plan):
-    return run_one(_WORKER_STATE["ctx"], plan, _WORKER_STATE["time_limit"])
+    return run_one(_WORKER_STATE["ctx"], plan)
 
 
 def _outcome_row(oc: Outcome) -> dict:
@@ -688,15 +689,28 @@ def _outcome_row(oc: Outcome) -> dict:
         "inject_time": oc.plan.inject_time,
         "outcome": oc.outcome,
         "iterations": oc.iterations,
-        "wall_time": f"{oc.wall_time:.6f}",
+        "reason": oc.reason,
         "detail": oc.detail,
     }
 
 
-def _read_log(path, structure_id, seed):
+def _log_header(ctx: InjectionContext, structure_id: str, seed: int) -> dict:
+    """What a log must share with the campaign that resumes it."""
+    return {
+        "schema": LOG_SCHEMA,
+        "structure": structure_id,
+        "seed": seed,
+        "baseline": ctx.baseline.iterations,
+        "T": ctx.T,
+        "hang_iters": HANG_ITERS,
+    }
+
+
+def _read_log(path, want_header: dict):
     """Finished runs of a campaign log, and the byte offset they end at.
 
-    An unterminated final line is a run interrupted mid-write, not a
+    The log's header must match ``want_header`` field for field.  An
+    unterminated final line is a run interrupted mid-write, not a
     finished one, so it is left out.
     """
     with open(path, "rb") as fh:
@@ -709,22 +723,23 @@ def _read_log(path, structure_id, seed):
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing campaign header line")
-        fields = dict(
+        logged = dict(
             part.split("=", 1) for part in header[1:].split() if "=" in part
         )
-        if fields.get("structure") != structure_id or int(
-            fields.get("seed", -1)
-        ) != seed:
-            raise ValueError(
-                f"{path}: log belongs to a different campaign "
-                f"({fields.get('structure')}, seed {fields.get('seed')})"
-            )
+        for name, want in want_header.items():
+            got = logged.get(name, "missing")
+            if got != str(want):
+                raise ValueError(
+                    f"{path}: log refused: its {name} is {got}, this "
+                    f"campaign's is {want}; delete it to run the campaign "
+                    "afresh"
+                )
         for row in csv.DictReader(fh):
             plan = InjectionPlan(
                 row["structure"],
                 int(row["bit_index"]),
                 int(row["inject_time"]),
-                seed,
+                want_header["seed"],
                 int(row["run"]),
             )
             outcomes.append(
@@ -732,8 +747,9 @@ def _read_log(path, structure_id, seed):
                     plan,
                     row["outcome"],
                     int(row["iterations"]),
-                    float(row["wall_time"]),
+                    float("nan"),  # not measured in this process
                     row["detail"],
+                    row["reason"],
                 )
             )
     return outcomes, end
@@ -746,7 +762,6 @@ def run_campaign(
     seed: int,
     log_path=None,
     parallel: int = 1,
-    time_limit=None,
     progress=None,
 ) -> CampaignResult:
     """Run (or resume) a campaign of independent injected solves.
@@ -762,12 +777,13 @@ def run_campaign(
             "(measure_baseline)"
         )
     plans = draw_plans(ctx, structure_id, n_runs, seed)
+    header = _log_header(ctx, structure_id, seed)
     outcomes = []
     log_fh = None
     writer = None
     if log_path is not None:
         if os.path.exists(log_path) and os.path.getsize(log_path) > 0:
-            outcomes, end = _read_log(log_path, structure_id, seed)
+            outcomes, end = _read_log(log_path, header)
             if len(outcomes) > n_runs:
                 outcomes = outcomes[:n_runs]
             for oc, plan in zip(outcomes, plans):
@@ -787,10 +803,8 @@ def run_campaign(
             # rewritten, so it never carries a second header.
             log_fh = open(log_path, "w" if fresh else "a", newline="")
             if fresh:
-                log_fh.write(
-                    f"# campaign structure={structure_id} seed={seed} "
-                    f"baseline={ctx.baseline.iterations} T={ctx.T}\n"
-                )
+                fields = " ".join(f"{k}={v}" for k, v in header.items())
+                log_fh.write(f"# campaign {fields}\n")
             writer = csv.DictWriter(log_fh, fieldnames=_LOG_FIELDS)
             if fresh:
                 writer.writeheader()
@@ -799,7 +813,7 @@ def run_campaign(
         if parallel > 1 and pending:
             mp = multiprocessing.get_context("fork")
             with mp.Pool(
-                parallel, initializer=_worker_init, initargs=(ctx, time_limit)
+                parallel, initializer=_worker_init, initargs=(ctx,)
             ) as pool:
                 chunk = max(1, min(16, len(pending) // (4 * parallel) or 1))
                 for oc in pool.imap(_worker_run, pending, chunksize=chunk):
@@ -811,7 +825,7 @@ def run_campaign(
                         progress(len(outcomes), n_runs, oc)
         else:
             for plan in pending:
-                oc = run_one(ctx, plan, time_limit)
+                oc = run_one(ctx, plan)
                 outcomes.append(oc)
                 if writer is not None:
                     writer.writerow(_outcome_row(oc))

@@ -40,6 +40,7 @@ from memvuln.faultmodel import (
     p_consume_product,
 )
 from memvuln.inject import (
+    LOG_SCHEMA,
     OUTCOME_ACE,
     PAD_STRUCTURE,
     build_context,
@@ -145,7 +146,10 @@ def campaigns(ctx, desk, live_note):
     for i, name in enumerate(STRUCTURES + (PAD_STRUCTURE,)):
         n = PAD_RUNS if name == PAD_STRUCTURE else RUNS
         seed = ACCEPT_SEED + i
-        log = os.path.join(SCRATCH, f"accept-side{SIDE}-{name}-seed{seed}.csv")
+        # Logs of another schema are refused, so the name carries it.
+        log = os.path.join(
+            SCRATCH, f"accept-side{SIDE}-{name}-seed{seed}-schema{LOG_SCHEMA}.csv"
+        )
         t0 = time.monotonic()
 
         def note(done, total, _outcome, _name=name, _t0=t0):

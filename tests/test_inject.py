@@ -13,6 +13,7 @@ independent oracles:
 
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -40,8 +41,11 @@ from memvuln.cg import (
     spmv,
     verify,
 )
+from memvuln import inject
 from memvuln.trace import KIND_LOAD, KIND_STORE
 from memvuln.inject import (
+    HANG_ITERS,
+    LOG_SCHEMA,
     OUTCOME_ACE,
     OUTCOME_CLASSES,
     OUTCOME_CRASH,
@@ -51,6 +55,7 @@ from memvuln.inject import (
     PAD_STRUCTURE,
     InjectionPlan,
     _InjectedSolve,
+    _outcome_row,
     build_context,
     draw_plans,
     flip_check,
@@ -225,7 +230,7 @@ class TestRunnerFidelity:
         rec = solve(A, b, tol=tol, vectors=vecs)
         plan = InjectionPlan("d", 64 * 3 + 7, 1, 0, 0)
         runner = _InjectedSolve(ctx, plan, apply_ord=None)
-        converged, iterations = runner.run(time_limit=60.0)
+        converged, iterations = runner.run(ctx.t_max)
         assert converged and iterations == rec.iterations
         assert np.array_equal(runner.arr["x"], vecs.x)
         assert runner.cum == res.n_accesses
@@ -245,7 +250,7 @@ class TestRunnerFidelity:
             plan = InjectionPlan(sid, 64 * word + bit, 1, 0, 0)
             runner = _InjectedSolve(ctx, plan, apply_ord=0)
             with np.errstate(all="ignore"):
-                converged, iterations = runner.run(time_limit=60.0)
+                converged, iterations = runner.run(ctx.t_max)
             A2 = CsrMatrix(
                 A.n_rows, A.row_ptr.copy(), A.col_idx.copy(), A.values.copy()
             )
@@ -267,7 +272,7 @@ class TestRunnerFidelity:
         # d's fills are triggered by the store in the direction update, so
         # a flip surfacing there is overwritten in place.
         plan = fill_plans(ctx, res, "d", 5, 62, count=1)[0]
-        oc = run_one(ctx, plan, time_limit=60.0)
+        oc = run_one(ctx, plan)
         assert oc.outcome == OUTCOME_ACE
         assert oc.detail == "erased"
         assert oc.iterations == ctx.baseline.iterations
@@ -354,7 +359,7 @@ class TestCheckpoints:
                 got = _InjectedSolve(ctx, plan, e)
                 want = _InjectedSolve(scratch, plan, e)
                 with np.errstate(all="ignore"):
-                    rows = [r.run(time_limit=float("inf")) for r in (got, want)]
+                    rows = [r.run(ctx.t_max) for r in (got, want)]
                 assert rows[0] == rows[1], (e, sid)
                 assert (got.applied, got.erased) == (want.applied, want.erased)
                 if not got.erased:  # an erased run stops where it was erased
@@ -373,14 +378,14 @@ class TestCheckpoints:
                 apply_ord, reason = resolve_visibility(ctx, plan)
                 full = _RunPastErasure(scratch, plan, apply_ord)
                 with np.errstate(all="ignore"):
-                    converged, iterations = full.run(time_limit=float("inf"))
+                    converged, iterations = full.run(ctx.t_max)
                 if full.applied:
                     continue
                 # The classification of the full run, as run_one makes it.
                 assert converged and verify(A, b, full.arr["x"], tol)
                 assert iterations == ctx.baseline.iterations
                 detail = "erased" if full.erased else reason
-                oc = run_one(ctx, plan, time_limit=float("inf"))
+                oc = run_one(ctx, plan)
                 assert (oc.outcome, oc.iterations, oc.detail) == (
                     OUTCOME_ACE, iterations, detail
                 ), plan
@@ -623,17 +628,17 @@ class TestClassification:
     def test_metadata_crash_paths(self, small_problem):
         _A, _b, _tol, res, ctx = small_problem
         plan = fill_plans(ctx, res, "Ac", 11, 60, count=1)[0]
-        oc = run_one(ctx, plan, time_limit=60.0)
+        oc = run_one(ctx, plan)
         assert oc.outcome == OUTCOME_CRASH
         assert oc.detail == "IndexError"
         plan = fill_plans(ctx, res, "Ar", 4, 62, count=2)[-1]
-        oc = run_one(ctx, plan, time_limit=60.0)
+        oc = run_one(ctx, plan)
         assert oc.outcome == OUTCOME_CRASH
 
     def test_wrong_result_from_forcing_vector(self, small_problem):
         _A, _b, _tol, res, ctx = small_problem
         plan = fill_plans(ctx, res, "b", 3, 62, count=1)[0]
-        oc = run_one(ctx, plan, time_limit=60.0)
+        oc = run_one(ctx, plan)
         assert oc.outcome == OUTCOME_WRONG
 
     def test_forcing_vector_flip_after_reads_is_benign(self, small_problem):
@@ -646,14 +651,17 @@ class TestClassification:
         for _ in range(12):
             bit = rng.randrange(ctx.structure_bits("b"))
             u = rng.randrange(last + 1 - ctx.t_start, ctx.T)
-            oc = run_one(ctx, InjectionPlan("b", bit, u, 0, 0), time_limit=60.0)
+            oc = run_one(ctx, InjectionPlan("b", bit, u, 0, 0))
             assert oc.outcome == OUTCOME_ACE
 
     def test_hang_on_poisoned_state(self, small_problem):
-        _A, _b, _tol, res, ctx = small_problem
-        plan = fill_plans(ctx, res, "Av", 11, 62, count=1)[0]
-        oc = run_one(ctx, plan, time_limit=1e-4)
+        *_, ctx = small_problem
+        # Left to t_max this run ends as a wrong result at iteration 2000.
+        plan = InjectionPlan("Av", 158910, 12070, 0, 0)
+        oc = run_one(ctx, plan)
         assert oc.outcome == OUTCOME_HANG
+        assert oc.iterations == HANG_ITERS * ctx.baseline.iterations
+        assert _outcome_row(run_one(ctx, plan)) == _outcome_row(oc)
 
     def test_extra_work_exists(self, small_problem):
         _A, _b, _tol, res, ctx = small_problem
@@ -662,7 +670,7 @@ class TestClassification:
         found = None
         for word in range(10):
             for plan in fill_plans(ctx, res, "x", word, 62, count=2):
-                oc = run_one(ctx, plan, time_limit=60.0)
+                oc = run_one(ctx, plan)
                 if oc.outcome == OUTCOME_EXTRA:
                     found = oc
                     break
@@ -684,7 +692,7 @@ class TestClassification:
                 0,
                 0,
             )
-            oc = run_one(ctx, plan, time_limit=30.0)
+            oc = run_one(ctx, plan)
             assert oc.outcome in OUTCOME_CLASSES
 
 
@@ -701,16 +709,49 @@ class TestFlipCheck:
         assert flip_check(ctx, plan) is None
 
 
+def unbounded_row(ctx, plan):
+    """A run left to go on to t_max, classified, then relabelled ``hang``
+    if it had not converged before iteration HANG_ITERS times the
+    baseline's."""
+    bl = ctx.baseline
+    hang_at = HANG_ITERS * bl.iterations
+    apply_ord, reason = resolve_visibility(ctx, plan)
+    runner = _InjectedSolve(ctx, plan, apply_ord)
+    try:
+        with np.errstate(all="ignore"):
+            converged, iterations = runner.run(ctx.t_max)
+    except Exception as exc:  # noqa: BLE001
+        if runner.iter_done < hang_at:
+            return OUTCOME_CRASH, runner.iter_done, type(exc).__name__
+        converged = False
+    if runner.erased:
+        return OUTCOME_ACE, bl.iterations, "erased"
+    detail = "" if runner.applied else reason
+    if not converged or iterations >= hang_at:
+        return OUTCOME_HANG, hang_at, detail
+    with np.errstate(all="ignore"):
+        ok = verify(ctx.A, ctx.b, runner.arr["x"], ctx.tol)
+    if not ok:
+        return OUTCOME_WRONG, iterations, detail
+    if iterations < bl.iterations:
+        return OUTCOME_WRONG, iterations, "early-exit"
+    if iterations > bl.iterations:
+        return OUTCOME_EXTRA, iterations, detail
+    return OUTCOME_ACE, iterations, detail
+
+
 class TestGoldenOutcomes:
     """Pins every outcome of a fixed plan set, to guard refactors of the
     instrumented solver and the campaign driver.
 
-    The digest was generated before the phase table replaced the
-    hand-written per-phase replay; with seed 0 the 1,000 runs are 778
-    ACE, 144 crash, 75 wrong-result and 3 extra-work.
+    With seed 0 the 1,000 runs are 778 ACE, 144 crash, 56 wrong-result,
+    20 hang and 2 extra-work.  The baseline takes 6 iterations, so a run
+    is hung as it opens iteration 24; the 20 hangs are the runs that, left
+    to go on, end as wrong results at the cap of 2000 iterations (19) or
+    converge at iteration 1110 (one extra-work run).
     """
 
-    DIGEST = "9c49e67bb96f455779a7482d41f5240431db18cd9527c8189f65eade03565218"
+    DIGEST = "42aa8a0327df60c1e69ef4d53554b4f4a39a0ddfe0b088f0c4a80e29e4b02b28"
     STRUCTURES = ("Ar", "Ac", "Av", "x", "b", "g", "d", "dp", "q", PAD_STRUCTURE)
 
     def test_outcome_rows_match_digest(self, small_problem):
@@ -718,12 +759,24 @@ class TestGoldenOutcomes:
         h = hashlib.sha256()
         for sid in self.STRUCTURES:
             for plan in draw_plans(ctx, sid, 100, seed=0):
-                oc = run_one(ctx, plan, time_limit=float("inf"))
+                oc = run_one(ctx, plan)
                 h.update(
                     f"{sid},{plan.bit_index},{plan.inject_time},{oc.outcome},"
                     f"{oc.iterations},{oc.detail}\n".encode()
                 )
         assert h.hexdigest() == self.DIGEST
+
+    def test_budget_equals_unbounded_run_relabelled(self, small_problem):
+        *_, ctx = small_problem
+        assert HANG_ITERS * ctx.baseline.iterations < ctx.t_max
+        relabelled = 0
+        for sid in self.STRUCTURES:
+            for plan in draw_plans(ctx, sid, 100, seed=0):
+                oc = run_one(ctx, plan)
+                want = unbounded_row(ctx, plan)
+                assert (oc.outcome, oc.iterations, oc.detail) == want, plan
+                relabelled += want[0] == OUTCOME_HANG
+        assert relabelled == 20
 
 
 class TestCampaign:
@@ -736,7 +789,7 @@ class TestCampaign:
 
     def test_tally_and_p_unace(self, small_problem):
         *_, ctx = small_problem
-        r = run_campaign(ctx, PAD_STRUCTURE, 25, seed=5, time_limit=30.0)
+        r = run_campaign(ctx, PAD_STRUCTURE, 25, seed=5)
         assert r.n_runs == 25
         assert r.tally[OUTCOME_ACE] == 25
         assert r.p_unace == 0.0
@@ -746,15 +799,11 @@ class TestCampaign:
     def test_log_resume_completes_identically(self, small_problem, tmp_path):
         *_, ctx = small_problem
         path = tmp_path / "campaign.csv"
-        full = run_campaign(
-            ctx, "Av", 14, seed=21, log_path=str(path), time_limit=30.0
-        )
+        full = run_campaign(ctx, "Av", 14, seed=21, log_path=str(path))
         text = path.read_text().splitlines()
         truncated = "\n".join(text[: 2 + 5]) + "\n"  # header + 5 rows
         path.write_text(truncated)
-        resumed = run_campaign(
-            ctx, "Av", 14, seed=21, log_path=str(path), time_limit=30.0
-        )
+        resumed = run_campaign(ctx, "Av", 14, seed=21, log_path=str(path))
         assert resumed.tally == full.tally
         assert resumed.p_unace == full.p_unace
         assert len(path.read_text().splitlines()) == 2 + 14
@@ -763,9 +812,7 @@ class TestCampaign:
     def test_torn_log_line_is_rerun(self, small_problem, tmp_path, where):
         *_, ctx = small_problem
         full_path = tmp_path / "full.csv"
-        run_campaign(
-            ctx, "Av", 14, seed=21, log_path=str(full_path), time_limit=30.0
-        )
+        run_campaign(ctx, "Av", 14, seed=21, log_path=str(full_path))
         full = full_path.read_bytes()
         lines = full.splitlines(keepends=True)
         if where == "row":
@@ -779,47 +826,107 @@ class TestCampaign:
             cut = lines[0][:10]
         path = tmp_path / "torn.csv"
         path.write_bytes(cut)
-        resumed = run_campaign(
-            ctx, "Av", 14, seed=21, log_path=str(path), time_limit=30.0
-        )
+        resumed = run_campaign(ctx, "Av", 14, seed=21, log_path=str(path))
         assert resumed.n_runs == 14
-
-        def without_wall_time(text):
-            out = []
-            for line in text.splitlines(keepends=True):
-                if line[:1].isdigit():  # a run row; wall_time is field 6
-                    fields = line.split(b",")
-                    fields[6] = b""
-                    line = b",".join(fields)
-                out.append(line)
-            return out
-
-        assert without_wall_time(path.read_bytes()) == without_wall_time(full)
+        assert path.read_bytes() == full
 
     def test_log_guards_against_mismatch(self, small_problem, tmp_path):
         *_, ctx = small_problem
         path = tmp_path / "campaign.csv"
-        run_campaign(ctx, "Av", 4, seed=21, log_path=str(path), time_limit=30.0)
-        with pytest.raises(ValueError):
-            run_campaign(
-                ctx, "Av", 8, seed=22, log_path=str(path), time_limit=30.0
+        run_campaign(ctx, "Av", 4, seed=21, log_path=str(path))
+        with pytest.raises(ValueError, match="seed is 21"):
+            run_campaign(ctx, "Av", 8, seed=22, log_path=str(path))
+        with pytest.raises(ValueError, match="structure is Av"):
+            run_campaign(ctx, "d", 8, seed=21, log_path=str(path))
+
+    def test_log_header_and_rows(self, small_problem, tmp_path):
+        *_, ctx = small_problem
+        rows = []
+        for sid in ("Ar", "q"):
+            path = tmp_path / f"{sid}.csv"
+            run_campaign(ctx, sid, 100, seed=0, log_path=str(path))
+            lines = path.read_text().splitlines()
+            assert lines[0] == (
+                f"# campaign schema={LOG_SCHEMA} structure={sid} seed=0 "
+                f"baseline={ctx.baseline.iterations} T={ctx.T} "
+                f"hang_iters={HANG_ITERS}"
             )
-        with pytest.raises(ValueError):
-            run_campaign(
-                ctx, "d", 8, seed=21, log_path=str(path), time_limit=30.0
+            assert lines[1] == (
+                "run,structure,bit_index,inject_time,outcome,iterations,"
+                "reason,detail"
             )
+            rows += [line.split(",") for line in lines[2:]]
+        assert {row[6] for row in rows} == {"fill", "silent", "writeback", "erased"}
+        # A crash names its exception in `detail` and keeps its reason.
+        crashes = [row for row in rows if row[4] == OUTCOME_CRASH]
+        assert crashes and {row[6] for row in crashes} == {"fill"}
+        assert {row[7] for row in crashes} <= {"IndexError", "_SegFault"}
+        hangs = [row for row in rows if row[4] == OUTCOME_HANG]
+        assert hangs and {row[5] for row in hangs} == {
+            str(HANG_ITERS * ctx.baseline.iterations)
+        }
+
+    @pytest.mark.parametrize(
+        "field, value", [("schema", "1"), ("baseline", "7"), ("T", "1"),
+                         ("hang_iters", "10")]
+    )
+    def test_log_refused_when_its_rules_differ(
+        self, small_problem, tmp_path, field, value
+    ):
+        *_, ctx = small_problem
+        path = tmp_path / "campaign.csv"
+        run_campaign(ctx, "Av", 4, seed=21, log_path=str(path))
+        header, rest = path.read_text().split("\n", 1)
+        fields = dict(part.split("=") for part in header.split()[2:])
+        fields[field] = value
+        header = "# campaign " + " ".join(f"{k}={v}" for k, v in fields.items())
+        path.write_text(header + "\n" + rest)
+        with pytest.raises(ValueError, match=f"its {field} is {value},"):
+            run_campaign(ctx, "Av", 8, seed=21, log_path=str(path))
+
+    def test_schema_1_log_is_refused(self, small_problem, tmp_path):
+        *_, ctx = small_problem
+        path = tmp_path / "campaign.csv"
+        path.write_text(
+            f"# campaign structure=Av seed=21 baseline={ctx.baseline.iterations} "
+            f"T={ctx.T}\n"
+            "run,structure,bit_index,inject_time,outcome,iterations,wall_time,"
+            "detail\n"
+            "0,Av,100,200,ACE,6,0.000101,silent\n"
+        )
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="its schema is missing"):
+            run_campaign(ctx, "Av", 4, seed=21, log_path=str(path))
+        assert path.read_bytes() == before
+
+    def test_rows_do_not_depend_on_the_clock(
+        self, small_problem, tmp_path, monkeypatch
+    ):
+        *_, ctx = small_problem
+        steady = [tmp_path / f"steady-{sid}.csv" for sid in ("g", "q")]
+        jumpy = [tmp_path / f"jumpy-{sid}.csv" for sid in ("g", "q")]
+        for sid, path in zip(("g", "q"), steady):
+            run_campaign(ctx, sid, 100, seed=0, log_path=str(path))
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            inject._time, "perf_counter", lambda: 1e6 * next(ticks)
+        )
+        for sid, path in zip(("g", "q"), jumpy):
+            run_campaign(ctx, sid, 100, seed=0, log_path=str(path))
+        assert next(ticks) > 200  # the clock did jump under every run
+        for a, b in zip(steady, jumpy):
+            assert a.read_bytes() == b.read_bytes()
+        assert any(",hang," in p.read_text() for p in steady)
 
     def test_parallel_matches_serial(self, small_problem):
         *_, ctx = small_problem
-        serial = run_campaign(ctx, "b", 10, seed=3, time_limit=30.0)
-        parallel = run_campaign(
-            ctx, "b", 10, seed=3, parallel=2, time_limit=30.0
-        )
+        serial = run_campaign(ctx, "b", 10, seed=3)
+        parallel = run_campaign(ctx, "b", 10, seed=3, parallel=2)
         assert serial.tally == parallel.tally
 
     def test_campaign_result_serialization(self, small_problem):
         *_, ctx = small_problem
-        r = run_campaign(ctx, "b", 6, seed=13, time_limit=30.0)
+        r = run_campaign(ctx, "b", 6, seed=13)
         doc = r.to_dict()
         assert doc["structure"] == "b"
         assert doc["runs"] == 6
