@@ -399,11 +399,7 @@ class _AccessEmitter:
     direction buffers, so blocks are cached per phase and resolved
     operands and streamed to the observer in bounded chunks.  The
     ``g_recompute`` block opens only once every ``RECOMPUTE_EVERY``
-    iterations and is built afresh each time instead of held.  A sweep
-    whose source is a direction buffer (``q_spmv``) differs between the
-    parities only in that buffer, so only its parity-0 block is held; the
-    other parity's chunks are fresh copies with the source loads moved to
-    the other buffer.  No array is changed after the observer has it.
+    iterations and is built afresh each time instead of held.
     """
 
     CHUNK = 1 << 20
@@ -417,22 +413,13 @@ class _AccessEmitter:
         self._cache: dict = {}
 
     def emit(self, phase: Phase, parity: int) -> None:
-        moved = phase.src is not None and phase.source(parity) != phase.source(0)
-        kinds, addrs, sids = self._template(phase, 0 if moved else parity)
+        kinds, addrs, sids = self._template(phase, parity)
         for i in range(0, len(kinds), self.CHUNK):
-            chunk = slice(i, i + self.CHUNK)
-            a, s = addrs[chunk], sids[chunk]
-            if moved:
-                a, s = self._move_source(a, s, phase.source(0), phase.source(parity))
-            self.obs.emit(kinds[chunk], a, s)
-
-    def _move_source(self, addrs, sids, old: str, new: str):
-        """Copies of a sweep's chunk whose source loads read ``new``."""
-        src = sids == self._sid[old]
-        # Unsigned wrap-around makes a move to a lower base an addition too.
-        shift = np.uint64((self._base[new] - self._base[old]) % 2**64)
-        step = np.uint16((self._sid[new] - self._sid[old]) % 2**16)
-        return addrs + src * shift, sids + src * step
+            self.obs.emit(
+                kinds[i : i + self.CHUNK],
+                addrs[i : i + self.CHUNK],
+                sids[i : i + self.CHUNK],
+            )
 
     def _template(self, phase: Phase, parity: int):
         key = (phase.name, phase.operands(parity), phase.source(parity))

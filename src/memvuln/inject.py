@@ -494,9 +494,8 @@ class _InjectedSolve:
 
     def _gather_products(self, src_name):
         """prod[j] = Av[j] * src[Ac[j]] under the current memory image."""
-        # Without `out`, take checks the indices without first buffering
-        # the whole result, which makes it about twice as fast.
-        np.multiply(self.av_w, np.take(self.arr[src_name], self.ci_w), out=self.prod)
+        np.take(self.arr[src_name], self.ci_w, out=self.prod)
+        np.multiply(self.av_w, self.prod, out=self.prod)
 
     def _spmv_plain(self, src_name, out):
         self._gather_products(src_name)
@@ -598,8 +597,8 @@ def run_one(ctx: InjectionContext, plan: InjectionPlan) -> Outcome:
     it, leaves the memory image the baseline's: the plan gets the
     baseline's row without a solve, or as soon as the erasure happens.
     A run that would open iteration ``HANG_ITERS`` times the baseline's
-    count unconverged stops there as a hang, unless the solver's own cap
-    ``t_max`` ends it first.
+    count unconverged stops there as a hang (or at the solver's own cap
+    ``t_max``, should that be lower).
     """
     if ctx.baseline is None:
         raise RuntimeError("no baseline run; call measure_baseline first")
@@ -614,25 +613,24 @@ def run_one(ctx: InjectionContext, plan: InjectionPlan) -> Outcome:
     if apply_ord is None:
         return outcome(OUTCOME_ACE, bl.iterations, reason)
     runner = _InjectedSolve(ctx, plan, apply_ord)
-    hang_at = HANG_ITERS * bl.iterations
     try:
-        converged, iterations = runner.run(min(hang_at, ctx.t_max))
+        converged, iterations = runner.run(
+            min(HANG_ITERS * bl.iterations, ctx.t_max)
+        )
     except Exception as exc:  # noqa: BLE001 - any abnormal end is a crash
         return outcome(OUTCOME_CRASH, runner.iter_done, type(exc).__name__)
     if runner.erased:
         return outcome(OUTCOME_ACE, bl.iterations, "erased", "erased")
     detail = "" if runner.applied else reason
-    if not converged and hang_at < ctx.t_max:
+    if not converged:
         return outcome(OUTCOME_HANG, iterations, detail)
     with np.errstate(all="ignore"):
         ok = verify(ctx.A, ctx.b, runner.arr["x"], ctx.tol)
     if ok:
-        if converged and iterations == bl.iterations:
+        if iterations == bl.iterations:
             return outcome(OUTCOME_ACE, iterations, detail)
         if iterations > bl.iterations:
-            return outcome(
-                OUTCOME_EXTRA, iterations, detail if converged else "iteration-cap"
-            )
+            return outcome(OUTCOME_EXTRA, iterations, detail)
         return outcome(OUTCOME_WRONG, iterations, "early-exit")
     return outcome(OUTCOME_WRONG, iterations, detail)
 

@@ -281,37 +281,6 @@ class TestPhaseTable:
                     assert want[phase.nz_ord(k, j, r)] == (KIND_LOAD, name, idx[k])
 
 
-    def test_derived_parity_chunks_never_change(self):
-        """The q_spmv block of one parity is derived from the other's; the
-        arrays an observer holds keep the values they had at emission."""
-        A = cg.generate_poisson27(3)
-        kept = []
-
-        class Keeper:
-            def emit(self, kinds, addrs, sids=None, widths=None):
-                kept.append(((kinds, addrs, sids), (kinds.copy(), addrs.copy(),
-                                                    sids.copy())))
-
-        emitter = cg._AccessEmitter(A, Keeper())
-        emitter.CHUNK = 7  # many chunks per block
-        parities = (0, 1, 1, 0, 1, 0)
-        for parity in parities:
-            emitter.emit(cg.Q_SPMV, parity)
-        for held, at_emit in kept:
-            for a, b in zip(held, at_emit):
-                assert np.array_equal(a, b)
-        sid = {r.name: emitter.smap.ordinal_of(r.name) for r in emitter.smap}
-        per_block = len(kept) // len(parities)
-        for i, parity in enumerate(parities):
-            chunks = kept[i * per_block : (i + 1) * per_block]
-            kinds, addrs, sids = (
-                np.concatenate([held[k] for held, _ in chunks]) for k in range(3)
-            )
-            want = oracle_phase(A, "q_spmv", parity)
-            assert self.decode(emitter.smap, kinds, addrs) == want
-            assert sids.tolist() == [sid[name] for _, name, _ in want]
-
-
 class TestObservedAccesses:
     def run_observed(self, side):
         A = cg.generate_poisson27(side)

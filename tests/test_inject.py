@@ -663,6 +663,13 @@ class TestClassification:
         assert oc.iterations == HANG_ITERS * ctx.baseline.iterations
         assert _outcome_row(run_one(ctx, plan)) == _outcome_row(oc)
 
+    def test_solver_cap_below_budget_ends_a_hang(self, small_problem):
+        *_, ctx = small_problem
+        capped = dataclasses.replace(ctx, t_max=10)
+        assert capped.t_max < HANG_ITERS * ctx.baseline.iterations
+        oc = run_one(capped, InjectionPlan("Av", 158910, 12070, 0, 0))
+        assert (oc.outcome, oc.iterations) == (OUTCOME_HANG, 10)
+
     def test_extra_work_exists(self, small_problem):
         _A, _b, _tol, res, ctx = small_problem
         # An early upset the solver recovers from at the cost of more
