@@ -1,11 +1,14 @@
 """Trace-driven three-level write-back, write-allocate cache hierarchy.
 
-The simulator consumes an access stream (directly as an observer, or from
-a stored trace) and produces the main-memory request stream — fills and
-write-backs with simulated timestamps — plus one resolution per fill
-recording, per 64-bit word of the fetched line, whether the word was
-consumed (loaded) or fully overwritten by stores before any load (bit w
-of ``res_mask`` set means word w was overwritten).
+The simulator is an observer of the solver's access stream: each access
+is a kind and the 8-byte-aligned address of the 64-bit word it touches.
+It produces the main-memory request stream — fills and write-backs with
+simulated timestamps — plus one resolution per fill recording, per word
+of the fetched line, whether the word was consumed or overwritten before
+any load (bit w of ``res_mask`` set means word w was overwritten).  The
+first access to a word after its fill resolves it: a load consumes it, a
+store overwrites it.  A word still unaccessed when its line leaves the
+hierarchy (or at the end) counts as consumed, conservatively.
 
 Timing model (deliberately simple, fixed-latency):
   * the core issues one access per cycle; an access that needs a
@@ -33,7 +36,8 @@ The canonical state holds, with every time taken relative to the clock:
   * for every level and set, in dict order, each line with its LRU
     stamp, dirty bit and ready time;
   * for every level, the live MSHR heap entries, sorted;
-  * every pending resolution (``_track`` entry) with its fill time.
+  * every pending resolution (``_track`` entry) with its fill time and
+    its resolved and overwritten words.
 Two states that agree on it behave identically from then on: the clock
 only moves forward and every comparison the core loop makes is between
 times or against the clock.  A ready time at or below the clock can
@@ -41,8 +45,8 @@ never again read as in-flight, so it is clamped to "ready"; a heap entry
 at or below the clock is popped before any MSHR count is taken, so it is
 dropped.  Nothing else in the state is observable.
 
-A hit is confirmed by comparing the full state and the block's kinds,
-addresses and widths, never by a digest alone.  It appends the recorded
+A hit is confirmed by comparing the full state and the block's kinds
+and addresses, never by a digest alone.  It appends the recorded
 requests and resolutions shifted by the change of clock (times) and of
 access count (ordinals), adds the recorded stall cycles, and installs
 the recorded post-state at the new clock.  Blocks are recorded, and the
@@ -80,7 +84,6 @@ CAUSE_STORE_MISS = 2
 #: ``desk_scaled`` needs at most three before its first replay.
 MEMO_MISSES = 4
 
-_FULL_WORD = 0xFF  # per-word byte-coverage mask
 _ALL_WORDS = 0xFF  # per-line word mask (8 words of 8 bytes)
 
 
@@ -196,7 +199,7 @@ class CacheConfig:
 
 @dataclass
 class SimResult:
-    """Closed main-memory request and resolution streams for one ROI."""
+    """Closed main-memory request and resolution streams for one solve."""
 
     req_time: np.ndarray
     req_kind: np.ndarray
@@ -214,7 +217,7 @@ class SimResult:
 
     @property
     def T(self) -> int:
-        """ROI duration: last memory-level event minus first."""
+        """Window length: last memory-level event minus first."""
         return self.t_end - self.t_start
 
     @property
@@ -297,22 +300,12 @@ class _BlockReplay(NamedTuple):
     post: bytes  # canonical state at the end of the block
 
 
-def _same_block(block, kinds, addrs, widths) -> bool:
-    k, a, w = block
-    return (
-        np.array_equal(k, kinds)
-        and np.array_equal(a, addrs)
-        and (w is None) == (widths is None)
-        and (w is None or np.array_equal(w, widths))
-    )
-
-
 class CacheSimulator:
     """Observer that replays an access stream through the hierarchy.
 
-    Feed it with ``emit`` blocks (it implements the same observer protocol
-    the solver drives) and call ``finish()`` — or ``close()`` — to flush
-    dirty lines, resolve pending fills, and obtain the SimResult.
+    Feed it with ``emit`` blocks (it implements the observer protocol the
+    solver drives) and call ``finish()`` to flush dirty lines, resolve
+    pending fills, and obtain the SimResult.
     ``blocks_simulated`` and ``blocks_replayed`` count how each non-empty
     block was handled.
     """
@@ -338,7 +331,7 @@ class CacheSimulator:
         self._clock = -1
         self._stalls = 0
         self._n_accesses = 0
-        self._track: dict = {}  # line -> [fill_time, coverage, resolved, overwritten]
+        self._track: dict = {}  # line -> [fill_time, resolved, overwritten]
         self._rq_t = array("q")
         self._rq_k = array("B")
         self._rq_l = array("q")
@@ -352,7 +345,7 @@ class CacheSimulator:
         self._result: SimResult | None = None
         self._seen: set = set()  # digests of every block emitted
         self._repeating = False  # has any block been emitted twice?
-        self._blocks: dict = {}  # digest -> (kinds, addrs, widths) copy
+        self._blocks: dict = {}  # digest -> (kinds, addrs) copy
         self._memo: dict = {}  # digest -> {canonical state: _BlockReplay}
         self._misses: dict = {}  # digest -> recordings since its last replay
         self.blocks_simulated = 0
@@ -368,63 +361,49 @@ class CacheSimulator:
                     f"({reg.end} > {self.cfg.memory_capacity})"
                 )
 
-    def roi_begin(self) -> None:
-        pass
-
-    def roi_end(self) -> None:
-        pass
-
-    def emit(self, kinds, addrs, sids=None, widths=None) -> None:
+    def emit(self, kinds, addrs) -> None:
         if self._result is not None:
             raise RuntimeError("simulation already finished")
         if len(addrs) == 0:
             return
-        addrs = np.asarray(addrs)
+        addrs = np.ascontiguousarray(addrs)
         if int(addrs.max()) + 8 > self.cfg.memory_capacity:
             raise ValueError("trace address outside configured memory capacity")
         kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
-        addrs = np.ascontiguousarray(addrs)
         # In-range unsigned addresses have the same bytes as signed ones.
         if addrs.dtype == np.uint64:
             addrs = addrs.view(np.int64)
         else:
             addrs = addrs.astype(np.int64, copy=False)
-        if widths is not None:
-            widths = np.asarray(widths)
-            # Full-word widths are the default; dropping them keeps the
-            # core loop and the digest free of a per-access width list.
-            widths = (
-                None
-                if np.all(widths == 8)
-                else np.ascontiguousarray(widths, dtype=np.int64)
-            )
+        # A negative address sets the sign bit of the OR of all of them.
+        low = int(np.bitwise_or.reduce(addrs))
+        if low < 0 or low & 7:
+            bad = addrs[(addrs < 0) | (addrs & 7 != 0)][0]
+            raise ValueError(f"address {bad} is not a non-negative multiple of 8")
         h = hashlib.sha256(kinds)
         h.update(addrs)
-        if widths is not None:
-            h.update(widths)
         digest = h.digest()
         if digest in self._seen:
             self._repeating = True
         else:
             self._seen.add(digest)
             if not self._repeating:
-                self._simulate(kinds, addrs, widths)
+                self._simulate(kinds, addrs)
                 return
         if self._misses.get(digest, 0) >= MEMO_MISSES:
-            self._simulate(kinds, addrs, widths)  # its state never recurred
+            self._simulate(kinds, addrs)  # its state never recurred
             return
         block = self._blocks.get(digest)
         if block is None:
             # The copy only has to compare equal; storing addresses that
             # fit 32 bits in 32 bits halves what the memo holds.
-            small = addrs.min() >= 0 and addrs.max() < 1 << 32
+            small = addrs.max() < 1 << 32
             block = self._blocks[digest] = (
                 kinds.copy(),
                 addrs.astype(np.uint32 if small else np.int64),
-                None if widths is None else widths.copy(),
             )
-        if not _same_block(block, kinds, addrs, widths):
-            self._simulate(kinds, addrs, widths)  # digest collision
+        if not (np.array_equal(block[0], kinds) and np.array_equal(block[1], addrs)):
+            self._simulate(kinds, addrs)  # digest collision
             return
         states = self._memo.setdefault(digest, {})
         state = self._state()
@@ -433,21 +412,18 @@ class CacheSimulator:
             self._misses[digest] = 0
             self._replay(rec, len(kinds))
             return
-        states[state] = self._record(kinds, addrs, widths)
+        states[state] = self._record(kinds, addrs)
         misses = self._misses[digest] = self._misses.get(digest, 0) + 1
         if misses == MEMO_MISSES:
             del self._memo[digest], self._blocks[digest]  # never looked up again
 
-    def close(self) -> None:
-        self.finish()
-
     # -- block memo ---------------------------------------------------------------
 
-    def _record(self, kinds, addrs, widths) -> _BlockReplay:
+    def _record(self, kinds, addrs) -> _BlockReplay:
         """Simulate one block and return what it did, relative to its start."""
         clock, stalls = self._clock, self._stalls
         n_req, n_res, ord0 = len(self._rq_t), len(self._rs_l), self._n_accesses
-        self._simulate(kinds, addrs, widths)
+        self._simulate(kinds, addrs)
 
         def since(arr, start, base):
             return np.frombuffer(arr, dtype=np.int64)[start:] - base
@@ -467,17 +443,13 @@ class CacheSimulator:
             post=self._state(),
         )
 
-    def _simulate(self, kinds, addrs, widths) -> None:
+    def _simulate(self, kinds, addrs) -> None:
         self.blocks_simulated += 1
         # The core loop wants Python ints; converting in slices bounds the
         # size of the temporary lists.
         step = 1 << 14
         for i in range(0, len(kinds), step):
-            self._run(
-                kinds[i : i + step].tolist(),
-                addrs[i : i + step].tolist(),
-                None if widths is None else widths[i : i + step].tolist(),
-            )
+            self._run(kinds[i : i + step].tolist(), addrs[i : i + step].tolist())
 
     def _state(self) -> bytes:
         """Canonical state (see module docstring), packed as int64 words."""
@@ -494,10 +466,8 @@ class CacheSimulator:
             flat.append(len(live))
             flat += live
         flat.append(len(self._track))
-        for ln, (fill_time, cov, resolved, overwritten) in self._track.items():
-            flat += (
-                ln, fill_time - c, cov & 0xFFFFFFFF, cov >> 32, resolved, overwritten
-            )
+        for ln, (fill_time, resolved, overwritten) in self._track.items():
+            flat += (ln, fill_time - c, resolved, overwritten)
         return array("q", flat).tobytes()
 
     def _restore(self, state: bytes) -> None:
@@ -520,13 +490,8 @@ class CacheSimulator:
             level["heap"] = [t + c for t in flat[end + 1 : pos]]
         track = self._track
         track.clear()
-        for j in range(pos + 1, pos + 1 + 6 * flat[pos], 6):
-            track[flat[j]] = [
-                flat[j + 1] + c,
-                flat[j + 2] | flat[j + 3] << 32,
-                flat[j + 4],
-                flat[j + 5],
-            ]
+        for j in range(pos + 1, pos + 1 + 4 * flat[pos], 4):
+            track[flat[j]] = [flat[j + 1] + c, flat[j + 2], flat[j + 3]]
 
     def _replay(self, rec: _BlockReplay, n: int) -> None:
         self.blocks_replayed += 1
@@ -550,7 +515,7 @@ class CacheSimulator:
 
     # -- core loop --------------------------------------------------------------
 
-    def _run(self, kinds, addrs, widths) -> None:
+    def _run(self, kinds, addrs) -> None:
         l1, l2, l3 = self._levels
         sets1, nsets1 = l1["sets"], l1["nsets"]
         sets2, nsets2 = l2["sets"], l2["nsets"]
@@ -582,9 +547,7 @@ class CacheSimulator:
                     rec[1] = True
                 entry = track.get(line)
                 if entry is not None:
-                    self._touch(
-                        track, entry, line, a, kind, widths[i] if widths else 8, clock
-                    )
+                    self._touch(track, entry, line, a, kind, clock)
                 continue
             st2 = sets2[line % nsets2]
             rec = st2.get(line)
@@ -598,9 +561,7 @@ class CacheSimulator:
                 self._install(0, line, clock, bool(kind), ready)
                 entry = track.get(line)
                 if entry is not None:
-                    self._touch(
-                        track, entry, line, a, kind, widths[i] if widths else 8, clock
-                    )
+                    self._touch(track, entry, line, a, kind, clock)
                 continue
             st3 = sets3[line % nsets3]
             rec = st3.get(line)
@@ -613,9 +574,7 @@ class CacheSimulator:
                 self._install(1, line, clock, False, ready)
                 entry = track.get(line)
                 if entry is not None:
-                    self._touch(
-                        track, entry, line, a, kind, widths[i] if widths else 8, clock
-                    )
+                    self._touch(track, entry, line, a, kind, clock)
                 continue
             # Miss everywhere: fetch from memory, one MSHR per level.
             for lvl in range(3):
@@ -642,48 +601,26 @@ class CacheSimulator:
             self._install(0, line, clock, bool(kind), ready, req_time)
             self._install(1, line, clock, False, ready, req_time)
             self._install(2, line, clock, False, ready, req_time)
-            entry = [req_time, 0, 0, 0]
+            entry = [req_time, 0, 0]
             track[line] = entry
-            self._touch(
-                track, entry, line, a, kind, widths[i] if widths else 8, clock
-            )
+            self._touch(track, entry, line, a, kind, clock)
         self._clock = clock
         self._stalls = stalls
         self._n_accesses += len(kinds)
 
-    def _touch(self, track, entry, line, addr, kind, width, clock) -> None:
-        """Advance a fill's per-word resolution with one program access."""
-        off = addr & 63
-        w0 = off >> 3
-        w1 = (off + width - 1) >> 3
-        if w1 > 7:
-            w1 = 7
-        resolved = entry[2]
-        if kind == 0:
-            for w in range(w0, w1 + 1):
-                bit = 1 << w
-                if not resolved & bit:
-                    resolved |= bit  # consumed: overwritten bit stays clear
-        else:
-            line_base = line << 6
-            cov = entry[1]
-            for w in range(w0, w1 + 1):
-                bit = 1 << w
-                if resolved & bit:
-                    continue
-                lo = max(addr, line_base + 8 * w)
-                hi = min(addr + width, line_base + 8 * w + 8)
-                seg = ((1 << (hi - lo)) - 1) << (lo - line_base - 8 * w)
-                cov |= seg << (8 * w)
-                if (cov >> (8 * w)) & _FULL_WORD == _FULL_WORD:
-                    resolved |= bit
-                    entry[3] |= bit
-            entry[1] = cov
-        entry[2] = resolved
-        if resolved == _ALL_WORDS:
+    def _touch(self, track, entry, line, addr, kind, clock) -> None:
+        """Resolve the accessed word of a pending fill if it is its first
+        access: a load consumes it, a store overwrites it."""
+        bit = 1 << ((addr & 63) >> 3)
+        if entry[1] & bit:
+            return
+        entry[1] |= bit
+        if kind:
+            entry[2] |= bit
+        if entry[1] == _ALL_WORDS:
             self._rs_l.append(line << 6)
             self._rs_ft.append(entry[0])
-            self._rs_m.append(entry[3])
+            self._rs_m.append(entry[2])
             self._rs_rt.append(clock)
             del track[line]
 
@@ -735,19 +672,12 @@ class CacheSimulator:
         return False
 
     def _finalize(self, line, entry, at_time) -> None:
-        """Resolve outstanding words: fully covered => overwritten, else
-        consumed (conservative: partially covered bytes return to memory)."""
-        resolved, overwritten, cov = entry[2], entry[3], entry[1]
-        for w in range(8):
-            bit = 1 << w
-            if resolved & bit:
-                continue
-            if (cov >> (8 * w)) & _FULL_WORD == _FULL_WORD:
-                overwritten |= bit
+        """Close a fill whose line left the hierarchy, or at the end; its
+        unaccessed words count as consumed."""
         t = at_time if at_time is not None else self._clock + self._req_lat
         self._rs_l.append(line << 6)
         self._rs_ft.append(entry[0])
-        self._rs_m.append(overwritten)
+        self._rs_m.append(entry[2])
         self._rs_rt.append(t)
         del self._track[line]
 
@@ -795,16 +725,3 @@ class CacheSimulator:
         )
         return self._result
 
-
-def simulate(trace, config: CacheConfig | None = None) -> SimResult:
-    """Replay a stored trace (path or TraceReader) through the hierarchy."""
-    from .trace import TraceReader
-
-    if not isinstance(trace, TraceReader):
-        with TraceReader(trace) as reader:
-            return simulate(reader, config)
-    sim = CacheSimulator(config)
-    sim.register_structures(trace.structures)
-    for block in trace.iter_blocks():
-        sim.emit(block["kind"], block["addr"], None, block["width"])
-    return sim.finish()

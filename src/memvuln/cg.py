@@ -4,8 +4,14 @@ The solver follows the classic double-buffered formulation: the residual
 is recomputed from scratch every 50 iterations and updated incrementally
 otherwise, the two direction buffers swap roles at the end of every
 iteration, and all reductions run in a fixed blocked order so fault-free
-runs are bit-reproducible.  An optional observer receives every logical
-load/store to the nine tracked structures as vectorized event blocks.
+runs are bit-reproducible.
+
+An optional observer sees every logical load and store to the nine
+tracked structures.  It implements two methods: ``register_structures(smap)``
+receives the ``StructureMap`` of the layout once, before any access, and
+``emit(kinds, addrs)`` receives each block of accesses in program order,
+as uint8 kinds (``KIND_LOAD`` or ``KIND_STORE``) and the uint64 byte
+addresses of the 64-bit words they touch.
 
 The phase table (``Phase`` and ``PHASES``) is the one description of the
 access layout: each of the seven phases lists its per-element accesses
@@ -382,11 +388,7 @@ def solve(
         def open_phase(phase, t, parity):
             emitter.emit(phase, parity)
 
-    if observer is not None:
-        observer.roi_begin()
     converged, iterations, eps = iterate(arr, tol, t_max, open_phase, product)
-    if observer is not None:
-        observer.roi_end()
 
     verified = converged and verify(A, b, v.x, tol)
     return SolveRecord(iterations, converged, float(eps), verified)
@@ -409,17 +411,12 @@ class _AccessEmitter:
         self.obs = observer
         self.smap = default_structure_map(A)
         self._base = {r.name: r.base for r in self.smap.regions}
-        self._sid = {r.name: self.smap.ordinal_of(r.name) for r in self.smap.regions}
         self._cache: dict = {}
 
     def emit(self, phase: Phase, parity: int) -> None:
-        kinds, addrs, sids = self._template(phase, parity)
+        kinds, addrs = self._template(phase, parity)
         for i in range(0, len(kinds), self.CHUNK):
-            self.obs.emit(
-                kinds[i : i + self.CHUNK],
-                addrs[i : i + self.CHUNK],
-                sids[i : i + self.CHUNK],
-            )
+            self.obs.emit(kinds[i : i + self.CHUNK], addrs[i : i + self.CHUNK])
 
     def _template(self, phase: Phase, parity: int):
         key = (phase.name, phase.operands(parity), phase.source(parity))
@@ -430,12 +427,10 @@ class _AccessEmitter:
         size = phase.length(A.n_rows, A.nnz)
         kinds = np.empty(size, dtype=np.uint8)
         addrs = np.empty(size, dtype=np.uint64)
-        sids = np.empty(size, dtype=np.uint16)
 
         def put(pos, name, kind, idx):
             kinds[pos] = kind
             addrs[pos] = self._base[name] + 8 * np.asarray(idx, dtype=np.uint64)
-            sids[pos] = self._sid[name]
 
         rows = np.arange(A.n_rows, dtype=np.int64)
         for k, (name, kind) in enumerate(phase.operands(parity)):
@@ -450,5 +445,5 @@ class _AccessEmitter:
             ):
                 put(phase.nz_ord(k, j, row_of), name, KIND_LOAD, idx)
         if phase is not G_RECOMPUTE:
-            self._cache[key] = (kinds, addrs, sids)
-        return kinds, addrs, sids
+            self._cache[key] = (kinds, addrs)
+        return kinds, addrs

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachesim import CacheConfig, CacheSimulator, SimResult, simulate
+from .cachesim import CacheConfig, CacheSimulator, SimResult
 from .cg import default_structure_map, default_tol, generate_poisson27, solve, spmv
 from .faultmodel import (
     AccessTimeline,
@@ -136,8 +136,12 @@ def _campaign_log(scratch: str, args, structure: str, seed: int) -> str:
 
 def replay_trace(path: str, cfg: CacheConfig):
     """Feed a recorded trace through the hierarchy; returns (result, smap)."""
+    sim = CacheSimulator(cfg)
     with TraceReader(path) as rd:
-        return simulate(rd, cfg), rd.structures
+        sim.register_structures(rd.structures)
+        for block in rd.iter_blocks():
+            sim.emit(block["kind"], block["addr"])
+        return sim.finish(), rd.structures
 
 
 def _config_digest(cfg: CacheConfig) -> str:

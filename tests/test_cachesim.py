@@ -24,9 +24,11 @@ from memvuln.cachesim import (
     CacheSimulator,
     LevelConfig,
     SimResult,
-    simulate,
 )
+from memvuln.cli import replay_trace
 from memvuln.trace import KIND_LOAD, KIND_STORE, StructureMap, StructureRegion, TraceWriter
+
+from observers import CollectingObserver
 
 
 def tiny_config(l1=1024, l2=2048, l3=4096, latencies=(4, 12, 28), mem_lat=155, mshrs=(32, 32, 128)):
@@ -108,12 +110,9 @@ def functional_cache_events(cfg, kinds, addrs):
     return events
 
 
-def run_sim(cfg, kinds, addrs, widths=None):
+def run_sim(cfg, kinds, addrs):
     sim = CacheSimulator(cfg)
-    sim.roi_begin()
-    sim.emit(np.asarray(kinds, dtype=np.uint8), np.asarray(addrs, dtype=np.int64),
-             None, None if widths is None else np.asarray(widths, dtype=np.int64))
-    sim.roi_end()
+    sim.emit(np.asarray(kinds, dtype=np.uint8), np.asarray(addrs, dtype=np.int64))
     return sim.finish()
 
 
@@ -214,24 +213,6 @@ class TestResolutions:
         # Word 0 is loaded first, then overwritten: first use wins.
         res = run_sim(tiny_config(), [KIND_LOAD, KIND_STORE], [0, 0])
         assert res.res_mask[0] & 1 == 0
-
-    def test_partial_store_then_load_is_consumed(self):
-        res = run_sim(tiny_config(), [KIND_STORE, KIND_LOAD], [0, 0], widths=[4, 8])
-        assert res.res_mask[0] & 1 == 0
-
-    def test_two_half_stores_overwrite_word(self):
-        res = run_sim(tiny_config(), [KIND_STORE, KIND_STORE], [0, 4], widths=[4, 4])
-        assert res.res_mask[0] & 1 == 1
-
-    def test_unaligned_store_spans_words(self):
-        # 8 bytes at offset 4 cover half of word 0 and half of word 1.
-        res = run_sim(
-            tiny_config(),
-            [KIND_STORE, KIND_STORE, KIND_STORE],
-            [4, 0, 12],
-            widths=[8, 4, 4],
-        )
-        assert res.res_mask[0] & 0b11 == 0b11
 
     def test_every_fill_resolves_exactly_once(self):
         rng = random.Random(2024)
@@ -404,13 +385,10 @@ class TestDeterminismAndIo:
         smap = StructureMap([StructureRegion("x", 0, 8 * 4096)])
         with TraceWriter(path) as w:
             w.register_structures(smap)
-            w.roi_begin()
             w.emit(np.asarray(kinds, dtype=np.uint8), np.asarray(addrs, dtype=np.int64))
-            w.roi_end()
-        from_file = simulate(path, tiny_config())
-        direct = run_sim(tiny_config(), kinds, addrs)
-        assert sim_event_multiset(from_file) == sim_event_multiset(direct)
-        assert from_file.T == direct.T
+        from_file, back = replay_trace(path, tiny_config())
+        assert back.regions == smap.regions
+        assert_same_result(from_file, run_sim(tiny_config(), kinds, addrs))
 
     def test_emit_after_finish_rejected(self):
         sim = CacheSimulator(tiny_config())
@@ -426,6 +404,13 @@ class TestDeterminismAndIo:
         with pytest.raises(ValueError):
             sim.emit(np.array([0], dtype=np.uint8), np.array([1 << 21], dtype=np.int64))
 
+    @pytest.mark.parametrize("bad", [4, 63, -8])
+    def test_unaligned_or_negative_address_rejected(self, bad):
+        sim = CacheSimulator(tiny_config())
+        with pytest.raises(ValueError, match=str(bad)):
+            sim.emit(np.zeros(3, dtype=np.uint8), np.array([0, bad, 64], dtype=np.int64))
+        assert sim.blocks_simulated == 0
+
 
 RESULT_ARRAYS = ("req_time", "req_kind", "req_line", "req_cause", "req_ord",
                  "res_line", "res_fill_time", "res_mask", "res_time")
@@ -440,15 +425,14 @@ def assert_same_result(got, want):
         want.t_start, want.t_end, want.n_accesses, want.n_stall_cycles)
 
 
-def unrepeated_feed(cfg, kinds, addrs, widths=None):
+def unrepeated_feed(cfg, kinds, addrs):
     """Simulate a stream in blocks of strictly increasing length, so no
     block's contents ever repeat and the block memo never replays."""
     sim = CacheSimulator(cfg)
     pos, size = 0, 1
     while pos < len(kinds):
         end = pos + size
-        sim.emit(kinds[pos:end], addrs[pos:end], None,
-                 None if widths is None else widths[pos:end])
+        sim.emit(kinds[pos:end], addrs[pos:end])
         pos, size = end, size + 1
     res = sim.finish()
     assert sim.blocks_replayed == 0
@@ -462,7 +446,6 @@ class TestBlockMemo:
     def test_solver_stream_matches_unrepeated_feed(self, side):
         from memvuln.cg import solve
         from memvuln.cli import build_problem
-        from memvuln.trace import CollectingObserver
 
         A, b, tol = build_problem(side, 1e-8)
         cfg = CacheConfig.desk_scaled(side)
@@ -472,34 +455,31 @@ class TestBlockMemo:
         assert sim.blocks_replayed > 0
         coll = CollectingObserver()
         solve(A, b, tol=tol, observer=coll)
-        kinds, addrs, _ = coll.arrays()
+        kinds, addrs = coll.arrays()
         assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
 
     @staticmethod
     def _phase_blocks(rng, n_blocks=4):
-        """Random blocks over 24 lines with partial-word stores; half end in
-        a load sweep over 80 other lines, which flushes the tiny caches and
-        leaves a fill in flight that the next block's first load merges
-        with."""
+        """Random blocks over 24 lines that touch a few of each line's
+        words, so fills stay pending with some words unresolved; half end
+        in a load sweep over 80 other lines, which flushes the tiny caches
+        and leaves a fill in flight that the next block's first load
+        merges with."""
         sweep = list(range(64 * 1000, 64 * 1080, 64))
         blocks = []
         for b in range(n_blocks):
             n = rng.randrange(50, 300)
-            widths = [8] + [rng.choice((8, 4, 2, 1)) for _ in range(n)]
             kinds = [KIND_LOAD] + [
                 KIND_STORE if rng.random() < 0.6 else KIND_LOAD for _ in range(n)
             ]
             addrs = [sweep[-1] + 24] + [
-                64 * rng.randrange(24) + w * rng.randrange(64 // w)
-                for w in widths[1:]
+                64 * rng.randrange(24) + 8 * rng.randrange(8) for _ in range(n)
             ]
             if b % 2 == 0:
                 kinds += [KIND_LOAD] * len(sweep)
                 addrs += sweep
-                widths += [8] * len(sweep)
             blocks.append((np.array(kinds, dtype=np.uint8),
-                           np.array(addrs, dtype=np.int64),
-                           np.array(widths, dtype=np.int64)))
+                           np.array(addrs, dtype=np.int64)))
         return blocks
 
     @pytest.mark.parametrize("seed", range(6))
@@ -510,14 +490,15 @@ class TestBlockMemo:
         cfg = tiny_config(mshrs=(1, 2, 2))
         sim = CacheSimulator(cfg)
         for i in order:
-            sim.emit(blocks[i][0], blocks[i][1], None, blocks[i][2])
+            sim.emit(*blocks[i])
+        assert sim._track  # fills still pending with words unresolved
         memo = sim.finish()
         assert sim.blocks_replayed > 10
         assert sim.blocks_simulated + sim.blocks_replayed == len(order)
         assert memo.n_stall_cycles > 0
-        kinds, addrs, widths = (np.concatenate([blocks[i][j] for i in order])
-                                for j in range(3))
-        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs, widths))
+        kinds, addrs = (np.concatenate([blocks[i][j] for i in order])
+                        for j in range(2))
+        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
 
     def test_never_repeating_stream_takes_no_snapshot(self, monkeypatch):
         calls = []
@@ -594,9 +575,9 @@ class TestBlockMemo:
         cfg = tiny_config(mshrs=(1, 2, 2))
         sim = CacheSimulator(cfg)
         for i in order:
-            sim.emit(blocks[i][0], blocks[i][1], None, blocks[i][2])
+            sim.emit(*blocks[i])
         memo = sim.finish()
         monkeypatch.undo()
-        kinds, addrs, widths = (np.concatenate([blocks[i][j] for i in order])
-                                for j in range(3))
-        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs, widths))
+        kinds, addrs = (np.concatenate([blocks[i][j] for i in order])
+                        for j in range(2))
+        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))

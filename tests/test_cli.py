@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,16 +18,7 @@ from memvuln.cli import (
     replay_trace,
 )
 from memvuln.faultmodel import SAFE, UNSAFE, AccessTimeline
-from memvuln.trace import (
-    KIND_LOAD,
-    KIND_STORE,
-    StructureMap,
-    StructureRegion,
-    TraceWriter,
-)
 from memvuln.vulnmetrics import analyze
-
-from test_cachesim import assert_same_result
 
 
 def churn_config_file(tmp_path):
@@ -113,6 +105,15 @@ class TestTraceAndMetrics:
         code = main(["metrics", "--trace", str(tmp_path / "absent.bin")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_v1_trace_is_refused(self, tmp_path, capsys):
+        # An empty v1 trace: magic, version, reserved, n_events, the two
+        # ROI markers and n_regions.
+        path = tmp_path / "old.bin"
+        path.write_bytes(struct.pack("<4sHHQQQH", b"MVTR", 1, 0, 0, 0, 0, 0))
+        assert main(["metrics", "--trace", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "v1" in err and "v2" in err
 
 
 class TestFaultModelCommand:
@@ -308,8 +309,8 @@ class TestReportJoin:
 
 class TestReplay:
     def test_roi_markers_replayed_at_exact_positions(self, tmp_path):
-        # A trace whose ROI covers everything must reproduce the live
-        # simulation's window and event counts exactly.
+        # A replayed trace must reproduce the live simulation's window and
+        # event counts exactly.
         cfg_path, cfg = churn_config_file(tmp_path)
         trace_path = tmp_path / "t.bin"
         main(["trace", "--side", "4", "--out", str(trace_path)])
@@ -325,26 +326,3 @@ class TestReplay:
         assert np.array_equal(result.req_time, direct.req_time)
         assert np.array_equal(result.req_line, direct.req_line)
         assert np.array_equal(result.req_kind, direct.req_kind)
-
-    def test_replay_honours_recorded_widths(self, tmp_path):
-        # A 4-byte store leaves word 0 half covered, so the load after it
-        # consumes the word; read as a full-word store it would be
-        # overwritten instead.
-        cfg_path, cfg = churn_config_file(tmp_path)
-        kinds = np.array([KIND_STORE, KIND_LOAD, KIND_STORE], dtype=np.uint8)
-        addrs = np.array([0, 0, 64], dtype=np.uint64)
-        widths = np.array([4, 8, 8], dtype=np.uint8)
-        trace_path = tmp_path / "w.bin"
-        with TraceWriter(trace_path) as w:
-            w.register_structures(StructureMap([StructureRegion("x", 0, 4096)]))
-            w.roi_begin()
-            w.emit(kinds, addrs, widths=widths)
-        result, _ = replay_trace(str(trace_path), cfg)
-
-        sim = CacheSimulator(cfg)
-        sim.emit(kinds, addrs, None, widths)
-        direct = sim.finish()
-        assert_same_result(result, direct)
-        masks = dict(zip(result.res_line.tolist(), result.res_mask.tolist()))
-        assert masks[0] & 1 == 0  # word 0 consumed
-        assert masks[64] & 1 == 1  # word 0 of the second line overwritten

@@ -66,6 +66,8 @@ from memvuln.inject import (
     wilson_ci,
 )
 
+from observers import in_region
+
 
 def churn_config():
     """A hierarchy small enough that lines travel to memory constantly."""
@@ -294,21 +296,16 @@ class _RunPastErasure(_InjectedSolve):
 
 
 class _BlockLog:
-    """Observer keeping each emitted block's kinds and structure ids."""
+    """Observer keeping each emitted block's kinds and addresses."""
 
     def __init__(self):
         self.blocks = []
 
     def register_structures(self, smap):
-        self.sid = {r.name: smap.ordinal_of(r.name) for r in smap.regions}
+        self.smap = smap
 
-    def roi_begin(self):
-        pass
-
-    roi_end = roi_begin
-
-    def emit(self, kinds, addrs, sids=None, widths=None):
-        self.blocks.append((kinds.copy(), sids.copy()))
+    def emit(self, kinds, addrs):
+        self.blocks.append((kinds.copy(), addrs.copy()))
 
 
 class TestCheckpoints:
@@ -319,9 +316,11 @@ class TestCheckpoints:
         # An iteration opens with its residual phase: a recompute is the
         # only sweep that reads b, an update opens with loads of g and q.
         starts, cum = [], 0
-        for kinds, sids in log.blocks:
-            recompute = np.any(sids == log.sid["b"])
-            update = list(sids[:2]) == [log.sid["g"], log.sid["q"]]
+        for kinds, addrs in log.blocks:
+            recompute = np.any(in_region(log.smap, "b", addrs))
+            update = len(addrs) > 1 and (
+                in_region(log.smap, "g", addrs[0]) and in_region(log.smap, "q", addrs[1])
+            )
             if recompute or (update and kinds[0] == KIND_LOAD):
                 starts.append(cum)
             cum += len(kinds)
@@ -408,7 +407,7 @@ def scalar_sweep_oracle(ctx, template, src_name, values, flip, e_off):
     access ordinal >= e_off.  Returns the per-row products in C order.
     Row-pointer corruption is outside this oracle's scope.
     """
-    kinds, addrs, _sids = template
+    kinds, addrs = template
     f_name, f_word, f_new = flip
 
     def val(name, idx, pos):
