@@ -1,7 +1,8 @@
 """Trace-driven three-level write-back, write-allocate cache hierarchy.
 
 The simulator is an observer of the solver's access stream: each access
-is a kind and the 8-byte-aligned address of the 64-bit word it touches.
+is a kind (load or store; any other is refused) and the 8-byte-aligned
+address of the 64-bit word it touches.
 It produces the main-memory request stream — fills and write-backs with
 simulated timestamps — plus one resolution per fill recording, per word
 of the fetched line, whether the word was consumed or overwritten before
@@ -30,7 +31,8 @@ simulator enters each repeated block in the same state, only later in
 time.  ``emit`` therefore memoizes whole blocks, in the manner of
 SimPoint's phase fast-forwarding (Sherwood et al., ASPLOS 2002) but
 without sampling: the key is (canonical state, block contents), and a
-hit replays the recorded output instead of simulating the block.
+hit re-appends, shifted, the rows the recorded block wrote instead of
+simulating the block.
 
 The canonical state holds, with every time taken relative to the clock:
   * for every level and set, in dict order, each line with its LRU
@@ -46,8 +48,10 @@ at or below the clock is popped before any MSHR count is taken, so it is
 dropped.  Nothing else in the state is observable.
 
 A hit is confirmed by comparing the full state and the block's kinds
-and addresses, never by a digest alone.  It appends the recorded
-requests and resolutions shifted by the change of clock (times) and of
+and addresses, never by a digest alone.  A recording is the span of
+rows the block appended to each output stream (the streams only grow
+until ``finish``, so a span stays valid).  A hit appends those rows
+again, shifted as ``STREAMS`` says by the change of clock (times) or of
 access count (ordinals), adds the recorded stall cycles, and installs
 the recorded post-state at the new clock.  Blocks are recorded, and the
 state snapshotted, only once the stream has repeated a block's content
@@ -67,10 +71,12 @@ import hashlib
 import heapq
 import zipfile
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
+
+from .trace import KIND_LOAD, KIND_STORE
 
 REQ_FILL = 0
 REQ_WRITEBACK = 1
@@ -85,6 +91,23 @@ CAUSE_STORE_MISS = 2
 MEMO_MISSES = 4
 
 _ALL_WORDS = 0xFF  # per-line word mask (8 words of 8 bytes)
+
+#: The simulator's output streams, in ``SimResult`` field order: each
+#: field's ``array`` typecode (also its numpy dtype) and what a replayed
+#: block shifts it by: the clock, the access ordinal, or nothing.  The
+#: ``req_`` streams hold one row per request, the ``res_`` ones one per
+#: resolution.
+STREAMS = (
+    ("req_time", "q", "clock"),
+    ("req_kind", "B", None),
+    ("req_line", "q", None),
+    ("req_cause", "B", None),
+    ("req_ord", "q", "ordinal"),  # the program access that triggered it
+    ("res_line", "q", None),
+    ("res_fill_time", "q", "clock"),
+    ("res_mask", "H", None),
+    ("res_time", "q", "clock"),
+)
 
 
 @dataclass
@@ -155,11 +178,8 @@ class CacheConfig:
         lines = ["# cache configuration v1", f"line_size = {self.line_size}"]
         for name, lv in (("l1", self.l1), ("l2", self.l2), ("l3", self.l3)):
             lines += [
-                f"{name}.shared = {str(lv.shared).lower()}",
-                f"{name}.assoc = {lv.assoc}",
-                f"{name}.size = {lv.size}",
-                f"{name}.latency = {lv.latency}",
-                f"{name}.mshrs = {lv.mshrs}",
+                f"{name}.{f.name} = {str(getattr(lv, f.name)).lower()}"
+                for f in fields(LevelConfig)
             ]
         lines += [
             f"memory.latency = {self.memory_latency}",
@@ -180,13 +200,12 @@ class CacheConfig:
                 kv[key.strip()] = val.strip()
         cfg = cls()
 
+        def value(key: str, kind):
+            return kv[key] == "true" if kind in (bool, "bool") else int(kv[key])
+
         def lvl(name: str) -> LevelConfig:
             return LevelConfig(
-                kv[f"{name}.shared"] == "true",
-                int(kv[f"{name}.assoc"]),
-                int(kv[f"{name}.size"]),
-                int(kv[f"{name}.latency"]),
-                int(kv[f"{name}.mshrs"]),
+                *(value(f"{name}.{f.name}", f.type) for f in fields(LevelConfig))
             )
 
         cfg.line_size = int(kv["line_size"])
@@ -205,7 +224,7 @@ class SimResult:
     req_kind: np.ndarray
     req_line: np.ndarray
     req_cause: np.ndarray
-    req_ord: np.ndarray  # ordinal of the program access that triggered it
+    req_ord: np.ndarray
     res_line: np.ndarray
     res_fill_time: np.ndarray
     res_mask: np.ndarray
@@ -235,22 +254,12 @@ class SimResult:
         compression level, which costs a few percent more bytes and
         about a sixth of the time.
         """
-        members = {
-            "version": np.int64(1),
-            "req_time": self.req_time,
-            "req_kind": self.req_kind,
-            "req_line": self.req_line,
-            "req_cause": self.req_cause,
-            "req_ord": self.req_ord,
-            "res_line": self.res_line,
-            "res_fill_time": self.res_fill_time,
-            "res_mask": self.res_mask,
-            "res_time": self.res_time,
-            "scalars": np.array(
-                [self.t_start, self.t_end, self.n_accesses, self.n_stall_cycles],
-                dtype=np.int64,
-            ),
-        }
+        members = {"version": np.int64(1)}
+        members |= {name: getattr(self, name) for name, _, _ in STREAMS}
+        members["scalars"] = np.array(
+            [self.t_start, self.t_end, self.n_accesses, self.n_stall_cycles],
+            dtype=np.int64,
+        )
         with zipfile.ZipFile(
             path, "w", zipfile.ZIP_DEFLATED, compresslevel=1
         ) as zf:
@@ -265,38 +274,22 @@ class SimResult:
         with np.load(path) as z:
             if int(z["version"]) != 1:
                 raise ValueError("unsupported result file version")
-            s = z["scalars"]
-            return cls(
-                z["req_time"],
-                z["req_kind"],
-                z["req_line"],
-                z["req_cause"],
-                z["req_ord"],
-                z["res_line"],
-                z["res_fill_time"],
-                z["res_mask"],
-                z["res_time"],
-                int(s[0]),
-                int(s[1]),
-                int(s[2]),
-                int(s[3]),
-            )
+            arrays = (z[name] for name, _, _ in STREAMS)
+            return cls(*arrays, *(int(v) for v in z["scalars"]))
 
 
 class _BlockReplay(NamedTuple):
-    """What simulating one block did, relative to its start (see module doc)."""
+    """One simulated block (see module doc): the rows it appended to the
+    request and resolution streams, the clock and access count it started
+    at, and what it did to the clock, the stalls and the state.  A hit
+    appends the same rows again, shifted; no row is copied until then."""
 
+    clock: int
+    ordinal: int
     d_clock: int
     stalls: int
-    rq_t: np.ndarray  # request times minus the start clock
-    rq_k: bytes
-    rq_l: bytes
-    rq_c: bytes
-    rq_o: np.ndarray  # request ordinals minus the start access count
-    rs_l: bytes
-    rs_ft: np.ndarray  # fill times minus the start clock
-    rs_m: bytes
-    rs_rt: np.ndarray  # resolution times minus the start clock
+    req: tuple  # (start, end) rows of the request streams
+    res: tuple  # (start, end) rows of the resolution streams
     post: bytes  # canonical state at the end of the block
 
 
@@ -332,16 +325,9 @@ class CacheSimulator:
         self._stalls = 0
         self._n_accesses = 0
         self._track: dict = {}  # line -> [fill_time, resolved, overwritten]
-        self._rq_t = array("q")
-        self._rq_k = array("B")
-        self._rq_l = array("q")
-        self._rq_c = array("B")
-        self._rq_o = array("q")
         self._cur_ord = 0
-        self._rs_l = array("q")
-        self._rs_ft = array("q")
-        self._rs_m = array("H")
-        self._rs_rt = array("q")
+        self._streams = tuple(array(code) for _, code, _ in STREAMS)
+        self._req, self._res = self._streams[:5], self._streams[5:]
         self._result: SimResult | None = None
         self._seen: set = set()  # digests of every block emitted
         self._repeating = False  # has any block been emitted twice?
@@ -369,7 +355,11 @@ class CacheSimulator:
         addrs = np.ascontiguousarray(addrs)
         if int(addrs.max()) + 8 > self.cfg.memory_capacity:
             raise ValueError("trace address outside configured memory capacity")
-        kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
+        kinds = np.ascontiguousarray(kinds)
+        if kinds.min() < KIND_LOAD or kinds.max() > KIND_STORE:
+            bad = kinds[(kinds != KIND_LOAD) & (kinds != KIND_STORE)][0]
+            raise ValueError(f"access kind {bad} is neither a load nor a store")
+        kinds = kinds.astype(np.uint8, copy=False)
         # In-range unsigned addresses have the same bytes as signed ones.
         if addrs.dtype == np.uint64:
             addrs = addrs.view(np.int64)
@@ -420,26 +410,17 @@ class CacheSimulator:
     # -- block memo ---------------------------------------------------------------
 
     def _record(self, kinds, addrs) -> _BlockReplay:
-        """Simulate one block and return what it did, relative to its start."""
-        clock, stalls = self._clock, self._stalls
-        n_req, n_res, ord0 = len(self._rq_t), len(self._rs_l), self._n_accesses
+        """Simulate one block and return what it did."""
+        clock, stalls, ordinal = self._clock, self._stalls, self._n_accesses
+        n_req, n_res = len(self._req[0]), len(self._res[0])
         self._simulate(kinds, addrs)
-
-        def since(arr, start, base):
-            return np.frombuffer(arr, dtype=np.int64)[start:] - base
-
         return _BlockReplay(
+            clock=clock,
+            ordinal=ordinal,
             d_clock=self._clock - clock,
             stalls=self._stalls - stalls,
-            rq_t=since(self._rq_t, n_req, clock),
-            rq_k=self._rq_k[n_req:].tobytes(),
-            rq_l=self._rq_l[n_req:].tobytes(),
-            rq_c=self._rq_c[n_req:].tobytes(),
-            rq_o=since(self._rq_o, n_req, ord0),
-            rs_l=self._rs_l[n_res:].tobytes(),
-            rs_ft=since(self._rs_ft, n_res, clock),
-            rs_m=self._rs_m[n_res:].tobytes(),
-            rs_rt=since(self._rs_rt, n_res, clock),
+            req=(n_req, len(self._req[0])),
+            res=(n_res, len(self._res[0])),
             post=self._state(),
         )
 
@@ -495,20 +476,17 @@ class CacheSimulator:
 
     def _replay(self, rec: _BlockReplay, n: int) -> None:
         self.blocks_replayed += 1
-        c = self._clock
-        for arr, part in (
-            (self._rq_t, rec.rq_t + c),
-            (self._rq_k, rec.rq_k),
-            (self._rq_l, rec.rq_l),
-            (self._rq_c, rec.rq_c),
-            (self._rq_o, rec.rq_o + self._n_accesses),
-            (self._rs_l, rec.rs_l),
-            (self._rs_ft, rec.rs_ft + c),
-            (self._rs_m, rec.rs_m),
-            (self._rs_rt, rec.rs_rt + c),
-        ):
-            arr.frombytes(memoryview(part).cast("B"))
-        self._clock = c + rec.d_clock
+        shift = {
+            "clock": self._clock - rec.clock,
+            "ordinal": self._n_accesses - rec.ordinal,
+        }
+        for (name, code, by), buf in zip(STREAMS, self._streams):
+            start, end = rec.req if name.startswith("req_") else rec.res
+            part = buf[start:end]  # a copy, so no view outlives the append
+            if by is not None:
+                part = np.frombuffer(part, dtype=code) + shift[by]
+            buf.frombytes(memoryview(part).cast("B"))
+        self._clock += rec.d_clock
         self._stalls += rec.stalls
         self._n_accesses += n
         self._restore(rec.post)
@@ -527,8 +505,7 @@ class CacheSimulator:
         fill_lat = self._fill_lat
         clock = self._clock
         stalls = self._stalls
-        rq_t, rq_k, rq_l, rq_c = self._rq_t, self._rq_k, self._rq_l, self._rq_c
-        rq_o = self._rq_o
+        rq_t, rq_k, rq_l, rq_c, rq_o = self._req
         base_ord = self._n_accesses
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -618,10 +595,11 @@ class CacheSimulator:
         if kind:
             entry[2] |= bit
         if entry[1] == _ALL_WORDS:
-            self._rs_l.append(line << 6)
-            self._rs_ft.append(entry[0])
-            self._rs_m.append(entry[2])
-            self._rs_rt.append(clock)
+            rs_l, rs_ft, rs_m, rs_t = self._res
+            rs_l.append(line << 6)
+            rs_ft.append(entry[0])
+            rs_m.append(entry[2])
+            rs_t.append(clock)
             del track[line]
 
     def _install(self, lvl, line, stamp, dirty, ready, wb_time=None) -> None:
@@ -659,11 +637,12 @@ class CacheSimulator:
                 rec[1] = True
                 return
         t = wb_time if wb_time is not None else self._clock + self._req_lat
-        self._rq_t.append(t)
-        self._rq_k.append(REQ_WRITEBACK)
-        self._rq_l.append(line << 6)
-        self._rq_c.append(CAUSE_NONE)
-        self._rq_o.append(self._cur_ord)
+        rq_t, rq_k, rq_l, rq_c, rq_o = self._req
+        rq_t.append(t)
+        rq_k.append(REQ_WRITEBACK)
+        rq_l.append(line << 6)
+        rq_c.append(CAUSE_NONE)
+        rq_o.append(self._cur_ord)
 
     def _present_anywhere(self, line) -> bool:
         for level in self._levels:
@@ -675,10 +654,11 @@ class CacheSimulator:
         """Close a fill whose line left the hierarchy, or at the end; its
         unaccessed words count as consumed."""
         t = at_time if at_time is not None else self._clock + self._req_lat
-        self._rs_l.append(line << 6)
-        self._rs_ft.append(entry[0])
-        self._rs_m.append(entry[2])
-        self._rs_rt.append(t)
+        rs_l, rs_ft, rs_m, rs_t = self._res
+        rs_l.append(line << 6)
+        rs_ft.append(entry[0])
+        rs_m.append(entry[2])
+        rs_t.append(t)
         del self._track[line]
 
     # -- closure -----------------------------------------------------------------
@@ -698,26 +678,20 @@ class CacheSimulator:
         flushed = set()
         for level in self._levels:
             for st in level["sets"]:
-                for line, rec in st.items():
-                    if rec[1] and line not in flushed:
-                        flushed.add(line)
+                flushed.update(line for line, rec in st.items() if rec[1])
         for line in sorted(flushed):
-            self._rq_t.append(flush_time)
-            self._rq_k.append(REQ_WRITEBACK)
-            self._rq_l.append(line << 6)
-            self._rq_c.append(CAUSE_NONE)
-            self._rq_o.append(self._n_accesses)
-        req_time = np.frombuffer(self._rq_t, dtype=np.int64).copy()
+            row = (flush_time, REQ_WRITEBACK, line << 6, CAUSE_NONE, self._n_accesses)
+            for buf, value in zip(self._req, row):
+                buf.append(value)
+        # Nothing appends after this, so the result shares the buffers
+        # instead of copying them.
+        out = {
+            name: np.frombuffer(buf, dtype=code)
+            for (name, code, _), buf in zip(STREAMS, self._streams)
+        }
+        req_time = out["req_time"]
         self._result = SimResult(
-            req_time=req_time,
-            req_kind=np.frombuffer(self._rq_k, dtype=np.uint8).copy(),
-            req_line=np.frombuffer(self._rq_l, dtype=np.int64).copy(),
-            req_cause=np.frombuffer(self._rq_c, dtype=np.uint8).copy(),
-            req_ord=np.frombuffer(self._rq_o, dtype=np.int64).copy(),
-            res_line=np.frombuffer(self._rs_l, dtype=np.int64).copy(),
-            res_fill_time=np.frombuffer(self._rs_ft, dtype=np.int64).copy(),
-            res_mask=np.frombuffer(self._rs_m, dtype=np.uint16).copy(),
-            res_time=np.frombuffer(self._rs_rt, dtype=np.int64).copy(),
+            **out,
             t_start=int(req_time[0]) if len(req_time) else 0,
             t_end=int(req_time[-1]) if len(req_time) else 0,
             n_accesses=self._n_accesses,

@@ -46,6 +46,9 @@ MAX_ROWS = 1 << 27
 #: Fixed block length for deterministic reductions.
 REDUCE_BLOCK = 4096
 
+#: Iteration cap of a solve.
+T_MAX = 2000
+
 _PAGE = 4096
 
 
@@ -130,14 +133,12 @@ def dot_blocked(a: np.ndarray, b: np.ndarray, block: int = REDUCE_BLOCK) -> floa
     return total
 
 
-def spmv(A: CsrMatrix, v: np.ndarray, out=None, prod=None) -> np.ndarray:
+def spmv(A: CsrMatrix, v: np.ndarray, out=None) -> np.ndarray:
     """out = A @ v. Rows must be non-empty (true for all generated matrices)."""
-    if prod is None:
-        prod = A.values * v[A.col_idx]
-    else:
-        np.take(v, A.col_idx, out=prod[: A.nnz])
-        np.multiply(A.values, prod[: A.nnz], out=prod[: A.nnz])
-        prod = prod[: A.nnz]
+    # Taking into a fresh array: with ``out=`` numpy would buffer the whole
+    # take before copying it.
+    prod = np.take(v, A.col_idx)
+    np.multiply(A.values, prod, out=prod)
     if out is None:
         out = np.empty(A.n_rows)
     np.add.reduceat(prod, A.row_ptr[:-1], out=out)
@@ -355,7 +356,7 @@ def solve(
     b: np.ndarray,
     *,
     tol: float,
-    t_max: int = 2000,
+    t_max: int = T_MAX,
     vectors: CgVectors | None = None,
     observer=None,
 ) -> SolveRecord:
@@ -375,10 +376,9 @@ def solve(
     arr = {"b": b, "x": v.x, "g": v.g, "d": v.d, "dp": v.dp, "q": v.q}
     for name in ("x", "g", "q", "d", "dp"):
         arr[name][:] = 0.0
-    prod = np.empty(A.nnz)
 
     def product(phase, parity, out):
-        spmv(A, arr[phase.source(parity)], out=out, prod=prod)
+        spmv(A, arr[phase.source(parity)], out=out)
 
     open_phase = _no_hook
     if observer is not None:

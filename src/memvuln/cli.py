@@ -32,7 +32,7 @@ import os
 import sys
 import tempfile
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def replay_trace(path: str, cfg: CacheConfig):
 def _config_digest(cfg: CacheConfig) -> str:
     raw = json.dumps(
         {
-            name: (lv.shared, lv.assoc, lv.size, lv.latency, lv.mshrs)
+            name: astuple(lv)
             for name, lv in (("l1", cfg.l1), ("l2", cfg.l2), ("l3", cfg.l3))
         }
         | {"line": cfg.line_size, "mem": cfg.memory_latency},
@@ -688,9 +688,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

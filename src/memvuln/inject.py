@@ -55,6 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cg import (
+    T_MAX,
     CsrMatrix,
     LoopState,
     Phase,
@@ -80,8 +81,10 @@ OUTCOME_CLASSES = (
     OUTCOME_HANG,
 )
 
-#: Name of the synthetic never-accessed control region campaigns may target.
+#: Name and size of the synthetic never-accessed control region campaigns
+#: may target.
 PAD_STRUCTURE = "pad"
+PAD_WORDS = 512
 
 #: A run is hung when the loop opens iteration HANG_ITERS times the
 #: baseline's iteration count without having converged.  Runs that end any
@@ -205,7 +208,6 @@ class InjectionContext:
     tol: float
     t_max: int
     regions: dict  # name -> (base, length); includes the pad control region
-    pad_words: int
     T: int
     t_start: int
     # reference request stream sorted by (line, time)
@@ -236,27 +238,21 @@ def build_context(
     b: np.ndarray,
     tol: float,
     result: SimResult,
-    smap=None,
-    pad_words: int = 512,
-    t_max: int = 2000,
 ) -> InjectionContext:
     """Index the reference run so individual plans resolve in O(log N)."""
-    if smap is None:
-        smap = default_structure_map(A)
-    regions = {r.name: (r.base, r.length) for r in smap}
+    regions = {r.name: (r.base, r.length) for r in default_structure_map(A)}
     pad_base = 0
     for base, length in regions.values():
         end = -(-(base + length) // _PAGE) * _PAGE
         pad_base = max(pad_base, end)
-    regions[PAD_STRUCTURE] = (pad_base, 8 * pad_words)
+    regions[PAD_STRUCTURE] = (pad_base, 8 * PAD_WORDS)
     order = np.lexsort((result.req_time, result.req_line))
     ctx = InjectionContext(
         A=A,
         b=np.asarray(b, dtype=np.float64),
         tol=float(tol),
-        t_max=int(t_max),
+        t_max=T_MAX,
         regions=regions,
-        pad_words=int(pad_words),
         T=result.T,
         t_start=result.t_start,
         ref_line=result.req_line[order],
@@ -280,7 +276,6 @@ def measure_baseline(ctx: InjectionContext) -> Baseline:
     of every phase opened before it, the same cursor the injector keeps.
     """
     arr = {"b": ctx.b, **{k: np.zeros(ctx.n) for k in _STATE_VECTORS}}
-    prod = np.empty(ctx.nnz)
     cum = 0
     kept = []
 
@@ -289,7 +284,7 @@ def measure_baseline(ctx: InjectionContext) -> Baseline:
         cum += phase.length(ctx.n, ctx.nnz)
 
     def product(phase, parity, out):
-        spmv(ctx.A, arr[phase.source(parity)], out=out, prod=prod)
+        spmv(ctx.A, arr[phase.source(parity)], out=out)
 
     def boundary(state):
         vectors = {k: arr[k].copy() for k in _STATE_VECTORS}
@@ -382,8 +377,7 @@ class _InjectedSolve:
 
     def __init__(self, ctx: InjectionContext, plan: InjectionPlan, apply_ord, pause=False):
         self.ctx = ctx
-        n, nnz = ctx.n, ctx.nnz
-        self.n, self.nnz = n, nnz
+        self.n, self.nnz = ctx.n, ctx.nnz
         self.rp = ctx.A.row_ptr  # pristine schedule reference
         target = plan.structure_id
         self.target = target
@@ -400,17 +394,16 @@ class _InjectedSolve:
         self.ar_flip_entry = None
 
         # The memory image: inputs are shared with the pristine problem
-        # except the one the flip targets.
+        # except the one the flip targets.  No pad plan ever surfaces, so
+        # none gets a runner.
         inputs = {
             "Ar": ctx.A.row_ptr, "Ac": ctx.A.col_idx, "Av": ctx.A.values, "b": ctx.b
         }
         self.arr = {k: v.copy() if k == target else v for k, v in inputs.items()}
         for name in _STATE_VECTORS:
-            self.arr[name] = np.zeros(n)
-        if target == PAD_STRUCTURE:
-            self.arr[PAD_STRUCTURE] = np.zeros(ctx.pad_words)
+            self.arr[name] = np.zeros(self.n)
         self.rp_w, self.ci_w, self.av_w = (self.arr[k] for k in ("Ar", "Ac", "Av"))
-        self.prod = np.empty(nnz)
+        self.prod = None  # the last sweep's products, Av[j] * src[Ac[j]]
 
     # -- flip plumbing -------------------------------------------------------
 
@@ -493,8 +486,9 @@ class _InjectedSolve:
         return float(np.add.reduce(self.prod[start:end]))
 
     def _gather_products(self, src_name):
-        """prod[j] = Av[j] * src[Ac[j]] under the current memory image."""
-        np.take(self.arr[src_name], self.ci_w, out=self.prod)
+        """prod[j] = Av[j] * src[Ac[j]] under the current memory image; a
+        column index out of range raises IndexError (see ``cg.spmv``)."""
+        self.prod = np.take(self.arr[src_name], self.ci_w)
         np.multiply(self.av_w, self.prod, out=self.prod)
 
     def _spmv_plain(self, src_name, out):
@@ -807,30 +801,26 @@ def run_campaign(
             if fresh:
                 writer.writeheader()
     pending = plans[len(outcomes) :]
+    pool = None
     try:
         if parallel > 1 and pending:
-            mp = multiprocessing.get_context("fork")
-            with mp.Pool(
+            pool = multiprocessing.get_context("fork").Pool(
                 parallel, initializer=_worker_init, initargs=(ctx,)
-            ) as pool:
-                chunk = max(1, min(16, len(pending) // (4 * parallel) or 1))
-                for oc in pool.imap(_worker_run, pending, chunksize=chunk):
-                    outcomes.append(oc)
-                    if writer is not None:
-                        writer.writerow(_outcome_row(oc))
-                        log_fh.flush()
-                    if progress is not None:
-                        progress(len(outcomes), n_runs, oc)
+            )
+            chunk = max(1, min(16, len(pending) // (4 * parallel) or 1))
+            done = pool.imap(_worker_run, pending, chunksize=chunk)
         else:
-            for plan in pending:
-                oc = run_one(ctx, plan)
-                outcomes.append(oc)
-                if writer is not None:
-                    writer.writerow(_outcome_row(oc))
-                    log_fh.flush()
-                if progress is not None:
-                    progress(len(outcomes), n_runs, oc)
+            done = (run_one(ctx, plan) for plan in pending)
+        for oc in done:
+            outcomes.append(oc)
+            if writer is not None:
+                writer.writerow(_outcome_row(oc))
+                log_fh.flush()
+            if progress is not None:
+                progress(len(outcomes), n_runs, oc)
     finally:
+        if pool is not None:
+            pool.terminate()
         if log_fh is not None:
             log_fh.close()
     return CampaignResult.from_outcomes(structure_id, outcomes, ctx.baseline)

@@ -1,8 +1,9 @@
 """Every name the benchmark's span recorder wraps exists in the package.
 
 ``perfbench/spans.py`` wraps functions and methods by module and
-qualified name when a traced benchmark run starts; a refactor that
-deletes or renames one of them should fail here, not in the benchmark.
+qualified name when a traced benchmark run starts, and reads counters
+off the simulator's result; a refactor that deletes or renames one of
+them should fail here, not in the benchmark.
 """
 
 import importlib
@@ -10,18 +11,23 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+from memvuln.cachesim import CacheSimulator, SimResult
+from memvuln.trace import KIND_LOAD, KIND_STORE
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def load_targets():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_wrapped_name_resolves():
-    targets = load_targets()
+    targets = load_spans().TARGETS
     assert targets
     for _layer, modname, qual, _attrs in targets:
         obj = importlib.import_module(modname)
@@ -34,3 +40,18 @@ def test_every_wrapped_name_resolves():
             # The access count is read from the second positional argument.
             params = list(inspect.signature(getattr(obj, name)).parameters)
             assert params[:3] == ["self", "kinds", "addrs"], f"{modname}.{qual}"
+
+
+def test_result_counters_read_from_finish_and_load(tmp_path):
+    sim = CacheSimulator()
+    kinds = np.array([KIND_STORE, KIND_LOAD, KIND_LOAD], dtype=np.uint8)
+    sim.emit(kinds, np.array([0, 64, 8], dtype=np.uint64))
+    result = sim.finish()
+    path = tmp_path / "sim.npz"
+    result.save(path)
+    sim_counts = load_spans()._sim_counts
+    want = {"fills": 2, "writebacks": 1, "resolutions": 2}
+    for res in (result, SimResult.load(path)):
+        counts = sim_counts(res)
+        assert {k: counts[k] for k in want} == want
+        assert counts["window_cycles"] == result.T > 0

@@ -8,7 +8,9 @@ configured to zero, the simulator must emit exactly the same multiset of
 fills and write-backs.
 """
 
+import dataclasses
 import random
+import zipfile
 from collections import Counter, OrderedDict
 
 import numpy as np
@@ -20,6 +22,7 @@ from memvuln.cachesim import (
     MEMO_MISSES,
     REQ_FILL,
     REQ_WRITEBACK,
+    STREAMS,
     CacheConfig,
     CacheSimulator,
     LevelConfig,
@@ -339,10 +342,7 @@ class TestDeterminismAndIo:
         kinds, addrs = self._random_trace(42)
         a = run_sim(tiny_config(), kinds, addrs)
         b = run_sim(tiny_config(), kinds, addrs)
-        for name in ("req_time", "req_kind", "req_line", "req_cause",
-                     "req_ord", "res_line", "res_fill_time", "res_mask",
-                     "res_time"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert_same_result(a, b)
         assert a.T == b.T
 
     def test_fill_ordinals_name_triggering_access(self):
@@ -371,13 +371,22 @@ class TestDeterminismAndIo:
         res = run_sim(tiny_config(), kinds, addrs)
         path = tmp_path / "run.npz"
         res.save(path)
-        back = SimResult.load(path)
-        for name in ("req_time", "req_kind", "req_line", "req_cause",
-                     "req_ord", "res_line", "res_fill_time", "res_mask",
-                     "res_time"):
-            assert np.array_equal(getattr(res, name), getattr(back, name))
-        assert (back.t_start, back.t_end) == (res.t_start, res.t_end)
-        assert back.n_accesses == res.n_accesses
+        assert_same_result(SimResult.load(path), res)
+
+    def test_stream_table_is_the_result_layout(self, tmp_path):
+        arrays = [f.name for f in dataclasses.fields(SimResult)
+                  if f.type in (np.ndarray, "np.ndarray")]
+        assert [name for name, _, _ in STREAMS] == arrays
+        kinds, addrs = self._random_trace(45)
+        res = run_sim(tiny_config(), kinds, addrs)
+        for name, code, _ in STREAMS:
+            assert getattr(res, name).dtype == np.dtype(code), name
+        path = tmp_path / "run.npz"
+        res.save(path)
+        with zipfile.ZipFile(path) as zf:
+            members = zf.namelist()
+        assert members == ["version.npy", *(f"{n}.npy" for n in arrays),
+                           "scalars.npy"]
 
     def test_simulate_from_trace_file(self, tmp_path):
         kinds, addrs = self._random_trace(44, n=1200)
@@ -404,6 +413,13 @@ class TestDeterminismAndIo:
         with pytest.raises(ValueError):
             sim.emit(np.array([0], dtype=np.uint8), np.array([1 << 21], dtype=np.int64))
 
+    @pytest.mark.parametrize("kind", [2, 255])
+    def test_unknown_kind_rejected(self, kind):
+        sim = CacheSimulator(tiny_config())
+        with pytest.raises(ValueError, match=f"kind {kind} "):
+            sim.emit(np.array([0, kind], dtype=np.uint8), np.array([0, 64], dtype=np.int64))
+        assert sim.blocks_simulated == 0
+
     @pytest.mark.parametrize("bad", [4, 63, -8])
     def test_unaligned_or_negative_address_rejected(self, bad):
         sim = CacheSimulator(tiny_config())
@@ -412,12 +428,8 @@ class TestDeterminismAndIo:
         assert sim.blocks_simulated == 0
 
 
-RESULT_ARRAYS = ("req_time", "req_kind", "req_line", "req_cause", "req_ord",
-                 "res_line", "res_fill_time", "res_mask", "res_time")
-
-
 def assert_same_result(got, want):
-    for name in RESULT_ARRAYS:
+    for name, _, _ in STREAMS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name

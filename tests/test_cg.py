@@ -95,9 +95,14 @@ class TestSpmv:
         A = cg.generate_poisson27(3)
         v = np.arange(A.n_rows, dtype=float)
         out = np.empty(A.n_rows)
-        prod = np.empty(A.nnz)
-        cg.spmv(A, v, out=out, prod=prod)
+        assert cg.spmv(A, v, out=out) is out
         assert np.array_equal(out, cg.spmv(A, v))
+
+    def test_corrupted_column_index_raises(self):
+        A = cg.generate_poisson27(3)
+        A.col_idx[5] = A.n_rows + (1 << 40)
+        with pytest.raises(IndexError):
+            cg.spmv(A, np.ones(A.n_rows))
 
 
 class TestReductions:

@@ -18,6 +18,7 @@ from memvuln.cli import (
     replay_trace,
 )
 from memvuln.faultmodel import SAFE, UNSAFE, AccessTimeline
+from memvuln.trace import TraceWriter
 from memvuln.vulnmetrics import analyze
 
 
@@ -114,6 +115,14 @@ class TestTraceAndMetrics:
         assert main(["metrics", "--trace", str(path)]) == 1
         err = capsys.readouterr().err
         assert "v1" in err and "v2" in err
+
+    def test_unknown_access_kind_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        with TraceWriter(path) as w:
+            w.emit(np.array([0, 2, 1], dtype=np.uint8),
+                   np.array([0, 64, 128], dtype=np.uint64))
+        assert main(["metrics", "--trace", str(path)]) == 1
+        assert "kind 2 " in capsys.readouterr().err
 
 
 class TestFaultModelCommand:

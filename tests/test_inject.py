@@ -924,11 +924,22 @@ class TestCampaign:
             assert a.read_bytes() == b.read_bytes()
         assert any(",hang," in p.read_text() for p in steady)
 
-    def test_parallel_matches_serial(self, small_problem):
+    def test_parallel_matches_serial(self, small_problem, tmp_path):
         *_, ctx = small_problem
-        serial = run_campaign(ctx, "b", 10, seed=3)
-        parallel = run_campaign(ctx, "b", 10, seed=3, parallel=2)
-        assert serial.tally == parallel.tally
+        rows, logs = {}, {}
+        for parallel in (1, 2):
+            got = rows[parallel] = []
+            log = tmp_path / f"parallel{parallel}.csv"
+            run_campaign(
+                ctx, "Ac", 30, seed=3, log_path=log, parallel=parallel,
+                progress=lambda _i, _n, oc: got.append(
+                    dataclasses.replace(oc, wall_time=0.0)
+                ),
+            )
+            logs[parallel] = log.read_bytes()
+        assert len(rows[1]) == 30 and len({oc.outcome for oc in rows[1]}) > 1
+        assert rows[1] == rows[2]
+        assert logs[1] == logs[2]
 
     def test_campaign_result_serialization(self, small_problem):
         *_, ctx = small_problem
