@@ -71,12 +71,12 @@ import hashlib
 import heapq
 import zipfile
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .trace import KIND_LOAD, KIND_STORE
+from .trace import check_kinds
 
 REQ_FILL = 0
 REQ_WRITEBACK = 1
@@ -112,7 +112,6 @@ STREAMS = (
 
 @dataclass
 class LevelConfig:
-    shared: bool
     assoc: int
     size: int
     latency: int
@@ -128,13 +127,13 @@ class CacheConfig:
 
     line_size: int = 64
     l1: LevelConfig = field(
-        default_factory=lambda: LevelConfig(False, 8, 32 * 1024, 4, 32)
+        default_factory=lambda: LevelConfig(8, 32 * 1024, 4, 32)
     )
     l2: LevelConfig = field(
-        default_factory=lambda: LevelConfig(False, 8, 256 * 1024, 12, 32)
+        default_factory=lambda: LevelConfig(8, 256 * 1024, 12, 32)
     )
     l3: LevelConfig = field(
-        default_factory=lambda: LevelConfig(True, 16, 20 * 1024 * 1024, 28, 128)
+        default_factory=lambda: LevelConfig(16, 20 * 1024 * 1024, 28, 128)
     )
     memory_latency: int = 155
     memory_capacity: int = 32 * 1024**3
@@ -150,7 +149,7 @@ class CacheConfig:
 
     @classmethod
     def desk_scaled(cls, side: int) -> "CacheConfig":
-        """Shrink the shared level so a side**3 problem streams through it.
+        """Shrink the last level so a side**3 problem streams through it.
 
         The reference configuration targets problems whose matrix stream
         oversubscribes the last level cache many times over while a
@@ -168,9 +167,9 @@ class CacheConfig:
         l3_size = min(l3_size, cfg.l3.size)
         l2_size = min(cfg.l2.size, l3_size // 2)
         l1_size = min(cfg.l1.size, l2_size // 2)
-        cfg.l1 = LevelConfig(False, 8, l1_size, 4, 32)
-        cfg.l2 = LevelConfig(False, 8, l2_size, 12, 32)
-        cfg.l3 = LevelConfig(True, 16, l3_size, 28, 128)
+        cfg.l1 = replace(cfg.l1, size=l1_size)
+        cfg.l2 = replace(cfg.l2, size=l2_size)
+        cfg.l3 = replace(cfg.l3, size=l3_size)
         cfg.validate()
         return cfg
 
@@ -178,7 +177,7 @@ class CacheConfig:
         lines = ["# cache configuration v1", f"line_size = {self.line_size}"]
         for name, lv in (("l1", self.l1), ("l2", self.l2), ("l3", self.l3)):
             lines += [
-                f"{name}.{f.name} = {str(getattr(lv, f.name)).lower()}"
+                f"{name}.{f.name} = {getattr(lv, f.name)}"
                 for f in fields(LevelConfig)
             ]
         lines += [
@@ -200,12 +199,9 @@ class CacheConfig:
                 kv[key.strip()] = val.strip()
         cfg = cls()
 
-        def value(key: str, kind):
-            return kv[key] == "true" if kind in (bool, "bool") else int(kv[key])
-
         def lvl(name: str) -> LevelConfig:
             return LevelConfig(
-                *(value(f"{name}.{f.name}", f.type) for f in fields(LevelConfig))
+                *(int(kv[f"{name}.{f.name}"]) for f in fields(LevelConfig))
             )
 
         cfg.line_size = int(kv["line_size"])
@@ -356,9 +352,7 @@ class CacheSimulator:
         if int(addrs.max()) + 8 > self.cfg.memory_capacity:
             raise ValueError("trace address outside configured memory capacity")
         kinds = np.ascontiguousarray(kinds)
-        if kinds.min() < KIND_LOAD or kinds.max() > KIND_STORE:
-            bad = kinds[(kinds != KIND_LOAD) & (kinds != KIND_STORE)][0]
-            raise ValueError(f"access kind {bad} is neither a load nor a store")
+        check_kinds(kinds)
         kinds = kinds.astype(np.uint8, copy=False)
         # In-range unsigned addresses have the same bytes as signed ones.
         if addrs.dtype == np.uint64:

@@ -49,7 +49,8 @@ REDUCE_BLOCK = 4096
 #: Iteration cap of a solve.
 T_MAX = 2000
 
-_PAGE = 4096
+#: Every structure starts on a page of this many bytes.
+PAGE = 4096
 
 
 class CapacityError(ValueError):
@@ -117,19 +118,20 @@ def generate_poisson27(side: int) -> CsrMatrix:
     return CsrMatrix(n, row_ptr, cols.astype(np.int64), vals)
 
 
-def norm2_blocked(v: np.ndarray, block: int = REDUCE_BLOCK) -> float:
+def norm2_blocked(v: np.ndarray) -> float:
     """Sum of squares in a fixed blocked order (bit-reproducible)."""
     total = 0.0
-    for i in range(0, len(v), block):
-        seg = v[i : i + block]
+    for i in range(0, len(v), REDUCE_BLOCK):
+        seg = v[i : i + REDUCE_BLOCK]
         total += float(np.add.reduce(seg * seg))
     return total
 
 
-def dot_blocked(a: np.ndarray, b: np.ndarray, block: int = REDUCE_BLOCK) -> float:
+def dot_blocked(a: np.ndarray, b: np.ndarray) -> float:
     total = 0.0
-    for i in range(0, len(a), block):
-        total += float(np.add.reduce(a[i : i + block] * b[i : i + block]))
+    for i in range(0, len(a), REDUCE_BLOCK):
+        j = i + REDUCE_BLOCK
+        total += float(np.add.reduce(a[i:j] * b[i:j]))
     return total
 
 
@@ -186,7 +188,7 @@ def default_structure_map(A: CsrMatrix) -> StructureMap:
     for name in TRACKED_STRUCTURES:
         length = 8 * words.get(name, A.n_rows)
         regions.append(StructureRegion(name, base, length))
-        base += -(-length // _PAGE) * _PAGE
+        base += -(-length // PAGE) * PAGE
     return StructureMap(regions)
 
 

@@ -19,7 +19,8 @@ are exposed side by side:
 * ``p_consume_product`` — 1 - prod(exp(-rate * p)), the exact joint
   probability under independent Poisson splitting; always in [0, 1].
 
-``monte_carlo_consume`` cross-checks them by sampling fault arrivals.
+``monte_carlo_consume`` cross-checks them by sampling fault arrivals and
+brackets its frequency with a 99% Wilson score interval (``ci99``).
 """
 
 from __future__ import annotations
@@ -189,14 +190,13 @@ def monte_carlo_consume(
     timeline: AccessTimeline,
     trials: int = 100_000,
     seed: int = 0,
-    confidence: float = 0.99,
 ) -> ConsumeEstimate:
     """Sample Poisson fault arrivals and count trials that consume one.
 
     Each trial draws a Poisson number of faults over [0, T] at uniform
     positions; the trial consumes a fault when any arrival falls inside
     a period closed by an unsafe access.  Returns the hit frequency with
-    a Wilson score interval at the requested confidence.
+    its 99% Wilson score interval.
     """
     _check(params, timeline)
     if trials <= 0:
@@ -216,5 +216,5 @@ def monte_carlo_consume(
             trial_of[consumed_fault], minlength=trials
         ) > 0
         hits = int(hit_trials.sum())
-    lo, hi = wilson_ci(hits, trials, confidence)
+    lo, hi = wilson_ci(hits, trials)
     return ConsumeEstimate(hits / trials, lo, hi, trials, hits)

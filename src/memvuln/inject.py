@@ -55,6 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cg import (
+    PAGE,
     T_MAX,
     CsrMatrix,
     LoopState,
@@ -95,8 +96,6 @@ HANG_ITERS = 4
 #: Version of the campaign-log layout and of the rules that fill it; a log
 #: written under another is refused, not resumed.
 LOG_SCHEMA = 2
-
-_PAGE = 4096
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,6 @@ class Baseline:
 
     iterations: int
     wall_time: float  # a diagnostic: no classification reads it
-    final_residual_norm_sq: float
     checkpoints: tuple = field(repr=False, compare=False)
 
 
@@ -241,10 +239,8 @@ def build_context(
 ) -> InjectionContext:
     """Index the reference run so individual plans resolve in O(log N)."""
     regions = {r.name: (r.base, r.length) for r in default_structure_map(A)}
-    pad_base = 0
-    for base, length in regions.values():
-        end = -(-(base + length) // _PAGE) * _PAGE
-        pad_base = max(pad_base, end)
+    pad_base = max(-(-(base + length) // PAGE) * PAGE
+                   for base, length in regions.values())
     regions[PAD_STRUCTURE] = (pad_base, 8 * PAD_WORDS)
     order = np.lexsort((result.req_time, result.req_line))
     ctx = InjectionContext(
@@ -291,7 +287,7 @@ def measure_baseline(ctx: InjectionContext) -> Baseline:
         kept.append(_Checkpoint(cum, state, vectors))
 
     t0 = _time.perf_counter()
-    converged, iterations, eps = iterate(
+    converged, iterations, _ = iterate(
         arr, ctx.tol, ctx.t_max, open_phase, product, boundary=boundary
     )
     wall = _time.perf_counter() - t0
@@ -300,7 +296,6 @@ def measure_baseline(ctx: InjectionContext) -> Baseline:
     ctx.baseline = Baseline(
         iterations=iterations,
         wall_time=wall,
-        final_residual_norm_sq=float(eps),
         checkpoints=tuple(kept),
     )
     return ctx.baseline

@@ -41,6 +41,13 @@ _REGION_FMT = "<16sQQ"
 _REGION_SIZE = struct.calcsize(_REGION_FMT)
 
 
+def check_kinds(kinds: np.ndarray) -> None:
+    """Refuse, naming it, any access kind that is neither a load nor a store."""
+    if len(kinds) and (kinds.min() < KIND_LOAD or kinds.max() > KIND_STORE):
+        bad = kinds[(kinds != KIND_LOAD) & (kinds != KIND_STORE)][0]
+        raise ValueError(f"access kind {bad} is neither a load nor a store")
+
+
 class TraceFormatError(ValueError):
     """Raised for malformed, truncated, or version-mismatched trace files."""
 
@@ -121,6 +128,8 @@ class TraceWriter:
             self._fh.write(struct.pack(_REGION_FMT, name, reg.base, reg.length))
 
     def emit(self, kinds, addrs) -> None:
+        kinds = np.asarray(kinds)
+        check_kinds(kinds)
         if self._regions is None:
             self.register_structures(StructureMap([]))
         rec = np.empty(len(addrs), dtype=RECORD_DTYPE)
@@ -148,7 +157,6 @@ class TraceReader:
     """Streaming reader; never materializes the whole trace."""
 
     def __init__(self, path):
-        self.path = path
         self._fh = open(path, "rb")
         try:
             self._read_header()

@@ -43,7 +43,6 @@ class WordLedger:
     """Exact per-word accumulators for one structure."""
 
     name: str
-    base: int
     n_words: int
     vuln_time: np.ndarray  # int64, cycles ending at any fill
     kept_time: np.ndarray  # int64, cycles ending at a consumed fill
@@ -51,9 +50,9 @@ class WordLedger:
     stores: np.ndarray  # int64, write-backs covering the word
 
     @classmethod
-    def empty(cls, name: str, base: int, n_words: int) -> "WordLedger":
+    def empty(cls, name: str, n_words: int) -> "WordLedger":
         z = lambda: np.zeros(n_words, dtype=np.int64)
-        return cls(name, base, n_words, z(), z(), z(), z())
+        return cls(name, n_words, z(), z(), z(), z())
 
     @property
     def touched_words(self) -> int:
@@ -165,32 +164,6 @@ class AnalysisReport:
             json.dump(self.to_dict(), fh, indent=1)
             fh.write("\n")
 
-    @classmethod
-    def from_json(cls, path) -> "AnalysisReport":
-        with open(path) as fh:
-            d = json.load(fh)
-        if d.get("schema") != 1:
-            raise ValueError("unsupported report schema")
-        rep = cls(
-            d["window_cycles"], d["t_start"], d["t_end"], d["fit_rate"], []
-        )
-        for s in d["structures"]:
-            rep.structures.append(
-                StructureReport(
-                    s["name"],
-                    s["n_words"],
-                    s["touched_words"],
-                    s["loads"],
-                    s["stores"],
-                    s["mvf"],
-                    s["fea"],
-                    s["safe_ratio"],
-                    s["ld_ratio"],
-                    s["dvf"],
-                )
-            )
-        return rep
-
 
 def _aligned_fill_stream(result: SimResult):
     """Sorted fills, their leading-interval durations, and resolution masks.
@@ -247,7 +220,7 @@ def accumulate(result: SimResult, smap: StructureMap) -> dict:
     ledgers = {}
     for reg in smap:
         n_words = reg.length // 8
-        led = WordLedger.empty(reg.name, reg.base, n_words)
+        led = WordLedger.empty(reg.name, n_words)
         lo_line = reg.base >> 6
         hi_line = (reg.base + reg.length + 63) >> 6
         f0, f1 = np.searchsorted(line_f, (lo_line, hi_line))

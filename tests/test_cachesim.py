@@ -36,9 +36,9 @@ from observers import CollectingObserver
 
 def tiny_config(l1=1024, l2=2048, l3=4096, latencies=(4, 12, 28), mem_lat=155, mshrs=(32, 32, 128)):
     cfg = CacheConfig()
-    cfg.l1 = LevelConfig(False, 2, l1, latencies[0], mshrs[0])
-    cfg.l2 = LevelConfig(False, 2, l2, latencies[1], mshrs[1])
-    cfg.l3 = LevelConfig(True, 4, l3, latencies[2], mshrs[2])
+    cfg.l1 = LevelConfig(2, l1, latencies[0], mshrs[0])
+    cfg.l2 = LevelConfig(2, l2, latencies[1], mshrs[1])
+    cfg.l3 = LevelConfig(4, l3, latencies[2], mshrs[2])
     cfg.memory_latency = mem_lat
     cfg.validate()
     return cfg
@@ -127,11 +127,8 @@ class TestConfig:
     def test_reference_defaults(self):
         cfg = CacheConfig()
         assert (cfg.l1.assoc, cfg.l1.size, cfg.l1.latency, cfg.l1.mshrs) == (8, 32 * 1024, 4, 32)
-        assert not cfg.l1.shared
         assert (cfg.l2.assoc, cfg.l2.size, cfg.l2.latency, cfg.l2.mshrs) == (8, 256 * 1024, 12, 32)
-        assert not cfg.l2.shared
         assert (cfg.l3.assoc, cfg.l3.size, cfg.l3.latency, cfg.l3.mshrs) == (16, 20 * 1024 * 1024, 28, 128)
-        assert cfg.l3.shared
         assert cfg.memory_latency == 155
         assert cfg.memory_capacity == 32 * 1024**3
         assert cfg.line_size == 64
@@ -183,6 +180,17 @@ class TestConfig:
         path = tmp_path / "old.cfg"
         CacheConfig.desk_scaled(16).save(path)
         text = path.read_text() + "memory.bandwidth_bytes_per_cycle = 8.0\n"
+        path.write_text(text)
+        assert CacheConfig.load(path) == CacheConfig.desk_scaled(16)
+
+    def test_load_accepts_retired_shared_keys(self, tmp_path):
+        # Files written while levels carried a ``shared`` flag, which the
+        # simulator never read, still load; the flag is ignored.
+        path = tmp_path / "old.cfg"
+        CacheConfig.desk_scaled(16).save(path)
+        text = path.read_text() + (
+            "l1.shared = false\nl2.shared = false\nl3.shared = true\n"
+        )
         path.write_text(text)
         assert CacheConfig.load(path) == CacheConfig.desk_scaled(16)
 

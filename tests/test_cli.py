@@ -18,15 +18,15 @@ from memvuln.cli import (
     replay_trace,
 )
 from memvuln.faultmodel import SAFE, UNSAFE, AccessTimeline
-from memvuln.trace import TraceWriter
+from memvuln.trace import RECORD_SIZE, TraceWriter
 from memvuln.vulnmetrics import analyze
 
 
 def churn_config_file(tmp_path):
     cfg = CacheConfig()
-    cfg.l1 = LevelConfig(False, 8, 4096, 4, 32)
-    cfg.l2 = LevelConfig(False, 8, 8192, 12, 32)
-    cfg.l3 = LevelConfig(True, 16, 16384, 28, 128)
+    cfg.l1 = LevelConfig(8, 4096, 4, 32)
+    cfg.l2 = LevelConfig(8, 8192, 12, 32)
+    cfg.l3 = LevelConfig(16, 16384, 28, 128)
     cfg.validate()
     path = tmp_path / "churn.cfg"
     cfg.save(path)
@@ -119,8 +119,14 @@ class TestTraceAndMetrics:
     def test_unknown_access_kind_is_refused(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"
         with TraceWriter(path) as w:
-            w.emit(np.array([0, 2, 1], dtype=np.uint8),
+            w.emit(np.array([0, 1, 1], dtype=np.uint8),
                    np.array([0, 64, 128], dtype=np.uint64))
+        # The second record's kind byte follows the 16-byte header (no
+        # regions) and the first 9-byte record.
+        data = bytearray(path.read_bytes())
+        assert data[16 + RECORD_SIZE] == 1
+        data[16 + RECORD_SIZE] = 2
+        path.write_bytes(bytes(data))
         assert main(["metrics", "--trace", str(path)]) == 1
         assert "kind 2 " in capsys.readouterr().err
 

@@ -72,9 +72,9 @@ from observers import in_region
 def churn_config():
     """A hierarchy small enough that lines travel to memory constantly."""
     cfg = CacheConfig()
-    cfg.l1 = LevelConfig(False, 8, 4096, 4, 32)
-    cfg.l2 = LevelConfig(False, 8, 8192, 12, 32)
-    cfg.l3 = LevelConfig(True, 16, 16384, 28, 128)
+    cfg.l1 = LevelConfig(8, 4096, 4, 32)
+    cfg.l2 = LevelConfig(8, 8192, 12, 32)
+    cfg.l3 = LevelConfig(16, 16384, 28, 128)
     cfg.validate()
     return cfg
 
@@ -125,11 +125,11 @@ class TestWilson:
         for _ in range(200):
             n = rng.randrange(1, 5000)
             k = rng.randrange(0, n + 1)
-            lo, hi = wilson_ci(k, n, 0.99)
+            lo, hi = wilson_ci(k, n)
             assert 0.0 <= lo <= k / n <= hi <= 1.0
 
     def test_reference_width(self):
-        lo, hi = wilson_ci(1495, 6500, 0.99)
+        lo, hi = wilson_ci(1495, 6500)
         assert 0.024 < hi - lo < 0.028
         assert lo < 1495 / 6500 < hi
 
@@ -143,8 +143,6 @@ class TestWilson:
             wilson_ci(1, 0)
         with pytest.raises(ValueError):
             wilson_ci(5, 4)
-        with pytest.raises(ValueError):
-            wilson_ci(1, 10, 1.5)
 
 
 class TestPlans:

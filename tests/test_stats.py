@@ -1,5 +1,5 @@
-"""Tests for the in-package statistics: the normal quantile, the Wilson
-interval and the two correlation coefficients of the validation report."""
+"""Tests for the in-package statistics: the 99% z, the Wilson interval
+and the two correlation coefficients of the validation report."""
 
 import hashlib
 import math
@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,13 +16,7 @@ import pytest
 import memvuln
 from memvuln.cli import build_validation_report
 from memvuln.inject import CampaignResult
-from memvuln.stats import (
-    _EXP_M2,
-    ndtri,
-    pearson,
-    spearman,
-    wilson_ci,
-)
+from memvuln.stats import Z99, pearson, spearman, wilson_ci
 from memvuln.vulnmetrics import AnalysisReport, StructureReport
 
 
@@ -101,31 +96,17 @@ def same_bits(a, b) -> bool:
 
 
 class TestPinnedValues:
-    """Values fixed by repr, so they hold where SciPy is not installed."""
+    """Values fixed by repr or by the standard library, so they hold where
+    SciPy is not installed."""
 
-    @pytest.mark.parametrize("p, want", [
-        (0.995, "2.5758293035489004"),
-        (0.975, "1.959963984540054"),
-        (0.5, "0.0"),
-        (0.2, "-0.8416212335729142"),
-        (1e-10, "-6.361340902404056"),
-        (1e-300, "-37.0470962993612"),
-        (1 - 1e-12, "7.0344869100478356"),
-    ])
-    def test_ndtri(self, p, want):
-        assert repr(ndtri(p)) == want
-
-    def test_ndtri_domain(self):
-        assert ndtri(0.0) == -math.inf
-        assert ndtri(1.0) == math.inf
-        for p in (-1e-300, 1.5, math.nan):
-            assert math.isnan(ndtri(p))
+    def test_z99_is_the_normal_quantile(self):
+        # Within rounding of the standard library's quantile, so a typo in
+        # the constant shows where SciPy is absent.
+        assert abs(Z99 - NormalDist().inv_cdf(0.995)) < 1e-12
 
     def test_wilson_ci(self):
         assert repr(wilson_ci(1495, 6500)) == (
             "(0.2168340844341522, 0.24371656028796418)")
-        assert repr(wilson_ci(3, 7, 0.95)) == (
-            "(0.15821985525146975, 0.7495416354723428)")
 
     def test_correlations(self):
         assert repr(pearson([1, 2, 3, 5], [2, 2, 7, 1])) == (
@@ -151,23 +132,9 @@ class TestMatchesScipy:
 
         return special, stats
 
-    def test_ndtri_random_and_tails(self, scipy):
+    def test_z99(self, scipy):
         special, _ = scipy
-        rng = np.random.default_rng(0)
-        # Branch points: exp(-2) on both sides of 0.5, and exp(-32),
-        # where sqrt(-2 log p) reaches 8 and the far-tail fit takes over.
-        edges = [_EXP_M2, 1.0 - _EXP_M2, math.exp(-32.0)]
-        ps = np.concatenate([
-            rng.random(20_000),
-            10.0 ** -rng.uniform(0.0, 320.0, 10_000),  # near 0, to subnormal
-            1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 10_000),  # near 1
-            [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)],
-            edges,
-            [5e-324, 1e-310, 1e-15, 1e-14, 0.5, 0.975, 0.995],
-        ])
-        want = special.ndtri(ps)
-        got = np.array([ndtri(float(p)) for p in ps])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert same_bits(Z99, special.ndtri(0.995))
 
     @staticmethod
     def random_pairs(rng, count):

@@ -135,6 +135,15 @@ class TestRoundTrip:
             TraceReader(path)
         assert len(handles) == 1 and handles[0].closed
 
+    def test_unknown_kind_is_not_written(self, tmp_path):
+        path = tmp_path / "t.bin"
+        with TraceWriter(path) as w:
+            with pytest.raises(ValueError, match="kind 2 "):
+                w.emit(np.array([KIND_LOAD, 2], dtype=np.uint8),
+                       np.array([0, 8], dtype=np.uint64))
+        with TraceReader(path) as r:
+            assert r.n_events == 0
+
 
 class TestSolverCapture:
     def test_file_capture_matches_collector(self, tmp_path):
