@@ -34,12 +34,16 @@ without sampling: the key is (canonical state, block contents), and a
 hit re-appends, shifted, the rows the recorded block wrote instead of
 simulating the block.
 
-The canonical state holds, with every time taken relative to the clock:
-  * for every level and set, in dict order, each line with its LRU
-    stamp, dirty bit and ready time;
+A set's dict keeps its lines in LRU order, least recent first (a hit
+moves the line to the end), each as the int ``ready << 1 | dirty``.  LRU
+is a stack algorithm (Mattson et al., 1970): that order is all the
+replacement state a set has.  The canonical state holds, with every time
+taken relative to the clock:
+  * for every level and set, in LRU order, each line with its dirty bit
+    and ready time;
   * for every level, the live MSHR heap entries, sorted;
-  * every pending resolution (``_track`` entry) with its fill time and
-    its resolved and overwritten words.
+  * every pending resolution (``_track`` entry) with its resolved and
+    overwritten words; its fill time only reaches ``res_fill_time`` rows.
 Two states that agree on it behave identically from then on: the clock
 only moves forward and every comparison the core loop makes is between
 times or against the clock.  A ready time at or below the clock can
@@ -47,22 +51,28 @@ never again read as in-flight, so it is clamped to "ready"; a heap entry
 at or below the clock is popped before any MSHR count is taken, so it is
 dropped.  Nothing else in the state is observable.
 
+A snapshot rebuilds the form of only the sets that may have changed
+since the last one: those a simulated block accessed, those a dirty
+eviction marked below, and those in flight.  An unchanged form keeps its
+object, so comparing two snapshots is mostly identity checks.
+
 A hit is confirmed by comparing the full state and the block's kinds
 and addresses, never by a digest alone.  A recording is the span of
 rows the block appended to each output stream (the streams only grow
-until ``finish``, so a span stays valid).  A hit appends those rows
-again, shifted as ``STREAMS`` says by the change of clock (times) or of
-access count (ordinals), adds the recorded stall cycles, and installs
-the recorded post-state at the new clock.  Blocks are recorded, and the
-state snapshotted, only once the stream has repeated a block's content
-digest: a stream that never repeats (e.g. a stored trace read in
-fixed-size blocks) pays only the digest, and a solver's stream is
-recorded from its second iteration on, so the first state that recurs
-is already in the memo.  A block recorded ``MEMO_MISSES`` times in a row
-without a replay is simulated directly from then on and its recordings
-are freed: where the state never settles (a side-16 solve under the
-full-size hierarchy is one), the memo holds at most that many
-recordings per distinct block and stops taking snapshots.
+until ``finish``, so a span stays valid) and the forms of the sets it
+changed.  A hit appends those rows again, shifted as ``STREAMS`` says by
+the change of clock (times) or of access count (ordinals), gives the
+resolutions of fills pending at its start their live fill times, adds
+the recorded stall cycles, and rebuilds the changed sets at the new
+clock.  Blocks are recorded, and the state snapshotted, only once the
+stream has repeated a block's content digest: a stream that never
+repeats pays only the digest, and a solver's stream (or its trace, read
+in the blocks it was written in) is recorded from its second iteration
+on, so the first state that recurs is already in the memo.  A block
+recorded ``MEMO_MISSES`` times in a row without a replay is simulated
+directly from then on and its recordings are freed: where the state
+never settles, the memo holds at most that many recordings per distinct
+block and stops taking snapshots.
 """
 
 from __future__ import annotations
@@ -90,7 +100,10 @@ CAUSE_STORE_MISS = 2
 #: ``desk_scaled`` needs at most three before its first replay.
 MEMO_MISSES = 4
 
-_ALL_WORDS = 0xFF  # per-line word mask (8 words of 8 bytes)
+#: log2 of the cache line size in bytes, the one place it is stated.
+LINE_BITS = 6
+LINE_SIZE = 1 << LINE_BITS
+_ALL_WORDS = (1 << LINE_SIZE // 8) - 1  # per-line mask of its 8-byte words
 
 #: The simulator's output streams, in ``SimResult`` field order: each
 #: field's ``array`` typecode (also its numpy dtype) and what a replayed
@@ -117,15 +130,14 @@ class LevelConfig:
     latency: int
     mshrs: int
 
-    def n_sets(self, line_size: int) -> int:
-        return self.size // (self.assoc * line_size)
+    def n_sets(self) -> int:
+        return self.size // (self.assoc * LINE_SIZE)
 
 
 @dataclass
 class CacheConfig:
     """Hierarchy parameters; defaults mirror the reference configuration."""
 
-    line_size: int = 64
     l1: LevelConfig = field(
         default_factory=lambda: LevelConfig(8, 32 * 1024, 4, 32)
     )
@@ -139,10 +151,8 @@ class CacheConfig:
     memory_capacity: int = 32 * 1024**3
 
     def validate(self) -> None:
-        if self.line_size != 64:
-            raise ValueError("line size must be 64 bytes")
         for lv in (self.l1, self.l2, self.l3):
-            if lv.size % (lv.assoc * self.line_size):
+            if lv.size % (lv.assoc * LINE_SIZE):
                 raise ValueError("level size not divisible by assoc * line size")
             if lv.mshrs < 1:
                 raise ValueError("at least one MSHR per level")
@@ -174,7 +184,7 @@ class CacheConfig:
         return cfg
 
     def save(self, path) -> None:
-        lines = ["# cache configuration v1", f"line_size = {self.line_size}"]
+        lines = ["# cache configuration v1"]
         for name, lv in (("l1", self.l1), ("l2", self.l2), ("l3", self.l3)):
             lines += [
                 f"{name}.{f.name} = {getattr(lv, f.name)}"
@@ -204,7 +214,10 @@ class CacheConfig:
                 *(int(kv[f"{name}.{f.name}"]) for f in fields(LevelConfig))
             )
 
-        cfg.line_size = int(kv["line_size"])
+        # Files written while the line size was a key still carry it.
+        line_size = int(kv.get("line_size", LINE_SIZE))
+        if line_size != LINE_SIZE:
+            raise ValueError(f"line size {line_size} is not {LINE_SIZE} bytes")
         cfg.l1, cfg.l2, cfg.l3 = lvl("l1"), lvl("l2"), lvl("l3")
         cfg.memory_latency = int(kv["memory.latency"])
         cfg.memory_capacity = int(kv["memory.capacity"])
@@ -286,7 +299,9 @@ class _BlockReplay(NamedTuple):
     stalls: int
     req: tuple  # (start, end) rows of the request streams
     res: tuple  # (start, end) rows of the resolution streams
-    post: bytes  # canonical state at the end of the block
+    pending: list  # (row offset, line) of resolutions of fills pending at the start
+    levels: list  # per level: changed set ids, their forms, sets in flight, heap
+    track: array  # per ``_track`` entry: line, its words, fill time minus clock
 
 
 class CacheSimulator:
@@ -302,17 +317,20 @@ class CacheSimulator:
     def __init__(self, config: CacheConfig | None = None):
         self.cfg = config or CacheConfig()
         self.cfg.validate()
-        line = self.cfg.line_size
         self._levels = []
         for lv in (self.cfg.l1, self.cfg.l2, self.cfg.l3):
-            nsets = lv.n_sets(line)
+            nsets = lv.n_sets()
             self._levels.append(
                 {
-                    "sets": [dict() for _ in range(nsets)],
+                    "sets": [{} for _ in range(nsets)],  # line -> ready << 1 | dirty
                     "nsets": nsets,
                     "ways": lv.assoc,
                     "mshrs": lv.mshrs,
                     "heap": [],
+                    "forms": None,  # each set's canonical form at the last snapshot
+                    "stale": np.zeros(nsets, dtype=bool),  # may have changed since
+                    "hot": [],  # sets with a line in flight at the last snapshot
+                    "changed": (),  # sets a replay must rebuild (last snapshot)
                 }
             )
         self._req_lat = self.cfg.l1.latency + self.cfg.l2.latency + self.cfg.l3.latency
@@ -408,65 +426,77 @@ class CacheSimulator:
         clock, stalls, ordinal = self._clock, self._stalls, self._n_accesses
         n_req, n_res = len(self._req[0]), len(self._res[0])
         self._simulate(kinds, addrs)
+        post = self._state()
+        levels = []
+        for level, heap in zip(self._levels, post[1::2]):
+            ids = sorted(level["changed"])
+            levels.append((ids, [level["forms"][s] for s in ids], level["hot"], heap))
+        # A fill pending at the start was requested by then, one the block
+        # made was requested later.
+        lines = self._res[0][n_res:]
+        pending = [(j, lines[j] >> LINE_BITS)
+                   for j, t in enumerate(self._res[1][n_res:])
+                   if t <= clock + self._req_lat]
+        track = array("q", [w for ln, (fill_time, resolved, overwritten)
+                            in self._track.items()
+                            for w in (ln, resolved, overwritten, fill_time - clock)])
         return _BlockReplay(
-            clock=clock,
-            ordinal=ordinal,
-            d_clock=self._clock - clock,
-            stalls=self._stalls - stalls,
-            req=(n_req, len(self._req[0])),
-            res=(n_res, len(self._res[0])),
-            post=self._state(),
+            clock, ordinal, self._clock - clock, self._stalls - stalls,
+            (n_req, len(self._req[0])), (n_res, len(self._res[0])),
+            pending, levels, track,
         )
 
     def _simulate(self, kinds, addrs) -> None:
         self.blocks_simulated += 1
+        # Once snapshots are taken, note the sets the block may change.
+        marking = self._levels[0]["forms"] is not None
         # The core loop wants Python ints; converting in slices bounds the
         # size of the temporary lists.
         step = 1 << 14
         for i in range(0, len(kinds), step):
-            self._run(kinds[i : i + step].tolist(), addrs[i : i + step].tolist())
+            part = addrs[i : i + step]
+            if marking:
+                lines = part >> LINE_BITS
+                for level in self._levels:
+                    level["stale"][lines % level["nsets"]] = True
+            self._run(kinds[i : i + step].tolist(), part.tolist())
 
-    def _state(self) -> bytes:
-        """Canonical state (see module docstring), packed as int64 words."""
+    def _state(self) -> tuple:
+        """Canonical state (see module docstring): per level its set forms
+        and heap form, then the ``_track`` form.  A set's form packs each
+        line and its entry, ready time relative or clamped, as int64s."""
         c = self._clock
-        flat = []
+        c2, ready = c << 1, (c << 1) + 1  # entries above ``ready`` are in flight
+        state = []
         for level in self._levels:
-            at = len(flat)
-            flat.append(0)
-            for st in level["sets"]:
-                for ln, (stamp, dirty, ready) in st.items():
-                    flat += (ln, stamp - c, dirty, ready - c if ready > c else 0)
-            flat[at] = (len(flat) - at - 1) // 4
+            sets, forms, stale = level["sets"], level["forms"], level["stale"]
+            if forms is None:
+                forms = level["forms"] = [b""] * level["nsets"]
+                ids = range(level["nsets"])
+            else:
+                stale[level["hot"]] = True
+                ids = np.flatnonzero(stale).tolist()
+            stale[:] = False
+            # A set in flight at the last snapshot is rebuilt on a replay
+            # even if its form came back: its absolute ready times moved.
+            changed, hot = set(level["hot"]), []
+            for s in ids:
+                flat = []
+                for ln, v in sets[s].items():
+                    flat += (ln, v - c2 if v > ready else v & 1)
+                form = array("q", flat).tobytes()
+                if form != forms[s]:
+                    forms[s] = form
+                    changed.add(s)
+                if max(flat[1::2], default=0) > 1:
+                    hot.append(s)
+            level["changed"], level["hot"] = changed, hot
+            state.append(tuple(forms))
             live = sorted(t - c for t in level["heap"] if t > c)
-            flat.append(len(live))
-            flat += live
-        flat.append(len(self._track))
-        for ln, (fill_time, resolved, overwritten) in self._track.items():
-            flat += (ln, fill_time - c, resolved, overwritten)
-        return array("q", flat).tobytes()
-
-    def _restore(self, state: bytes) -> None:
-        """Install a canonical state at the current clock."""
-        c = self._clock
-        flat = memoryview(state).cast("q")
-        pos = 0
-        for level in self._levels:
-            nsets = level["nsets"]
-            sets = [dict() for _ in range(nsets)]
-            end = pos + 1 + 4 * flat[pos]
-            for j in range(pos + 1, end, 4):
-                ln, ready = flat[j], flat[j + 3]
-                sets[ln % nsets][ln] = [
-                    flat[j + 1] + c, bool(flat[j + 2]), ready + c if ready else 0
-                ]
-            level["sets"] = sets
-            pos = end + 1 + flat[end]
-            # Stored sorted, so the list is already a valid heap.
-            level["heap"] = [t + c for t in flat[end + 1 : pos]]
-        track = self._track
-        track.clear()
-        for j in range(pos + 1, pos + 1 + 4 * flat[pos], 4):
-            track[flat[j]] = [flat[j + 1] + c, flat[j + 2], flat[j + 3]]
+            state.append(array("q", live).tobytes())
+        track = [w for ln, e in self._track.items() for w in (ln, e[1], e[2])]
+        state.append(array("q", track).tobytes())
+        return tuple(state)
 
     def _replay(self, rec: _BlockReplay, n: int) -> None:
         self.blocks_replayed += 1
@@ -480,10 +510,35 @@ class CacheSimulator:
             if by is not None:
                 part = np.frombuffer(part, dtype=code) + shift[by]
             buf.frombytes(memoryview(part).cast("B"))
+        track = self._track
+        fill_time = self._res[1]
+        at = len(fill_time) - (rec.res[1] - rec.res[0])
+        for j, line in rec.pending:
+            fill_time[at + j] = track[line][0]
+        start = self._clock
         self._clock += rec.d_clock
         self._stalls += rec.stalls
         self._n_accesses += n
-        self._restore(rec.post)
+        # Install the recorded post-state at the new clock.
+        c2 = self._clock << 1
+        for level, (ids, forms, hot, heap) in zip(self._levels, rec.levels):
+            sets, level_forms = level["sets"], level["forms"]
+            for s, form in zip(ids, forms):
+                words = memoryview(form).cast("q").tolist()
+                st = sets[s]
+                st.clear()
+                for j in range(0, len(words), 2):
+                    v = words[j + 1]
+                    st[words[j]] = v + c2 if v > 1 else v
+                level_forms[s] = form
+            level["hot"] = hot
+            # Stored sorted, so the list is already a valid heap.
+            level["heap"] = [t + self._clock for t in memoryview(heap).cast("q")]
+        words = rec.track.tolist()
+        self._track = {
+            ln: [track[ln][0] if rel <= self._req_lat else start + rel, res, over]
+            for ln, res, over, rel in zip(*[iter(words)] * 4)
+        }
 
     # -- core loop --------------------------------------------------------------
 
@@ -503,49 +558,41 @@ class CacheSimulator:
         base_ord = self._n_accesses
         heappush = heapq.heappush
         heappop = heapq.heappop
+        bits = LINE_BITS
 
         for i in range(len(kinds)):
             a = addrs[i]
             kind = kinds[i]
-            line = a >> 6
+            line = a >> bits
             clock += 1
             st1 = sets1[line % nsets1]
-            rec = st1.get(line)
-            if rec is not None:
-                # L1 hit (or merge with an in-flight fill).
-                rec[0] = clock
-                if kind:
-                    rec[1] = True
+            v = st1.pop(line, None)
+            if v is not None:
+                # L1 hit (or merge with an in-flight fill); to the LRU end.
+                st1[line] = v | kind
                 entry = track.get(line)
                 if entry is not None:
-                    self._touch(track, entry, line, a, kind, clock)
+                    self._touch(entry, line, a, kind, clock)
                 continue
-            st2 = sets2[line % nsets2]
-            rec = st2.get(line)
-            if rec is not None:
-                # L2 hit; a still-pending copy acts as a merge and keeps
-                # its ready time on the promoted copy.
-                rec[0] = clock
-                ready = rec[2] if rec[2] > clock else 0
+            st = sets2[line % nsets2]
+            v = st.pop(line, None)
+            in_l2 = v is not None
+            if not in_l2:
+                st = sets3[line % nsets3]
+                v = st.pop(line, None)
+            if v is not None:
+                # L2 or L3 hit; a still-pending copy acts as a merge and
+                # keeps its ready time on the promoted copies.
+                st[line] = v
+                ready = v >> 1 if v >> 1 > clock else 0
                 self._clock = clock
                 self._cur_ord = base_ord + i
-                self._install(0, line, clock, bool(kind), ready)
+                self._install(0, line, ready << 1 | kind)
+                if not in_l2:
+                    self._install(1, line, ready << 1)
                 entry = track.get(line)
                 if entry is not None:
-                    self._touch(track, entry, line, a, kind, clock)
-                continue
-            st3 = sets3[line % nsets3]
-            rec = st3.get(line)
-            if rec is not None:
-                rec[0] = clock
-                ready = rec[2] if rec[2] > clock else 0
-                self._clock = clock
-                self._cur_ord = base_ord + i
-                self._install(0, line, clock, bool(kind), ready)
-                self._install(1, line, clock, False, ready)
-                entry = track.get(line)
-                if entry is not None:
-                    self._touch(track, entry, line, a, kind, clock)
+                    self._touch(entry, line, a, kind, clock)
                 continue
             # Miss everywhere: fetch from memory, one MSHR per level.
             for lvl in range(3):
@@ -562,97 +609,80 @@ class CacheSimulator:
             ready = clock + fill_lat
             rq_t.append(req_time)
             rq_k.append(REQ_FILL)
-            rq_l.append(line << 6)
+            rq_l.append(line << bits)
             rq_c.append(CAUSE_STORE_MISS if kind else CAUSE_LOAD_MISS)
             rq_o.append(base_ord + i)
             for lvl in range(3):
                 heappush(heaps[lvl], ready)
             self._clock = clock  # evictions read the current clock
             self._cur_ord = base_ord + i
-            self._install(0, line, clock, bool(kind), ready, req_time)
-            self._install(1, line, clock, False, ready, req_time)
-            self._install(2, line, clock, False, ready, req_time)
+            self._install(0, line, ready << 1 | kind, req_time)
+            self._install(1, line, ready << 1, req_time)
+            self._install(2, line, ready << 1, req_time)
             entry = [req_time, 0, 0]
             track[line] = entry
-            self._touch(track, entry, line, a, kind, clock)
+            self._touch(entry, line, a, kind, clock)
         self._clock = clock
         self._stalls = stalls
         self._n_accesses += len(kinds)
 
-    def _touch(self, track, entry, line, addr, kind, clock) -> None:
+    def _touch(self, entry, line, addr, kind, clock) -> None:
         """Resolve the accessed word of a pending fill if it is its first
         access: a load consumes it, a store overwrites it."""
-        bit = 1 << ((addr & 63) >> 3)
+        bit = 1 << ((addr & LINE_SIZE - 1) >> 3)
         if entry[1] & bit:
             return
         entry[1] |= bit
         if kind:
             entry[2] |= bit
         if entry[1] == _ALL_WORDS:
-            rs_l, rs_ft, rs_m, rs_t = self._res
-            rs_l.append(line << 6)
-            rs_ft.append(entry[0])
-            rs_m.append(entry[2])
-            rs_t.append(clock)
-            del track[line]
+            self._finalize(line, entry, clock)
 
-    def _install(self, lvl, line, stamp, dirty, ready, wb_time=None) -> None:
+    def _install(self, lvl, line, entry, wb_time=None) -> None:
         level = self._levels[lvl]
         st = level["sets"][line % level["nsets"]]
         if len(st) >= level["ways"]:
             self._evict_one(lvl, st, wb_time)
-        st[line] = [stamp, dirty, ready]
+        st[line] = entry
 
     def _evict_one(self, lvl, st, wb_time) -> None:
-        clock = self._clock
-        victim = None
-        best = None
-        for ln, rec in st.items():
-            if rec[2] <= clock and (best is None or rec[0] < best):
-                best = rec[0]
-                victim = ln
+        """Evict the least recently used line whose fill has completed."""
+        ready = (self._clock << 1) + 1
+        victim = next((ln for ln, v in st.items() if v <= ready), None)
         if victim is None:
             # Every way holds an in-flight fill; force-complete the oldest.
             # Unreachable for generated workloads, possible in adversarial
             # traces with tiny MSHR-to-associativity ratios.
-            victim = min(st, key=lambda ln: st[ln][2])
-        rec = st.pop(victim)
-        if rec[1]:
+            victim = min(st, key=lambda ln: st[ln] >> 1)
+        if st.pop(victim) & 1:
             self._writeback(lvl, victim, wb_time)
         entry = self._track.get(victim)
-        if entry is not None and not self._present_anywhere(victim):
+        if entry is not None and not any(
+            victim in lv["sets"][victim % lv["nsets"]] for lv in self._levels
+        ):
             self._finalize(victim, entry, wb_time)
 
     def _writeback(self, from_lvl, line, wb_time) -> None:
         for lvl in range(from_lvl + 1, 3):
             level = self._levels[lvl]
-            rec = level["sets"][line % level["nsets"]].get(line)
-            if rec is not None:
-                rec[1] = True
+            s = line % level["nsets"]
+            st = level["sets"][s]
+            v = st.get(line)
+            if v is not None:
+                st[line] = v | 1  # keeps its place in the LRU order
+                level["stale"][s] = True  # not a set the block accessed
                 return
         t = wb_time if wb_time is not None else self._clock + self._req_lat
-        rq_t, rq_k, rq_l, rq_c, rq_o = self._req
-        rq_t.append(t)
-        rq_k.append(REQ_WRITEBACK)
-        rq_l.append(line << 6)
-        rq_c.append(CAUSE_NONE)
-        rq_o.append(self._cur_ord)
-
-    def _present_anywhere(self, line) -> bool:
-        for level in self._levels:
-            if line in level["sets"][line % level["nsets"]]:
-                return True
-        return False
+        row = (t, REQ_WRITEBACK, line << LINE_BITS, CAUSE_NONE, self._cur_ord)
+        for buf, value in zip(self._req, row):
+            buf.append(value)
 
     def _finalize(self, line, entry, at_time) -> None:
-        """Close a fill whose line left the hierarchy, or at the end; its
-        unaccessed words count as consumed."""
+        """Close a fill: every word accessed, its line left the hierarchy,
+        or at the end; its unaccessed words count as consumed."""
         t = at_time if at_time is not None else self._clock + self._req_lat
-        rs_l, rs_ft, rs_m, rs_t = self._res
-        rs_l.append(line << 6)
-        rs_ft.append(entry[0])
-        rs_m.append(entry[2])
-        rs_t.append(t)
+        for buf, value in zip(self._res, (line << LINE_BITS, entry[0], entry[2], t)):
+            buf.append(value)
         del self._track[line]
 
     # -- closure -----------------------------------------------------------------
@@ -660,10 +690,8 @@ class CacheSimulator:
     def finish(self) -> SimResult:
         if self._result is not None:
             return self._result
-        self._seen.clear()
-        self._blocks.clear()
-        self._memo.clear()
-        self._misses.clear()
+        for memo in (self._seen, self._blocks, self._memo, self._misses):
+            memo.clear()
         flush_time = self._clock + self._req_lat if self._n_accesses else 0
         # Resolve every outstanding fill, then write back dirty lines once
         # each (the freshest copy wins; deeper stale copies are subsumed).
@@ -672,9 +700,10 @@ class CacheSimulator:
         flushed = set()
         for level in self._levels:
             for st in level["sets"]:
-                flushed.update(line for line, rec in st.items() if rec[1])
+                flushed.update(line for line, v in st.items() if v & 1)
         for line in sorted(flushed):
-            row = (flush_time, REQ_WRITEBACK, line << 6, CAUSE_NONE, self._n_accesses)
+            row = (flush_time, REQ_WRITEBACK, line << LINE_BITS, CAUSE_NONE,
+                   self._n_accesses)
             for buf, value in zip(self._req, row):
                 buf.append(value)
         # Nothing appends after this, so the result shares the buffers

@@ -36,7 +36,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .cachesim import CacheConfig, CacheSimulator, SimResult
+from .cachesim import LINE_SIZE, CacheConfig, CacheSimulator, SimResult
 from .cg import default_structure_map, default_tol, generate_poisson27, solve, spmv
 from .faultmodel import (
     AccessTimeline,
@@ -134,14 +134,22 @@ def _campaign_log(scratch: str, args, structure: str, seed: int) -> str:
     )
 
 
-def replay_trace(path: str, cfg: CacheConfig):
+def _memo_summary(sim: CacheSimulator) -> str:
+    n, k = sim.blocks_simulated, sim.blocks_replayed
+    return f"simulated {n} of {n + k} blocks, replayed {k}"
+
+
+def replay_trace(path: str, cfg: CacheConfig, progress=None):
     """Feed a recorded trace through the hierarchy; returns (result, smap)."""
     sim = CacheSimulator(cfg)
     with TraceReader(path) as rd:
         sim.register_structures(rd.structures)
         for block in rd.iter_blocks():
             sim.emit(block["kind"], block["addr"])
-        return sim.finish(), rd.structures
+        result = sim.finish()
+    if progress:
+        progress(_memo_summary(sim))
+    return result, rd.structures
 
 
 def _config_digest(cfg: CacheConfig) -> str:
@@ -150,7 +158,7 @@ def _config_digest(cfg: CacheConfig) -> str:
             name: astuple(lv)
             for name, lv in (("l1", cfg.l1), ("l2", cfg.l2), ("l3", cfg.l3))
         }
-        | {"line": cfg.line_size, "mem": cfg.memory_latency},
+        | {"line": LINE_SIZE, "mem": cfg.memory_latency},
         sort_keys=True,
     )
     return hashlib.sha256(raw.encode()).hexdigest()[:12]
@@ -184,11 +192,7 @@ def simulate_problem(
         raise RuntimeError("reference solve did not converge and verify")
     result = sim.finish()
     if progress:
-        progress(
-            f"simulated {sim.blocks_simulated} of "
-            f"{sim.blocks_simulated + sim.blocks_replayed} blocks, "
-            f"replayed {sim.blocks_replayed}"
-        )
+        progress(_memo_summary(sim))
     # Write-then-rename so an interrupted run never leaves a bad cache.
     tmp = cache_path + ".tmp"
     result.save(tmp)
@@ -417,7 +421,7 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = CacheConfig.load(args.config) if args.config else CacheConfig()
-    result, smap = replay_trace(args.trace, cfg)
+    result, smap = replay_trace(args.trace, cfg, lambda m: print(m, file=sys.stderr))
     report = analyze(result, smap, fit_rate=args.fit_rate)
     report.write_csv(args.csv)
     if args.json:

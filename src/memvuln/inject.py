@@ -65,7 +65,7 @@ from .cg import (
     spmv,
     verify,
 )
-from .cachesim import REQ_FILL, SimResult
+from .cachesim import LINE_SIZE, REQ_FILL, SimResult
 from .stats import wilson_ci
 from .trace import KIND_LOAD
 
@@ -312,7 +312,7 @@ def resolve_visibility(ctx: InjectionContext, plan: InjectionPlan):
     base, length = ctx.regions[plan.structure_id]
     if not 0 <= plan.bit_index < 8 * length:
         raise ValueError("bit index outside the structure")
-    line_addr = (base + 8 * plan.word_index) & ~63
+    line_addr = (base + 8 * plan.word_index) & -LINE_SIZE
     u_abs = ctx.t_start + plan.inject_time
     lo = np.searchsorted(ctx.ref_line, line_addr, side="left")
     hi = np.searchsorted(ctx.ref_line, line_addr, side="right")

@@ -2,21 +2,23 @@
 
 An access is a kind (load or store) and the byte address of the 64-bit
 word it touches; which structure a word belongs to follows from its
-address through the ``StructureMap``.  A trace file (format v2) is a
+address through the ``StructureMap``.  A trace file (format v3) is a
 header, a region table naming the address ranges of the program's data
-structures, and the accesses in program order as fixed-width 9-byte
+structures, the accesses in program order as fixed-width 9-byte
 little-endian records (``kind u1, addr u8``), so files are seekable
-and language-neutral.  The header is magic ``MVTR``, version (u16),
-event count (u64) and region count (u16); each region is a 16-byte
-NUL-padded ASCII name, a base (u64) and a length in bytes (u64).
-Readers refuse any other version: a v1 trace must be recorded again
-with ``memvuln trace``.
+and language-neutral, and the length (u64) of each block the writer was
+given, so a reader yields the solver's phase blocks.  The header is
+magic ``MVTR``, version (u16), event count (u64), region count (u16)
+and block count (u64); each region is a 16-byte NUL-padded ASCII name,
+a base (u64) and a length in bytes (u64).  Readers refuse any other
+version: an older trace must be recorded again with ``memvuln trace``.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +35,13 @@ RECORD_DTYPE = np.dtype([("kind", "u1"), ("addr", "<u8")])
 RECORD_SIZE = RECORD_DTYPE.itemsize  # 9 bytes
 
 _MAGIC = b"MVTR"
-_VERSION = 2
-# magic, version, n_events, n_regions
-_HEADER_FMT = "<4sHQH"
+_VERSION = 3
+# magic, version, n_events, n_regions, n_blocks
+_HEADER_FMT = "<4sHQHQ"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 _REGION_FMT = "<16sQQ"
 _REGION_SIZE = struct.calcsize(_REGION_FMT)
+_BLOCK_DTYPE = np.dtype("<u8")
 
 
 def check_kinds(kinds: np.ndarray) -> None:
@@ -107,6 +110,7 @@ class TraceWriter:
         self._fh = open(path, "wb")
         self._regions: list[StructureRegion] | None = None
         self._n_events = 0
+        self._blocks = array("Q")  # length of each non-empty block
 
     def register_structures(self, smap: StructureMap) -> None:
         if self._regions is not None:
@@ -117,9 +121,8 @@ class TraceWriter:
     def _write_header(self) -> None:
         self._fh.seek(0)
         self._fh.write(
-            struct.pack(
-                _HEADER_FMT, _MAGIC, _VERSION, self._n_events, len(self._regions)
-            )
+            struct.pack(_HEADER_FMT, _MAGIC, _VERSION, self._n_events,
+                        len(self._regions), len(self._blocks))
         )
         for reg in self._regions:
             name = reg.name.encode("ascii")
@@ -137,13 +140,16 @@ class TraceWriter:
         rec["addr"] = addrs
         self._fh.write(rec.tobytes())
         self._n_events += len(rec)
+        if len(rec):
+            self._blocks.append(len(rec))
 
     def close(self) -> None:
         if self._fh.closed:
             return
         if self._regions is None:
             self.register_structures(StructureMap([]))
-        self._write_header()  # now with the final event count
+        self._fh.write(np.asarray(self._blocks, dtype=_BLOCK_DTYPE).tobytes())
+        self._write_header()  # now with the final event and block counts
         self._fh.close()
 
     def __enter__(self):
@@ -168,7 +174,7 @@ class TraceReader:
         head = self._fh.read(_HEADER_SIZE)
         if len(head) < _HEADER_SIZE:
             raise TraceFormatError(f"truncated header at byte {len(head)}")
-        magic, version, n_events, n_regions = struct.unpack(_HEADER_FMT, head)
+        magic, version, n_events, n_regions, n_blocks = struct.unpack(_HEADER_FMT, head)
         if magic != _MAGIC:
             raise TraceFormatError("bad magic; not a trace file")
         if version != _VERSION:
@@ -191,26 +197,36 @@ class TraceReader:
         self.n_events = n_events
         self._data_offset = self._fh.tell()
         size = os.fstat(self._fh.fileno()).st_size
-        expect = self._data_offset + n_events * RECORD_SIZE
+        table = self._data_offset + n_events * RECORD_SIZE
+        expect = table + n_blocks * _BLOCK_DTYPE.itemsize
         if size < expect:
             raise TraceFormatError(
-                f"truncated event data: file ends at byte {size}, "
-                f"expected {expect}"
+                f"truncated event data or block table: file ends at byte "
+                f"{size}, expected {expect}"
+            )
+        self._fh.seek(table)
+        self._blocks = np.fromfile(self._fh, dtype=_BLOCK_DTYPE, count=n_blocks)
+        total = int(self._blocks.sum())
+        if total != n_events:
+            raise TraceFormatError(
+                f"block table at byte {table} holds {total} events, "
+                f"the header {n_events}"
             )
 
     def iter_blocks(self, block_events: int = 1 << 20):
-        """Yield structured-record arrays of at most block_events each."""
+        """Yield the writer's blocks as structured-record arrays, each
+        split into parts of at most block_events."""
         self._fh.seek(self._data_offset)
-        remaining = self.n_events
-        while remaining:
-            take = min(remaining, block_events)
-            block = np.fromfile(self._fh, dtype=RECORD_DTYPE, count=take)
-            if len(block) < take:
-                raise TraceFormatError(
-                    f"truncated event data at byte {self._fh.tell()}"
-                )
-            remaining -= take
-            yield block
+        for length in self._blocks.tolist():
+            while length:
+                take = min(length, block_events)
+                block = np.fromfile(self._fh, dtype=RECORD_DTYPE, count=take)
+                if len(block) < take:
+                    raise TraceFormatError(
+                        f"truncated event data at byte {self._fh.tell()}"
+                    )
+                length -= take
+                yield block
 
     def close(self) -> None:
         self._fh.close()

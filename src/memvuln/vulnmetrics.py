@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cachesim import REQ_FILL, REQ_WRITEBACK, SimResult
+from .cachesim import LINE_BITS, LINE_SIZE, REQ_FILL, REQ_WRITEBACK, SimResult
 from .trace import StructureMap
 
 #: Default raw fault rate, per 64-bit word and cycle.  The absolute value
@@ -173,7 +173,7 @@ def _aligned_fill_stream(result: SimResult):
     sorted copy is dropped as soon as it has been used: the request
     stream is the largest thing ``analyze`` holds.
     """
-    lines = result.req_line >> 6
+    lines = result.req_line >> LINE_BITS
     order = np.lexsort((result.req_time, lines))
     lines = lines[order]
     times = result.req_time[order]
@@ -199,7 +199,7 @@ def _aligned_fill_stream(result: SimResult):
     line_w = lines[kinds == REQ_WRITEBACK]
     del lines, kinds
 
-    res_lines = result.res_line >> 6
+    res_lines = result.res_line >> LINE_BITS
     r_order = np.lexsort((result.res_fill_time, res_lines))
     if not (
         np.array_equal(res_lines[r_order], line_f)
@@ -221,15 +221,15 @@ def accumulate(result: SimResult, smap: StructureMap) -> dict:
     for reg in smap:
         n_words = reg.length // 8
         led = WordLedger.empty(reg.name, n_words)
-        lo_line = reg.base >> 6
-        hi_line = (reg.base + reg.length + 63) >> 6
+        lo_line = reg.base >> LINE_BITS
+        hi_line = (reg.base + reg.length + LINE_SIZE - 1) >> LINE_BITS
         f0, f1 = np.searchsorted(line_f, (lo_line, hi_line))
         w0, w1 = np.searchsorted(line_w, (lo_line, hi_line))
-        base_word = (line_f[f0:f1] << 3) - (reg.base >> 3)
+        base_word = (line_f[f0:f1] << (LINE_BITS - 3)) - (reg.base >> 3)
         dur = dur_f[f0:f1]
         mask = mask_f[f0:f1]
-        wb_word = (line_w[w0:w1] << 3) - (reg.base >> 3)
-        for w in range(8):
+        wb_word = (line_w[w0:w1] << (LINE_BITS - 3)) - (reg.base >> 3)
+        for w in range(LINE_SIZE // 8):
             idx = base_word + w
             ok = idx < n_words
             iw = idx[ok]

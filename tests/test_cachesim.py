@@ -9,6 +9,7 @@ fills and write-backs.
 """
 
 import dataclasses
+import hashlib
 import random
 import zipfile
 from collections import Counter, OrderedDict
@@ -19,6 +20,7 @@ import pytest
 from memvuln.cachesim import (
     CAUSE_LOAD_MISS,
     CAUSE_STORE_MISS,
+    LINE_SIZE,
     MEMO_MISSES,
     REQ_FILL,
     REQ_WRITEBACK,
@@ -52,7 +54,7 @@ def latency_free(cfg):
 
 def functional_cache_events(cfg, kinds, addrs):
     """Reference model: ordered (kind, line) list of main-memory events."""
-    line_size = cfg.line_size
+    line_size = LINE_SIZE
     levels = []
     for lv in (cfg.l1, cfg.l2, cfg.l3):
         nsets = lv.size // (lv.assoc * line_size)
@@ -131,16 +133,12 @@ class TestConfig:
         assert (cfg.l3.assoc, cfg.l3.size, cfg.l3.latency, cfg.l3.mshrs) == (16, 20 * 1024 * 1024, 28, 128)
         assert cfg.memory_latency == 155
         assert cfg.memory_capacity == 32 * 1024**3
-        assert cfg.line_size == 64
+        assert LINE_SIZE == 64
         cfg.validate()
 
     def test_validate_rejects_bad_geometry(self):
         cfg = CacheConfig()
         cfg.l1.size = 3000
-        with pytest.raises(ValueError):
-            cfg.validate()
-        cfg = CacheConfig()
-        cfg.line_size = 32
         with pytest.raises(ValueError):
             cfg.validate()
         cfg = CacheConfig()
@@ -182,6 +180,19 @@ class TestConfig:
         text = path.read_text() + "memory.bandwidth_bytes_per_cycle = 8.0\n"
         path.write_text(text)
         assert CacheConfig.load(path) == CacheConfig.desk_scaled(16)
+
+    @pytest.mark.parametrize("size", [64, 32])
+    def test_load_checks_retired_line_size_key(self, tmp_path, size):
+        # Files written while the line size was a key carry its line; the
+        # one size the simulator models loads, any other is refused.
+        path = tmp_path / "old.cfg"
+        CacheConfig.desk_scaled(16).save(path)
+        path.write_text(path.read_text() + f"line_size = {size}\n")
+        if size == LINE_SIZE:
+            assert CacheConfig.load(path) == CacheConfig.desk_scaled(16)
+        else:
+            with pytest.raises(ValueError, match=f"line size {size} "):
+                CacheConfig.load(path)
 
     def test_load_accepts_retired_shared_keys(self, tmp_path):
         # Files written while levels carried a ``shared`` flag, which the
@@ -445,6 +456,16 @@ def assert_same_result(got, want):
         want.t_start, want.t_end, want.n_accesses, want.n_stall_cycles)
 
 
+def result_digest(res) -> str:
+    """One digest over every output stream and the four scalars."""
+    h = hashlib.sha256()
+    for name, _, _ in STREAMS:
+        h.update(np.ascontiguousarray(getattr(res, name)).tobytes())
+    h.update(np.array([res.t_start, res.t_end, res.n_accesses, res.n_stall_cycles],
+                      dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
 def unrepeated_feed(cfg, kinds, addrs):
     """Simulate a stream in blocks of strictly increasing length, so no
     block's contents ever repeat and the block memo never replays."""
@@ -462,21 +483,68 @@ def unrepeated_feed(cfg, kinds, addrs):
 class TestBlockMemo:
     """The memo must reproduce the simulation it skips exactly."""
 
-    @pytest.mark.parametrize("side", [8, 16])
-    def test_solver_stream_matches_unrepeated_feed(self, side):
+    #: ``result_digest`` of the solver's stream (tolerance factor 1e-8) by
+    #: side and hierarchy, as the simulator wrote it before the memo
+    #: replayed under the full-size one, with the most blocks the memo
+    #: simulates there and the blocks in all.  A change that moves one
+    #: row fails here.
+    PINNED = {
+        (8, "desk"): ("42d6e437bd4a56b0b9e7dc47ebc7137993d9a3ee4b462a9d02ff3df8e3a59e22", 22, 50),
+        (16, "desk"): ("aa3405b69b0d078bd7d26fb7e8071b9baac50076f977f9c608d5b405810cd569", 19, 98),
+        (8, "full"): ("cd8d380325eb1e52588e5c231eb4bc5c88103df2167b2414bbd8012b3b039ed1", 22, 50),
+        (16, "full"): ("02146d94c4c4e1be8103d19ded00a38fe980b3ba789ea9d8f622f4568d6700cb", 22, 98),
+    }
+
+    @staticmethod
+    def _hierarchy(side, hierarchy):
+        return CacheConfig.desk_scaled(side) if hierarchy == "desk" else CacheConfig()
+
+    @pytest.mark.parametrize(
+        "side, hierarchy",
+        [pytest.param(8, "desk", id="8"), pytest.param(16, "desk", id="16"),
+         pytest.param(8, "full", id="8-full"), pytest.param(16, "full", id="16-full")],
+    )
+    def test_solver_stream_matches_unrepeated_feed(self, side, hierarchy):
         from memvuln.cg import solve
         from memvuln.cli import build_problem
 
         A, b, tol = build_problem(side, 1e-8)
-        cfg = CacheConfig.desk_scaled(side)
+        cfg = self._hierarchy(side, hierarchy)
         sim = CacheSimulator(cfg)
         solve(A, b, tol=tol, observer=sim)
         memo = sim.finish()
-        assert sim.blocks_replayed > 0
+        digest, most_simulated, blocks = self.PINNED[side, hierarchy]
+        assert result_digest(memo) == digest
+        assert sim.blocks_simulated <= most_simulated
+        assert sim.blocks_simulated + sim.blocks_replayed == blocks
         coll = CollectingObserver()
         solve(A, b, tol=tol, observer=coll)
         kinds, addrs = coll.arrays()
         assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
+
+    @pytest.mark.parametrize("hierarchy", ["desk", "full"])
+    def test_trace_replays_the_solvers_blocks(self, tmp_path, hierarchy):
+        from memvuln.cg import solve
+        from memvuln.cli import build_problem
+        from memvuln.trace import TraceReader
+
+        A, b, tol = build_problem(8, 1e-8)
+        path = tmp_path / "cg.trace"
+        with TraceWriter(path) as w:
+            solve(A, b, tol=tol, observer=w)
+        cfg = self._hierarchy(8, hierarchy)
+        notes = []
+        memo, _ = replay_trace(path, cfg, progress=notes.append)
+        digest, most_simulated, blocks = self.PINNED[8, hierarchy]
+        assert result_digest(memo) == digest
+        (note,) = notes
+        simulated = int(note.split()[1])
+        assert simulated <= most_simulated
+        assert note == (f"simulated {simulated} of {blocks} blocks, "
+                        f"replayed {blocks - simulated}")
+        with TraceReader(path) as r:
+            events = np.concatenate(list(r.iter_blocks()))
+        assert_same_result(memo, unrepeated_feed(cfg, events["kind"], events["addr"]))
 
     @staticmethod
     def _phase_blocks(rng, n_blocks=4):
@@ -519,6 +587,122 @@ class TestBlockMemo:
         kinds, addrs = (np.concatenate([blocks[i][j] for i in order])
                         for j in range(2))
         assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
+
+    @staticmethod
+    def _pending_blocks(rng):
+        """Blocks that leave fills pending across block boundaries: ``a``
+        fetches 12 lines touching a few words of each, then every word of
+        a filler line; ``b`` touches some of the other words, resolving a
+        line only where it touches all of them; ``c`` sweeps 80 other
+        lines through the tiny caches, closing every fill still pending,
+        and waits on the filler until every fill it made has landed.
+        ``d(n)`` loads the filler n times, which only delays ``b``: its
+        fill times then differ, and below the fill latency so do its
+        lines in flight.  ``fresh`` is never repeated: it is simulated
+        from whatever state the replays before it left."""
+        filler = 64 * 40
+        blocks = {"a": ([], []), "b": ([], [])}
+        for line in range(12):
+            words = rng.sample(range(8), 8)
+            cut = rng.randrange(1, 4)
+            end = rng.choice([cut + 2, 8])
+            for name, part in (("a", words[:cut]), ("b", words[cut:end])):
+                for w in part:
+                    blocks[name][0].append(KIND_STORE if rng.random() < 0.5 else KIND_LOAD)
+                    blocks[name][1].append(64 * line + 8 * w)
+        blocks["a"][0].extend([KIND_LOAD] * 8)
+        blocks["a"][1].extend(filler + 8 * w for w in range(8))
+        sweep = list(range(64 * 1000, 64 * 1080, 64))
+        fill = [filler + 8 * w for w in range(8)] + [filler] * 250
+        blocks["c"] = ([KIND_LOAD] * (len(sweep) + len(fill)), sweep + fill)
+        for n in (40, 300):
+            blocks[f"d{n}"] = ([KIND_LOAD] * n, [filler] * n)
+        blocks["fresh"] = (blocks["a"][0] + blocks["b"][0] + [KIND_LOAD],
+                           blocks["a"][1] + blocks["b"][1] + [filler])
+        return {name: (np.array(k, dtype=np.uint8), np.array(a, dtype=np.int64))
+                for name, (k, a) in blocks.items()}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fills_pending_at_a_replayed_block_keep_their_times(self, seed, monkeypatch):
+        patched = []
+        real = CacheSimulator._replay
+        monkeypatch.setattr(CacheSimulator, "_replay",
+                            lambda self, rec, n: patched.append(len(rec.pending))
+                            or real(self, rec, n))
+        rng = random.Random(seed)
+        blocks = self._pending_blocks(rng)
+        order = []
+        for _ in range(12):
+            order += ["a", f"d{rng.choice([40, 300])}", "b", "c"]
+        order += ["a", "d40", "fresh"]
+        cfg = tiny_config(mshrs=(1, 2, 2) if seed % 2 else (32, 32, 128))
+        sim = CacheSimulator(cfg)
+        for name in order:
+            sim.emit(*blocks[name])
+        memo = sim.finish()
+        assert sim.blocks_replayed > len(order) // 2
+        assert sum(patched) > 0  # rows of fills pending at a replay's start
+        kinds, addrs = (np.concatenate([blocks[name][j] for name in order])
+                        for j in range(2))
+        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
+
+    @staticmethod
+    def _replay_then_fresh(cfg, rounds, last):
+        """Emit ``rounds`` (lists of (kinds, addrs) blocks) one after the
+        other, then ``last``, which is new, and check the result against
+        the unrepeated feed; ``last`` is simulated from the state that
+        the replays before it left."""
+        sim = CacheSimulator(cfg)
+        stream = [blk for r in rounds for blk in r] + [last]
+        for blk in stream:
+            sim.emit(*blk)
+        memo = sim.finish()
+        assert sim.blocks_replayed > 0
+        kinds, addrs = (np.concatenate([np.asarray(blk[j]) for blk in stream])
+                        for j in range(2))
+        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
+
+    @staticmethod
+    def _loads(lines, words=(0,)):
+        addrs = [64 * ln + 8 * w for ln in lines for w in words]
+        return np.zeros(len(addrs), dtype=np.uint8), np.array(addrs, dtype=np.int64)
+
+    def _settle(self, n=250):
+        """Fetch every word of filler line 5, then hit it ``n`` times, so
+        every fill made before has landed; touches set 5 only."""
+        return tuple(np.concatenate(p) for p in zip(
+            self._loads([5], range(8)), self._loads([5] * n)))
+
+    def test_dirty_mark_in_an_untouched_set_survives_a_replay(self):
+        # Lines 0, 8 and 24 share L1 set 0; 0 alone is in L2 set 0.  ``y``
+        # evicts dirty line 0 from L1, which marks its L2 copy dirty in a
+        # set ``y`` never accesses.  Only the final flush writes it back.
+        sweep = self._loads(range(1000, 1080))
+        x = tuple(np.concatenate(p) for p in zip(
+            (np.ones(1, dtype=np.uint8), np.zeros(1, dtype=np.int64)), self._settle()))
+        y = self._loads([8, 24])
+        rounds = [[sweep, self._settle(), x, y]] * 4 + [[sweep, self._settle(), x]]
+        self._replay_then_fresh(tiny_config(), rounds, y)
+
+    def test_set_in_flight_at_a_snapshot_is_rebuilt_at_the_next(self):
+        # Lines 0, 32, 64 and 96 share set 0 of every level.  ``x`` leaves
+        # line 0 in flight behind line 32 in L1 set 0; ``d`` only waits, so
+        # the set's form changes with the clock alone.  ``z`` clears the
+        # set and ends with it exactly as ``x`` did: it must still count as
+        # changed, or a replay of ``z`` leaves line 0 landed where the
+        # fresh block's load of 64 has to find it in flight.
+        cfg = tiny_config()
+        cfg.l3 = LevelConfig(2, 4096, 28, 128)
+        sweep = self._loads(range(1000, 1080))
+        x = tuple(np.concatenate(p) for p in zip(
+            self._loads([32]), self._settle(), self._loads([0, 32])))
+        d = self._loads([5] * 100)
+        z = tuple(np.concatenate(p) for p in zip(
+            d, self._loads([64, 96]), x))
+        fresh = tuple(np.concatenate(p) for p in zip(
+            self._loads([5] * 50), self._loads([64, 0, 32])))
+        rounds = [[sweep, self._settle(), x, d, z]] * 5
+        self._replay_then_fresh(cfg, rounds, fresh)
 
     def test_never_repeating_stream_takes_no_snapshot(self, monkeypatch):
         calls = []

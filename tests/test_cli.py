@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -98,9 +99,13 @@ class TestTraceAndMetrics:
         main(["trace", "--side", "4", "--out", str(trace_path)])
         capfd.readouterr()
         assert main(["metrics", "--trace", str(trace_path)]) == 0
-        out = capfd.readouterr().out
+        out, err = capfd.readouterr()
         assert out.startswith("# schema")
         assert "structure" in out
+        # How the block memo fared goes to stderr, as in ``pipeline``.
+        n, m, k = map(int, re.fullmatch(
+            r"simulated (\d+) of (\d+) blocks, replayed (\d+)\n", err).groups())
+        assert n + k == m
 
     def test_missing_trace_is_reported(self, tmp_path, capsys):
         code = main(["metrics", "--trace", str(tmp_path / "absent.bin")])
@@ -114,18 +119,18 @@ class TestTraceAndMetrics:
         path.write_bytes(struct.pack("<4sHHQQQH", b"MVTR", 1, 0, 0, 0, 0, 0))
         assert main(["metrics", "--trace", str(path)]) == 1
         err = capsys.readouterr().err
-        assert "v1" in err and "v2" in err
+        assert "v1" in err and "v3" in err
 
     def test_unknown_access_kind_is_refused(self, tmp_path, capsys):
         path = tmp_path / "bad.bin"
         with TraceWriter(path) as w:
             w.emit(np.array([0, 1, 1], dtype=np.uint8),
                    np.array([0, 64, 128], dtype=np.uint64))
-        # The second record's kind byte follows the 16-byte header (no
+        # The second record's kind byte follows the 24-byte header (no
         # regions) and the first 9-byte record.
         data = bytearray(path.read_bytes())
-        assert data[16 + RECORD_SIZE] == 1
-        data[16 + RECORD_SIZE] = 2
+        assert data[24 + RECORD_SIZE] == 1
+        data[24 + RECORD_SIZE] = 2
         path.write_bytes(bytes(data))
         assert main(["metrics", "--trace", str(path)]) == 1
         assert "kind 2 " in capsys.readouterr().err

@@ -66,8 +66,42 @@ class TestRoundTrip:
             (events,) = r.iter_blocks()
         assert events["kind"].tolist() == [KIND_LOAD, KIND_STORE, KIND_LOAD]
         assert events["addr"].tolist() == [0, 8, 4096]
-        # Header, two region entries, three records.
-        assert path.stat().st_size == 16 + 2 * 32 + 3 * RECORD_SIZE
+        # Header, two region entries, three records, one block length.
+        assert path.stat().st_size == 24 + 2 * 32 + 3 * RECORD_SIZE + 8
+
+    def write_blocks(self, path, lengths):
+        """A trace of one emit per length; returns the blocks' addresses."""
+        blocks = []
+        with TraceWriter(path) as w:
+            for n in lengths:
+                addrs = 8 * (len(blocks) * 10_000 + np.arange(n, dtype=np.uint64))
+                w.emit(np.arange(n, dtype=np.uint8) % 2, addrs)
+                blocks.append(addrs)
+        return [b for b in blocks if len(b)]
+
+    def test_round_trip_keeps_the_writers_blocks(self, tmp_path):
+        path = tmp_path / "t.bin"
+        want = self.write_blocks(path, [5, 2500, 0, 1, 1200])
+        with TraceReader(path) as r:
+            got = [blk["addr"] for blk in r.iter_blocks()]
+        assert [len(b) for b in got] == [5, 2500, 1, 1200]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_iter_blocks_splits_long_blocks(self, tmp_path):
+        path = tmp_path / "t.bin"
+        want = self.write_blocks(path, [5, 2500, 0, 1, 1200])
+        with TraceReader(path) as r:
+            got = [blk["addr"] for blk in r.iter_blocks(1000)]
+        assert [len(b) for b in got] == [5, 1000, 1000, 500, 1, 1000, 200]
+        assert np.array_equal(np.concatenate(got), np.concatenate(want))
+
+    def test_v2_trace_names_both_versions(self, tmp_path):
+        path = tmp_path / "t.bin"
+        self.write_sample(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<H", 2) + data[6:])
+        with pytest.raises(TraceFormatError, match="file v2, reader v3"):
+            TraceReader(path)
 
     def test_byte_identical_rewrite(self, tmp_path):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -117,8 +151,9 @@ class TestRoundTrip:
             lambda data: data[:10],  # truncated header
             lambda data: data[:40],  # truncated region table
             lambda data: data[:-1],  # short event data
+            lambda data: data[:-8] + struct.pack("<Q", 2),  # 2 of 3 events
         ],
-        ids=["magic", "version", "header", "regions", "events"],
+        ids=["magic", "version", "header", "regions", "events", "blocks"],
     )
     def test_refused_file_is_closed(self, tmp_path, monkeypatch, corrupt):
         path = tmp_path / "t.bin"
