@@ -139,16 +139,17 @@ def _memo_summary(sim: CacheSimulator) -> str:
     return f"simulated {n} of {n + k} blocks, replayed {k}"
 
 
-def replay_trace(path: str, cfg: CacheConfig, progress=None):
-    """Feed a recorded trace through the hierarchy; returns (result, smap)."""
+def replay_trace(path: str, cfg: CacheConfig):
+    """Feed a recorded trace through the hierarchy; returns (result, smap).
+
+    The memo summary goes to stderr, so output files stay unchanged."""
     sim = CacheSimulator(cfg)
     with TraceReader(path) as rd:
         sim.register_structures(rd.structures)
         for block in rd.iter_blocks():
             sim.emit(block["kind"], block["addr"])
         result = sim.finish()
-    if progress:
-        progress(_memo_summary(sim))
+    print(_memo_summary(sim), file=sys.stderr)
     return result, rd.structures
 
 
@@ -421,7 +422,7 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = CacheConfig.load(args.config) if args.config else CacheConfig()
-    result, smap = replay_trace(args.trace, cfg, lambda m: print(m, file=sys.stderr))
+    result, smap = replay_trace(args.trace, cfg)
     report = analyze(result, smap, fit_rate=args.fit_rate)
     report.write_csv(args.csv)
     if args.json:

@@ -206,7 +206,7 @@ class TraceReader:
             )
         self._fh.seek(table)
         self._blocks = np.fromfile(self._fh, dtype=_BLOCK_DTYPE, count=n_blocks)
-        total = int(self._blocks.sum())
+        total = sum(self._blocks.tolist())  # Python ints: no uint64 wrap
         if total != n_events:
             raise TraceFormatError(
                 f"block table at byte {table} holds {total} events, "

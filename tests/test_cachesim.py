@@ -523,7 +523,7 @@ class TestBlockMemo:
         assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
 
     @pytest.mark.parametrize("hierarchy", ["desk", "full"])
-    def test_trace_replays_the_solvers_blocks(self, tmp_path, hierarchy):
+    def test_trace_replays_the_solvers_blocks(self, tmp_path, capsys, hierarchy):
         from memvuln.cg import solve
         from memvuln.cli import build_problem
         from memvuln.trace import TraceReader
@@ -533,11 +533,13 @@ class TestBlockMemo:
         with TraceWriter(path) as w:
             solve(A, b, tol=tol, observer=w)
         cfg = self._hierarchy(8, hierarchy)
-        notes = []
-        memo, _ = replay_trace(path, cfg, progress=notes.append)
+        capsys.readouterr()
+        memo, _ = replay_trace(path, cfg)
         digest, most_simulated, blocks = self.PINNED[8, hierarchy]
         assert result_digest(memo) == digest
-        (note,) = notes
+        out, err = capsys.readouterr()
+        assert out == ""
+        (note,) = err.splitlines()
         simulated = int(note.split()[1])
         assert simulated <= most_simulated
         assert note == (f"simulated {simulated} of {blocks} blocks, "

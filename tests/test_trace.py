@@ -152,8 +152,12 @@ class TestRoundTrip:
             lambda data: data[:40],  # truncated region table
             lambda data: data[:-1],  # short event data
             lambda data: data[:-8] + struct.pack("<Q", 2),  # 2 of 3 events
+            # two lengths whose uint64 sum wraps round to the 3 events
+            lambda data: (data[:16] + struct.pack("<Q", 2) + data[24:-8]
+                          + struct.pack("<QQ", 2**64 - 1, 4)),
         ],
-        ids=["magic", "version", "header", "regions", "events", "blocks"],
+        ids=["magic", "version", "header", "regions", "events", "blocks",
+             "wrapping-blocks"],
     )
     def test_refused_file_is_closed(self, tmp_path, monkeypatch, corrupt):
         path = tmp_path / "t.bin"
