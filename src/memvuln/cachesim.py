@@ -364,13 +364,13 @@ class CacheSimulator:
     def emit(self, kinds, addrs) -> None:
         if self._result is not None:
             raise RuntimeError("simulation already finished")
+        kinds = np.ascontiguousarray(kinds)
+        check_kinds(kinds, len(addrs))
         if len(addrs) == 0:
             return
         addrs = np.ascontiguousarray(addrs)
         if int(addrs.max()) + 8 > self.cfg.memory_capacity:
             raise ValueError("trace address outside configured memory capacity")
-        kinds = np.ascontiguousarray(kinds)
-        check_kinds(kinds)
         kinds = kinds.astype(np.uint8, copy=False)
         # In-range unsigned addresses have the same bytes as signed ones.
         if addrs.dtype == np.uint64:
@@ -448,18 +448,11 @@ class CacheSimulator:
 
     def _simulate(self, kinds, addrs) -> None:
         self.blocks_simulated += 1
-        # Once snapshots are taken, note the sets the block may change.
-        marking = self._levels[0]["forms"] is not None
         # The core loop wants Python ints; converting in slices bounds the
         # size of the temporary lists.
         step = 1 << 14
         for i in range(0, len(kinds), step):
-            part = addrs[i : i + step]
-            if marking:
-                lines = part >> LINE_BITS
-                for level in self._levels:
-                    level["stale"][lines % level["nsets"]] = True
-            self._run(kinds[i : i + step].tolist(), part.tolist())
+            self._run(kinds[i : i + step], addrs[i : i + step])
 
     def _state(self) -> tuple:
         """Canonical state (see module docstring): per level its set forms
@@ -543,8 +536,20 @@ class CacheSimulator:
     # -- core loop --------------------------------------------------------------
 
     def _run(self, kinds, addrs) -> None:
+        """Simulate one slice of the block, given as numpy arrays."""
         l1, l2, l3 = self._levels
-        sets1, nsets1 = l1["sets"], l1["nsets"]
+        lines = addrs >> LINE_BITS
+        if l1["forms"] is not None:
+            # Once snapshots are taken, note the sets the slice may change.
+            for level in self._levels:
+                level["stale"][lines % level["nsets"]] = True
+        columns = (
+            kinds.tolist(),
+            lines.tolist(),
+            (lines % l1["nsets"]).tolist(),
+            (1 << ((addrs & LINE_SIZE - 1) >> 3)).tolist(),  # the word's bit
+        )
+        sets1, ways1 = l1["sets"], l1["ways"]
         sets2, nsets2 = l2["sets"], l2["nsets"]
         sets3, nsets3 = l3["sets"], l3["nsets"]
         heaps = (l1["heap"], l2["heap"], l3["heap"])
@@ -555,88 +560,74 @@ class CacheSimulator:
         clock = self._clock
         stalls = self._stalls
         rq_t, rq_k, rq_l, rq_c, rq_o = self._req
-        base_ord = self._n_accesses
         heappush = heapq.heappush
         heappop = heapq.heappop
-        bits = LINE_BITS
 
-        for i in range(len(kinds)):
-            a = addrs[i]
-            kind = kinds[i]
-            line = a >> bits
+        for kind, line, s1, bit in zip(*columns):
             clock += 1
-            st1 = sets1[line % nsets1]
+            st1 = sets1[s1]
             v = st1.pop(line, None)
             if v is not None:
                 # L1 hit (or merge with an in-flight fill); to the LRU end.
                 st1[line] = v | kind
-                entry = track.get(line)
-                if entry is not None:
-                    self._touch(entry, line, a, kind, clock)
-                continue
-            st = sets2[line % nsets2]
-            v = st.pop(line, None)
-            in_l2 = v is not None
-            if not in_l2:
-                st = sets3[line % nsets3]
+            else:
+                st = sets2[line % nsets2]
                 v = st.pop(line, None)
-            if v is not None:
-                # L2 or L3 hit; a still-pending copy acts as a merge and
-                # keeps its ready time on the promoted copies.
-                st[line] = v
-                ready = v >> 1 if v >> 1 > clock else 0
-                self._clock = clock
-                self._cur_ord = base_ord + i
-                self._install(0, line, ready << 1 | kind)
+                in_l2 = v is not None
                 if not in_l2:
+                    st = sets3[line % nsets3]
+                    v = st.pop(line, None)
+                if v is not None:
+                    # L2 or L3 hit; a still-pending copy acts as a merge and
+                    # keeps its ready time on the promoted copies.
+                    st[line] = v
+                    ready = v >> 1 if v >> 1 > clock else 0
+                    req_time = None
+                else:
+                    # Miss everywhere: fetch from memory, one MSHR per level.
+                    for lvl in range(3):
+                        heap = heaps[lvl]
+                        while heap and heap[0] <= clock:
+                            heappop(heap)
+                        if len(heap) >= limits[lvl]:
+                            wait_until = heap[0]
+                            stalls += wait_until - clock
+                            clock = wait_until
+                            while heap and heap[0] <= clock:
+                                heappop(heap)
+                    req_time = clock + req_lat
+                    ready = clock + fill_lat
+                    rq_t.append(req_time)
+                    rq_k.append(REQ_FILL)
+                    rq_l.append(line << LINE_BITS)
+                    rq_c.append(CAUSE_STORE_MISS if kind else CAUSE_LOAD_MISS)
+                    # The clock runs one cycle per access plus the stalls.
+                    rq_o.append(clock - stalls)
+                    for heap in heaps:
+                        heappush(heap, ready)
+                self._clock = clock  # evictions read the current clock
+                self._cur_ord = clock - stalls
+                if len(st1) >= ways1:
+                    self._evict_one(0, st1, req_time)
+                st1[line] = ready << 1 | kind
+                if req_time is not None:
+                    self._install(1, line, ready << 1, req_time)
+                    self._install(2, line, ready << 1, req_time)
+                    track[line] = [req_time, 0, 0]
+                elif not in_l2:
                     self._install(1, line, ready << 1)
-                entry = track.get(line)
-                if entry is not None:
-                    self._touch(entry, line, a, kind, clock)
-                continue
-            # Miss everywhere: fetch from memory, one MSHR per level.
-            for lvl in range(3):
-                heap = heaps[lvl]
-                while heap and heap[0] <= clock:
-                    heappop(heap)
-                if len(heap) >= limits[lvl]:
-                    wait_until = heap[0]
-                    stalls += wait_until - clock
-                    clock = wait_until
-                    while heap and heap[0] <= clock:
-                        heappop(heap)
-            req_time = clock + req_lat
-            ready = clock + fill_lat
-            rq_t.append(req_time)
-            rq_k.append(REQ_FILL)
-            rq_l.append(line << bits)
-            rq_c.append(CAUSE_STORE_MISS if kind else CAUSE_LOAD_MISS)
-            rq_o.append(base_ord + i)
-            for lvl in range(3):
-                heappush(heaps[lvl], ready)
-            self._clock = clock  # evictions read the current clock
-            self._cur_ord = base_ord + i
-            self._install(0, line, ready << 1 | kind, req_time)
-            self._install(1, line, ready << 1, req_time)
-            self._install(2, line, ready << 1, req_time)
-            entry = [req_time, 0, 0]
-            track[line] = entry
-            self._touch(entry, line, a, kind, clock)
+            entry = track.get(line)
+            if entry is not None and not entry[1] & bit:
+                # The first access to a word of a pending fill resolves it:
+                # a load consumes it, a store overwrites it.
+                entry[1] |= bit
+                if kind:
+                    entry[2] |= bit
+                if entry[1] == _ALL_WORDS:
+                    self._finalize(line, entry, clock)
         self._clock = clock
         self._stalls = stalls
-        self._n_accesses += len(kinds)
-
-    def _touch(self, entry, line, addr, kind, clock) -> None:
-        """Resolve the accessed word of a pending fill if it is its first
-        access: a load consumes it, a store overwrites it."""
-        bit = 1 << ((addr & LINE_SIZE - 1) >> 3)
-        if entry[1] & bit:
-            return
-        entry[1] |= bit
-        if kind:
-            entry[2] |= bit
-        if entry[1] == _ALL_WORDS:
-            self._finalize(line, entry, clock)
+        self._n_accesses += len(addrs)
 
     def _install(self, lvl, line, entry, wb_time=None) -> None:
         level = self._levels[lvl]
@@ -648,7 +639,9 @@ class CacheSimulator:
     def _evict_one(self, lvl, st, wb_time) -> None:
         """Evict the least recently used line whose fill has completed."""
         ready = (self._clock << 1) + 1
-        victim = next((ln for ln, v in st.items() if v <= ready), None)
+        victim = next(iter(st))
+        if st[victim] > ready:  # still in flight: take the next ready line
+            victim = next((ln for ln, v in st.items() if v <= ready), None)
         if victim is None:
             # Every way holds an in-flight fill; force-complete the oldest.
             # Unreachable for generated workloads, possible in adversarial

@@ -44,8 +44,11 @@ _REGION_SIZE = struct.calcsize(_REGION_FMT)
 _BLOCK_DTYPE = np.dtype("<u8")
 
 
-def check_kinds(kinds: np.ndarray) -> None:
-    """Refuse, naming it, any access kind that is neither a load nor a store."""
+def check_kinds(kinds: np.ndarray, n_addrs: int) -> None:
+    """Refuse kinds that do not pair one to one with ``n_addrs`` addresses
+    and, naming it, any access kind that is neither a load nor a store."""
+    if len(kinds) != n_addrs:
+        raise ValueError(f"{len(kinds)} access kinds for {n_addrs} addresses")
     if len(kinds) and (kinds.min() < KIND_LOAD or kinds.max() > KIND_STORE):
         bad = kinds[(kinds != KIND_LOAD) & (kinds != KIND_STORE)][0]
         raise ValueError(f"access kind {bad} is neither a load nor a store")
@@ -132,7 +135,7 @@ class TraceWriter:
 
     def emit(self, kinds, addrs) -> None:
         kinds = np.asarray(kinds)
-        check_kinds(kinds)
+        check_kinds(kinds, len(addrs))
         if self._regions is None:
             self.register_structures(StructureMap([]))
         rec = np.empty(len(addrs), dtype=RECORD_DTYPE)

@@ -349,6 +349,48 @@ class TestTiming:
         # accounting stays non-negative and bounded.
         assert 0 <= res.n_stall_cycles
 
+    #: ``result_digest`` of seeded random traces of 20,000 accesses over
+    #: a pool of lines, with latencies on and two MSHRs in L1 and L2:
+    #: they stall, merge with in-flight fills, route dirty victims to a
+    #: lower level and to memory, and force-evict lines in flight.  Pinned
+    #: before the core loop read its accesses as per-slice columns.
+    TIMED = {
+        (0, 96): "f48c230bfdb3e2bcbccb7045efe26caf733f8fabdbd8a9456ac0b94c82b42aac",
+        (1, 256): "cb77220e6643dfe93bf0ca5b8e5ca244e6a37d1d42b95134267043f7b9b2c98a",
+        (2, 160): "70138606d3527f9810476c956ea6175d685909180e39ecb42d47dfa1742979fb",
+    }
+
+    @pytest.mark.parametrize("seed, lines", list(TIMED))
+    def test_timed_random_traces_are_pinned(self, seed, lines):
+        rng = np.random.default_rng(seed)
+        n = 20_000
+        kinds = rng.integers(0, 2, n, dtype=np.uint8)
+        addrs = 64 * rng.integers(0, lines, n) + 8 * rng.integers(0, 8, n)
+        res = run_sim(tiny_config(mshrs=(2, 2, 4)), kinds, addrs)
+        assert result_digest(res) == self.TIMED[seed, lines]
+
+
+class TestVictim:
+    """Which line an L1 install evicts.  Lines 0, 8 and 16 share L1 set 0
+    (two ways) and no line of the L2 or L3 set any of them maps to is
+    evicted; a fill is in flight for 199 cycles."""
+
+    @staticmethod
+    def _l1_set_after(lines):
+        sim = CacheSimulator(tiny_config())
+        sim.emit(np.zeros(len(lines), dtype=np.uint8), 64 * np.array(lines, dtype=np.int64))
+        return list(sim._levels[0]["sets"][0])
+
+    def test_in_flight_lru_line_is_skipped(self):
+        # 0 lands while it is hit; 8 is still in flight when 0 is hit
+        # again, so 8 is the LRU line and 0 the next ready one.
+        assert self._l1_set_after([0] * 201 + [8, 0, 16]) == [8, 16]
+
+    def test_all_ways_in_flight_evicts_the_earliest_ready(self):
+        # 0 and 8 are both in flight; hitting 0 makes 8 the LRU line, but
+        # 0's fill completes first.
+        assert self._l1_set_after([0, 8, 0, 16]) == [8, 16]
+
 
 class TestDeterminismAndIo:
     def _random_trace(self, seed, n=2500):
@@ -438,6 +480,14 @@ class TestDeterminismAndIo:
         with pytest.raises(ValueError, match=f"kind {kind} "):
             sim.emit(np.array([0, kind], dtype=np.uint8), np.array([0, 64], dtype=np.int64))
         assert sim.blocks_simulated == 0
+
+    @pytest.mark.parametrize("n_kinds, n_addrs", [(2, 3), (3, 2), (1, 5)])
+    def test_mismatched_lengths_rejected(self, n_kinds, n_addrs):
+        sim = CacheSimulator(tiny_config())
+        with pytest.raises(ValueError, match=f"{n_kinds} access kinds for {n_addrs} addresses"):
+            sim.emit(np.zeros(n_kinds, dtype=np.uint8), 64 * np.arange(n_addrs, dtype=np.int64))
+        assert sim.blocks_simulated == 0
+        assert sim.finish().n_accesses == 0
 
     @pytest.mark.parametrize("bad", [4, 63, -8])
     def test_unaligned_or_negative_address_rejected(self, bad):

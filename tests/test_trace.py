@@ -183,6 +183,21 @@ class TestRoundTrip:
         with TraceReader(path) as r:
             assert r.n_events == 0
 
+    @pytest.mark.parametrize("n_kinds, n_addrs", [(2, 3), (3, 2), (1, 5)])
+    def test_mismatched_lengths_are_refused(self, tmp_path, n_kinds, n_addrs):
+        path = tmp_path / "t.bin"
+        with TraceWriter(path) as w:
+            with pytest.raises(ValueError, match=f"{n_kinds} access kinds for {n_addrs} addresses"):
+                w.emit(np.zeros(n_kinds, dtype=np.uint8), 8 * np.arange(n_addrs, dtype=np.uint64))
+            # Nothing was registered or written: the writer is as it was.
+            w.register_structures(small_map())
+            w.emit(np.ones(2, dtype=np.uint8), np.array([0, 8], dtype=np.uint64))
+        with TraceReader(path) as r:
+            assert r.structures.names() == ["a", "b"]
+            (events,) = r.iter_blocks()
+        assert events["kind"].tolist() == [KIND_STORE] * 2
+        assert events["addr"].tolist() == [0, 8]
+
 
 class TestSolverCapture:
     def test_file_capture_matches_collector(self, tmp_path):
