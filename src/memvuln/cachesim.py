@@ -13,8 +13,11 @@ hierarchy (or at the end) counts as consumed, conservatively.
 
 Timing model (deliberately simple, fixed-latency):
   * the core issues one access per cycle; an access that needs a
-    main-memory fill requires a free MSHR at every level, stalling the
-    clock to the earliest in-flight completion otherwise;
+    main-memory fill holds an MSHR at every level until the fill
+    completes, stalling the clock to the earliest in-flight completion
+    while a level has none free.  The level with the fewest MSHRs thus
+    bounds the fills in flight, and one heap of their completion times
+    stands for all three;
   * a fill request reaches memory after the summed hit latencies of the
     three levels and completes one memory latency later;
   * victim write-backs are stamped with the triggering fill's request
@@ -41,7 +44,7 @@ replacement state a set has.  The canonical state holds, with every time
 taken relative to the clock:
   * for every level and set, in LRU order, each line with its dirty bit
     and ready time;
-  * for every level, the live MSHR heap entries, sorted;
+  * the live MSHR heap entries, sorted;
   * every pending resolution (``_track`` entry) with its resolved and
     overwritten words; its fill time only reaches ``res_fill_time`` rows.
 Two states that agree on it behave identically from then on: the clock
@@ -148,14 +151,22 @@ class CacheConfig:
         default_factory=lambda: LevelConfig(16, 20 * 1024 * 1024, 28, 128)
     )
     memory_latency: int = 155
-    memory_capacity: int = 32 * 1024**3
+
+    def levels(self) -> tuple:
+        """(name, level) pairs in hierarchy order, as config files name them."""
+        return (("l1", self.l1), ("l2", self.l2), ("l3", self.l3))
 
     def validate(self) -> None:
-        for lv in (self.l1, self.l2, self.l3):
+        for name, lv in self.levels():
+            for f in fields(LevelConfig):
+                least = 0 if f.name == "latency" else 1
+                if getattr(lv, f.name) < least:
+                    raise ValueError(
+                        f"{name}.{f.name} is {getattr(lv, f.name)}, below {least}")
             if lv.size % (lv.assoc * LINE_SIZE):
-                raise ValueError("level size not divisible by assoc * line size")
-            if lv.mshrs < 1:
-                raise ValueError("at least one MSHR per level")
+                raise ValueError(f"{name}.size is not a multiple of assoc * line size")
+        if self.memory_latency < 0:
+            raise ValueError(f"memory.latency is {self.memory_latency}, below 0")
 
     @classmethod
     def desk_scaled(cls, side: int) -> "CacheConfig":
@@ -185,15 +196,12 @@ class CacheConfig:
 
     def save(self, path) -> None:
         lines = ["# cache configuration v1"]
-        for name, lv in (("l1", self.l1), ("l2", self.l2), ("l3", self.l3)):
+        for name, lv in self.levels():
             lines += [
                 f"{name}.{f.name} = {getattr(lv, f.name)}"
                 for f in fields(LevelConfig)
             ]
-        lines += [
-            f"memory.latency = {self.memory_latency}",
-            f"memory.capacity = {self.memory_capacity}",
-        ]
+        lines.append(f"memory.latency = {self.memory_latency}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -207,20 +215,28 @@ class CacheConfig:
                     continue
                 key, _, val = line.partition("=")
                 kv[key.strip()] = val.strip()
-        cfg = cls()
+
+        def num(key: str) -> int:
+            if key not in kv:
+                raise ValueError(f"{path}: no value for {key}")
+            try:
+                return int(kv[key])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: {key} = {kv[key]!r} is not an integer") from None
 
         def lvl(name: str) -> LevelConfig:
             return LevelConfig(
-                *(int(kv[f"{name}.{f.name}"]) for f in fields(LevelConfig))
+                *(num(f"{name}.{f.name}") for f in fields(LevelConfig))
             )
 
         # Files written while the line size was a key still carry it.
-        line_size = int(kv.get("line_size", LINE_SIZE))
+        # Other unknown keys, such as the retired ``memory.capacity``, are
+        # ignored.
+        line_size = num("line_size") if "line_size" in kv else LINE_SIZE
         if line_size != LINE_SIZE:
             raise ValueError(f"line size {line_size} is not {LINE_SIZE} bytes")
-        cfg.l1, cfg.l2, cfg.l3 = lvl("l1"), lvl("l2"), lvl("l3")
-        cfg.memory_latency = int(kv["memory.latency"])
-        cfg.memory_capacity = int(kv["memory.capacity"])
+        cfg = cls(lvl("l1"), lvl("l2"), lvl("l3"), num("memory.latency"))
         cfg.validate()
         return cfg
 
@@ -289,9 +305,10 @@ class SimResult:
 
 class _BlockReplay(NamedTuple):
     """One simulated block (see module doc): the rows it appended to the
-    request and resolution streams, the clock and access count it started
-    at, and what it did to the clock, the stalls and the state.  A hit
-    appends the same rows again, shifted; no row is copied until then."""
+    request and resolution streams, the clock and the access ordinal
+    (clock minus stalls) it started at, and what it did to the clock, the
+    stalls and the state.  A hit appends the same rows again, shifted; no
+    row is copied until then."""
 
     clock: int
     ordinal: int
@@ -300,7 +317,8 @@ class _BlockReplay(NamedTuple):
     req: tuple  # (start, end) rows of the request streams
     res: tuple  # (start, end) rows of the resolution streams
     pending: list  # (row offset, line) of resolutions of fills pending at the start
-    levels: list  # per level: changed set ids, their forms, sets in flight, heap
+    levels: list  # per level: changed set ids, their forms, sets in flight
+    heap: bytes  # live MSHR entries minus the clock, sorted
     track: array  # per ``_track`` entry: line, its words, fill time minus clock
 
 
@@ -317,29 +335,30 @@ class CacheSimulator:
     def __init__(self, config: CacheConfig | None = None):
         self.cfg = config or CacheConfig()
         self.cfg.validate()
+        levels = (self.cfg.l1, self.cfg.l2, self.cfg.l3)
         self._levels = []
-        for lv in (self.cfg.l1, self.cfg.l2, self.cfg.l3):
+        for lv in levels:
             nsets = lv.n_sets()
             self._levels.append(
                 {
                     "sets": [{} for _ in range(nsets)],  # line -> ready << 1 | dirty
                     "nsets": nsets,
                     "ways": lv.assoc,
-                    "mshrs": lv.mshrs,
-                    "heap": [],
                     "forms": None,  # each set's canonical form at the last snapshot
                     "stale": np.zeros(nsets, dtype=bool),  # may have changed since
                     "hot": [],  # sets with a line in flight at the last snapshot
                     "changed": (),  # sets a replay must rebuild (last snapshot)
                 }
             )
-        self._req_lat = self.cfg.l1.latency + self.cfg.l2.latency + self.cfg.l3.latency
+        self._mshrs = min(lv.mshrs for lv in levels)
+        self._heap: list = []  # completion times of fills in flight
+        self._req_lat = sum(lv.latency for lv in levels)
         self._fill_lat = self._req_lat + self.cfg.memory_latency
+        # The clock runs one cycle per access plus the stalls from -1, so
+        # the current access's ordinal is the clock minus the stalls.
         self._clock = -1
         self._stalls = 0
-        self._n_accesses = 0
         self._track: dict = {}  # line -> [fill_time, resolved, overwritten]
-        self._cur_ord = 0
         self._streams = tuple(array(code) for _, code, _ in STREAMS)
         self._req, self._res = self._streams[:5], self._streams[5:]
         self._result: SimResult | None = None
@@ -354,12 +373,7 @@ class CacheSimulator:
     # -- observer protocol ----------------------------------------------------
 
     def register_structures(self, smap) -> None:
-        for reg in smap:
-            if reg.end > self.cfg.memory_capacity:
-                raise ValueError(
-                    f"structure {reg.name} exceeds memory capacity "
-                    f"({reg.end} > {self.cfg.memory_capacity})"
-                )
+        """The simulator needs no structure map."""
 
     def emit(self, kinds, addrs) -> None:
         if self._result is not None:
@@ -368,20 +382,19 @@ class CacheSimulator:
         check_kinds(kinds, len(addrs))
         if len(addrs) == 0:
             return
-        addrs = np.ascontiguousarray(addrs)
-        if int(addrs.max()) + 8 > self.cfg.memory_capacity:
-            raise ValueError("trace address outside configured memory capacity")
+        given = np.ascontiguousarray(addrs)
         kinds = kinds.astype(np.uint8, copy=False)
-        # In-range unsigned addresses have the same bytes as signed ones.
-        if addrs.dtype == np.uint64:
-            addrs = addrs.view(np.int64)
+        # Unsigned addresses below 2**63 have the same bytes as signed ones;
+        # larger ones read as negative.
+        if given.dtype == np.uint64:
+            addrs = given.view(np.int64)
         else:
-            addrs = addrs.astype(np.int64, copy=False)
+            addrs = given.astype(np.int64, copy=False)
         # A negative address sets the sign bit of the OR of all of them.
         low = int(np.bitwise_or.reduce(addrs))
         if low < 0 or low & 7:
-            bad = addrs[(addrs < 0) | (addrs & 7 != 0)][0]
-            raise ValueError(f"address {bad} is not a non-negative multiple of 8")
+            bad = given[(addrs < 0) | (addrs & 7 != 0)][0]
+            raise ValueError(f"address {bad} is not a multiple of 8 in [0, 2**63)")
         h = hashlib.sha256(kinds)
         h.update(addrs)
         digest = h.digest()
@@ -412,7 +425,7 @@ class CacheSimulator:
         rec = states.get(state)  # dict lookup compares the full state
         if rec is not None:
             self._misses[digest] = 0
-            self._replay(rec, len(kinds))
+            self._replay(rec)
             return
         states[state] = self._record(kinds, addrs)
         misses = self._misses[digest] = self._misses.get(digest, 0) + 1
@@ -423,14 +436,14 @@ class CacheSimulator:
 
     def _record(self, kinds, addrs) -> _BlockReplay:
         """Simulate one block and return what it did."""
-        clock, stalls, ordinal = self._clock, self._stalls, self._n_accesses
+        clock, stalls = self._clock, self._stalls
         n_req, n_res = len(self._req[0]), len(self._res[0])
         self._simulate(kinds, addrs)
-        post = self._state()
+        heap = self._state()[-2]  # the sets' forms land in ``level["forms"]``
         levels = []
-        for level, heap in zip(self._levels, post[1::2]):
+        for level in self._levels:
             ids = sorted(level["changed"])
-            levels.append((ids, [level["forms"][s] for s in ids], level["hot"], heap))
+            levels.append((ids, [level["forms"][s] for s in ids], level["hot"]))
         # A fill pending at the start was requested by then, one the block
         # made was requested later.
         lines = self._res[0][n_res:]
@@ -441,9 +454,9 @@ class CacheSimulator:
                             in self._track.items()
                             for w in (ln, resolved, overwritten, fill_time - clock)])
         return _BlockReplay(
-            clock, ordinal, self._clock - clock, self._stalls - stalls,
+            clock, clock - stalls, self._clock - clock, self._stalls - stalls,
             (n_req, len(self._req[0])), (n_res, len(self._res[0])),
-            pending, levels, track,
+            pending, levels, heap, track,
         )
 
     def _simulate(self, kinds, addrs) -> None:
@@ -455,8 +468,8 @@ class CacheSimulator:
             self._run(kinds[i : i + step], addrs[i : i + step])
 
     def _state(self) -> tuple:
-        """Canonical state (see module docstring): per level its set forms
-        and heap form, then the ``_track`` form.  A set's form packs each
+        """Canonical state (see module docstring): per level its set forms,
+        then the heap form and the ``_track`` form.  A set's form packs each
         line and its entry, ready time relative or clamped, as int64s."""
         c = self._clock
         c2, ready = c << 1, (c << 1) + 1  # entries above ``ready`` are in flight
@@ -485,17 +498,17 @@ class CacheSimulator:
                     hot.append(s)
             level["changed"], level["hot"] = changed, hot
             state.append(tuple(forms))
-            live = sorted(t - c for t in level["heap"] if t > c)
-            state.append(array("q", live).tobytes())
+        live = sorted(t - c for t in self._heap if t > c)
+        state.append(array("q", live).tobytes())
         track = [w for ln, e in self._track.items() for w in (ln, e[1], e[2])]
         state.append(array("q", track).tobytes())
         return tuple(state)
 
-    def _replay(self, rec: _BlockReplay, n: int) -> None:
+    def _replay(self, rec: _BlockReplay) -> None:
         self.blocks_replayed += 1
         shift = {
             "clock": self._clock - rec.clock,
-            "ordinal": self._n_accesses - rec.ordinal,
+            "ordinal": self._clock - self._stalls - rec.ordinal,
         }
         for (name, code, by), buf in zip(STREAMS, self._streams):
             start, end = rec.req if name.startswith("req_") else rec.res
@@ -511,10 +524,9 @@ class CacheSimulator:
         start = self._clock
         self._clock += rec.d_clock
         self._stalls += rec.stalls
-        self._n_accesses += n
         # Install the recorded post-state at the new clock.
         c2 = self._clock << 1
-        for level, (ids, forms, hot, heap) in zip(self._levels, rec.levels):
+        for level, (ids, forms, hot) in zip(self._levels, rec.levels):
             sets, level_forms = level["sets"], level["forms"]
             for s, form in zip(ids, forms):
                 words = memoryview(form).cast("q").tolist()
@@ -525,8 +537,8 @@ class CacheSimulator:
                     st[words[j]] = v + c2 if v > 1 else v
                 level_forms[s] = form
             level["hot"] = hot
-            # Stored sorted, so the list is already a valid heap.
-            level["heap"] = [t + self._clock for t in memoryview(heap).cast("q")]
+        # Stored sorted, so the list is already a valid heap.
+        self._heap = [t + self._clock for t in memoryview(rec.heap).cast("q")]
         words = rec.track.tolist()
         self._track = {
             ln: [track[ln][0] if rel <= self._req_lat else start + rel, res, over]
@@ -552,8 +564,7 @@ class CacheSimulator:
         sets1, ways1 = l1["sets"], l1["ways"]
         sets2, nsets2 = l2["sets"], l2["nsets"]
         sets3, nsets3 = l3["sets"], l3["nsets"]
-        heaps = (l1["heap"], l2["heap"], l3["heap"])
-        limits = (l1["mshrs"], l2["mshrs"], l3["mshrs"])
+        heap, mshrs = self._heap, self._mshrs
         track = self._track
         req_lat = self._req_lat
         fill_lat = self._fill_lat
@@ -584,29 +595,22 @@ class CacheSimulator:
                     ready = v >> 1 if v >> 1 > clock else 0
                     req_time = None
                 else:
-                    # Miss everywhere: fetch from memory, one MSHR per level.
-                    for lvl in range(3):
-                        heap = heaps[lvl]
-                        while heap and heap[0] <= clock:
-                            heappop(heap)
-                        if len(heap) >= limits[lvl]:
-                            wait_until = heap[0]
-                            stalls += wait_until - clock
-                            clock = wait_until
-                            while heap and heap[0] <= clock:
-                                heappop(heap)
+                    # Miss everywhere: fetch from memory once an MSHR is free.
+                    while heap and heap[0] <= clock:
+                        heappop(heap)
+                    if len(heap) >= mshrs:
+                        stalls += heap[0] - clock
+                        clock = heap[0]
                     req_time = clock + req_lat
                     ready = clock + fill_lat
                     rq_t.append(req_time)
                     rq_k.append(REQ_FILL)
                     rq_l.append(line << LINE_BITS)
                     rq_c.append(CAUSE_STORE_MISS if kind else CAUSE_LOAD_MISS)
-                    # The clock runs one cycle per access plus the stalls.
                     rq_o.append(clock - stalls)
-                    for heap in heaps:
-                        heappush(heap, ready)
-                self._clock = clock  # evictions read the current clock
-                self._cur_ord = clock - stalls
+                    heappush(heap, ready)
+                # Evictions read the current clock and ordinal.
+                self._clock, self._stalls = clock, stalls
                 if len(st1) >= ways1:
                     self._evict_one(0, st1, req_time)
                 st1[line] = ready << 1 | kind
@@ -625,9 +629,7 @@ class CacheSimulator:
                     entry[2] |= bit
                 if entry[1] == _ALL_WORDS:
                     self._finalize(line, entry, clock)
-        self._clock = clock
-        self._stalls = stalls
-        self._n_accesses += len(addrs)
+        self._clock, self._stalls = clock, stalls
 
     def _install(self, lvl, line, entry, wb_time=None) -> None:
         level = self._levels[lvl]
@@ -666,7 +668,8 @@ class CacheSimulator:
                 level["stale"][s] = True  # not a set the block accessed
                 return
         t = wb_time if wb_time is not None else self._clock + self._req_lat
-        row = (t, REQ_WRITEBACK, line << LINE_BITS, CAUSE_NONE, self._cur_ord)
+        row = (t, REQ_WRITEBACK, line << LINE_BITS, CAUSE_NONE,
+               self._clock - self._stalls)
         for buf, value in zip(self._req, row):
             buf.append(value)
 
@@ -685,7 +688,8 @@ class CacheSimulator:
             return self._result
         for memo in (self._seen, self._blocks, self._memo, self._misses):
             memo.clear()
-        flush_time = self._clock + self._req_lat if self._n_accesses else 0
+        n_accesses = self._clock + 1 - self._stalls
+        flush_time = self._clock + self._req_lat if n_accesses else 0
         # Resolve every outstanding fill, then write back dirty lines once
         # each (the freshest copy wins; deeper stale copies are subsumed).
         for line in sorted(self._track):
@@ -696,7 +700,7 @@ class CacheSimulator:
                 flushed.update(line for line, v in st.items() if v & 1)
         for line in sorted(flushed):
             row = (flush_time, REQ_WRITEBACK, line << LINE_BITS, CAUSE_NONE,
-                   self._n_accesses)
+                   n_accesses)
             for buf, value in zip(self._req, row):
                 buf.append(value)
         # Nothing appends after this, so the result shares the buffers
@@ -710,7 +714,7 @@ class CacheSimulator:
             **out,
             t_start=int(req_time[0]) if len(req_time) else 0,
             t_end=int(req_time[-1]) if len(req_time) else 0,
-            n_accesses=self._n_accesses,
+            n_accesses=n_accesses,
             n_stall_cycles=self._stalls,
         )
         return self._result

@@ -39,8 +39,9 @@ from .trace import (
     StructureRegion,
 )
 
-#: Hard cap on generated rows; beyond this the CSR arrays alone would
-#: exceed the 32 GB simulated memory capacity.
+#: Hard cap on generated rows (side 512).  A row holds up to 27 CSR
+#: entries of 16 bytes, so the cap alone means about 58 GB of matrix in
+#: host memory; a larger side is refused before anything is allocated.
 MAX_ROWS = 1 << 27
 
 #: Fixed block length for deterministic reductions.
@@ -54,7 +55,7 @@ PAGE = 4096
 
 
 class CapacityError(ValueError):
-    """Requested problem size does not fit the simulated address space."""
+    """Requested problem size is beyond ``MAX_ROWS``."""
 
 
 class CgBreakdownError(RuntimeError):
@@ -149,7 +150,8 @@ def spmv(A: CsrMatrix, v: np.ndarray, out=None) -> np.ndarray:
 
 @dataclass
 class CgVectors:
-    """Working storage for one solve; injection campaigns flip bits here."""
+    """Working storage for one solve.  Injection campaigns flip bits in
+    their own memory image (``inject._InjectedSolve.arr``), not here."""
 
     x: np.ndarray
     g: np.ndarray

@@ -73,6 +73,8 @@ class AccessTimeline:
         )
         if t.ndim != 1 or t.shape != unsafe.shape:
             raise ValueError("times and tags must be matching 1-d sequences")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("access times must be finite")
         if len(t) and t[0] <= 0.0:
             raise ValueError("access times must be positive")
         if np.any(np.diff(t) <= 0.0):
@@ -127,8 +129,15 @@ class AccessTimeline:
         return {"accesses": [[t, tag] for t, tag in self]}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "AccessTimeline":
-        return cls.from_pairs(doc["accesses"])
+    def from_json(cls, doc) -> "AccessTimeline":
+        pairs = doc.get("accesses") if isinstance(doc, dict) else None
+        if not isinstance(pairs, list):
+            raise ValueError("a timeline document needs an 'accesses' list")
+        for p in pairs:
+            if not (isinstance(p, list) and len(p) == 2
+                    and isinstance(p[0], (int, float))):
+                raise ValueError(f"access {p!r} is not a [time, tag] pair")
+        return cls.from_pairs(pairs)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

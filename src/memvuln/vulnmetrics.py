@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -71,44 +71,20 @@ class WordLedger:
 
 @dataclass
 class StructureReport:
-    name: str
+    """One structure's row of the report.  The fields are its columns in
+    report order; a field's metadata may name its CSV header (else the
+    field's name) and give its CSV format spec."""
+
+    name: str = field(metadata={"header": "structure"})
     n_words: int
     touched_words: int
     loads: int
     stores: int
-    mvf: float
-    fea: float
-    safe_ratio: float
-    ld_ratio: float
-    dvf: float
-
-    def row(self):
-        return [
-            self.name,
-            self.n_words,
-            self.touched_words,
-            self.loads,
-            self.stores,
-            f"{self.ld_ratio:.6f}",
-            f"{self.mvf:.6f}",
-            f"{self.fea:.6f}",
-            f"{self.safe_ratio:.6f}",
-            f"{self.dvf:.6e}",
-        ]
-
-
-CSV_HEADER = [
-    "structure",
-    "n_words",
-    "touched_words",
-    "loads",
-    "stores",
-    "ld_ratio",
-    "mvf",
-    "fea",
-    "safe_ratio",
-    "dvf",
-]
+    ld_ratio: float = field(metadata={"spec": ".6f"})
+    mvf: float = field(metadata={"spec": ".6f"})
+    fea: float = field(metadata={"spec": ".6f"})
+    safe_ratio: float = field(metadata={"spec": ".6f"})
+    dvf: float = field(metadata={"spec": ".6e"})
 
 
 @dataclass
@@ -131,9 +107,11 @@ class AnalysisReport:
             w.writerow(["# schema", "1"])
             w.writerow(["# window_cycles", str(self.T)])
             w.writerow(["# fit_rate", repr(self.fit_rate)])
-            w.writerow(CSV_HEADER)
+            cols = fields(StructureReport)
+            w.writerow([f.metadata.get("header", f.name) for f in cols])
             for rep in self.structures:
-                w.writerow(rep.row())
+                w.writerow([format(getattr(rep, f.name), f.metadata.get("spec", ""))
+                            for f in cols])
 
     def to_dict(self) -> dict:
         return {
@@ -142,21 +120,7 @@ class AnalysisReport:
             "t_start": self.t_start,
             "t_end": self.t_end,
             "fit_rate": self.fit_rate,
-            "structures": [
-                {
-                    "name": r.name,
-                    "n_words": r.n_words,
-                    "touched_words": r.touched_words,
-                    "loads": r.loads,
-                    "stores": r.stores,
-                    "ld_ratio": r.ld_ratio,
-                    "mvf": r.mvf,
-                    "fea": r.fea,
-                    "safe_ratio": r.safe_ratio,
-                    "dvf": r.dvf,
-                }
-                for r in self.structures
-            ],
+            "structures": [asdict(r) for r in self.structures],
         }
 
     def write_json(self, path) -> None:
@@ -264,16 +228,9 @@ def structure_report(
     ld_ratio = 1.0 if stores == 0 else loads / (loads + stores)
     dvf = fit_rate * T * led.n_words * (loads + stores)
     return StructureReport(
-        led.name,
-        led.n_words,
-        led.touched_words,
-        loads,
-        stores,
-        mvf,
-        fea,
-        1.0 - mvf,
-        ld_ratio,
-        dvf,
+        name=led.name, n_words=led.n_words, touched_words=led.touched_words,
+        loads=loads, stores=stores, ld_ratio=ld_ratio, mvf=mvf, fea=fea,
+        safe_ratio=1.0 - mvf, dvf=dvf,
     )
 
 

@@ -11,6 +11,7 @@ fills and write-backs.
 import dataclasses
 import hashlib
 import random
+import re
 import zipfile
 from collections import Counter, OrderedDict
 
@@ -121,6 +122,16 @@ def run_sim(cfg, kinds, addrs):
     return sim.finish()
 
 
+def timed_digest(cfg, seed, lines):
+    """``result_digest`` of a seeded random trace of 20,000 accesses over
+    ``lines`` lines, simulated under ``cfg``."""
+    rng = np.random.default_rng(seed)
+    n = 20_000
+    kinds = rng.integers(0, 2, n, dtype=np.uint8)
+    addrs = 64 * rng.integers(0, lines, n) + 8 * rng.integers(0, 8, n)
+    return result_digest(run_sim(cfg, kinds, addrs))
+
+
 def sim_event_multiset(res):
     return Counter((int(k), int(l) // 64) for k, l in zip(res.req_kind, res.req_line))
 
@@ -132,7 +143,6 @@ class TestConfig:
         assert (cfg.l2.assoc, cfg.l2.size, cfg.l2.latency, cfg.l2.mshrs) == (8, 256 * 1024, 12, 32)
         assert (cfg.l3.assoc, cfg.l3.size, cfg.l3.latency, cfg.l3.mshrs) == (16, 20 * 1024 * 1024, 28, 128)
         assert cfg.memory_latency == 155
-        assert cfg.memory_capacity == 32 * 1024**3
         assert LINE_SIZE == 64
         cfg.validate()
 
@@ -193,6 +203,48 @@ class TestConfig:
         else:
             with pytest.raises(ValueError, match=f"line size {size} "):
                 CacheConfig.load(path)
+
+    def test_load_accepts_retired_capacity_key(self, tmp_path):
+        # A file written while the memory capacity was a key, which no
+        # simulation read, loads and simulates as before; ``save`` no
+        # longer writes the key.
+        path = tmp_path / "old.cfg"
+        path.write_text(
+            "# cache configuration v1\n"
+            "l1.assoc = 2\nl1.size = 1024\nl1.latency = 4\nl1.mshrs = 2\n"
+            "l2.assoc = 2\nl2.size = 2048\nl2.latency = 12\nl2.mshrs = 2\n"
+            "l3.assoc = 4\nl3.size = 4096\nl3.latency = 28\nl3.mshrs = 4\n"
+            "memory.latency = 155\nmemory.capacity = 34359738368\n"
+        )
+        cfg = CacheConfig.load(path)
+        assert cfg == tiny_config(mshrs=(2, 2, 4))
+        assert timed_digest(cfg, 0, 96) == TestTiming.TIMED[0, 96]
+        cfg.save(path)
+        assert "capacity" not in path.read_text()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("l1.size", None, "no value for l1.size"),
+        ("l2.mshrs", "two", "l2.mshrs = 'two' is not an integer"),
+        ("memory.latency", "", "memory.latency = '' is not an integer"),
+        ("l1.assoc", "0", "l1.assoc is 0, below 1"),
+        ("l3.size", "0", "l3.size is 0, below 1"),
+        ("l2.latency", "-5", "l2.latency is -5, below 0"),
+        ("l1.mshrs", "0", "l1.mshrs is 0, below 1"),
+        ("memory.latency", "-1", "memory.latency is -1, below 0"),
+    ])
+    def test_load_refuses_bad_values(self, tmp_path, key, value, message):
+        # A missing or non-integer value names the file and the key; an
+        # impossible one names the level and the field.
+        path = tmp_path / "bad.cfg"
+        CacheConfig().save(path)
+        text = re.sub(rf"^{re.escape(key)} = .*\n",
+                      "" if value is None else f"{key} = {value}\n",
+                      path.read_text(), flags=re.M)
+        path.write_text(text)
+        if "integer" in message or "no value" in message:
+            message = f"{path}: {message}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CacheConfig.load(path)
 
     def test_load_accepts_retired_shared_keys(self, tmp_path):
         # Files written while levels carried a ``shared`` flag, which the
@@ -360,14 +412,31 @@ class TestTiming:
         (2, 160): "70138606d3527f9810476c956ea6175d685909180e39ecb42d47dfa1742979fb",
     }
 
+    #: The same traces with the fewest MSHRs in L3, pinned before the
+    #: three levels' MSHR heaps became one.
+    TIMED_L3 = {
+        (0, 96): "d74625bdbb02f6f52faedbe732ca81d6e7fd99ee92f181ae5d1d97d7f5fcd2c6",
+        (1, 256): "f1880d08352f7758f2be1916c69cbf2e7f1680372b58ffa9271304972458e873",
+        (2, 160): "78b805b5264cb6053fe1f1482cf9bebf07f074daca1605292c1620afbed4f06b",
+    }
+
     @pytest.mark.parametrize("seed, lines", list(TIMED))
     def test_timed_random_traces_are_pinned(self, seed, lines):
-        rng = np.random.default_rng(seed)
-        n = 20_000
-        kinds = rng.integers(0, 2, n, dtype=np.uint8)
-        addrs = 64 * rng.integers(0, lines, n) + 8 * rng.integers(0, 8, n)
-        res = run_sim(tiny_config(mshrs=(2, 2, 4)), kinds, addrs)
-        assert result_digest(res) == self.TIMED[seed, lines]
+        cfg = tiny_config(mshrs=(2, 2, 4))
+        assert timed_digest(cfg, seed, lines) == self.TIMED[seed, lines]
+
+    # A fill holds an MSHR at every level, so only the smallest count
+    # matters, wherever it is.
+    @pytest.mark.parametrize("mshrs", [(8, 2, 4), (3, 5, 2)])
+    @pytest.mark.parametrize("seed, lines", list(TIMED))
+    def test_only_the_fewest_mshrs_matter(self, seed, lines, mshrs):
+        cfg = tiny_config(mshrs=mshrs)
+        assert timed_digest(cfg, seed, lines) == self.TIMED[seed, lines]
+
+    @pytest.mark.parametrize("seed, lines", list(TIMED_L3))
+    def test_fewest_mshrs_in_l3_are_pinned(self, seed, lines):
+        cfg = tiny_config(mshrs=(8, 8, 3))
+        assert timed_digest(cfg, seed, lines) == self.TIMED_L3[seed, lines]
 
 
 class TestVictim:
@@ -467,13 +536,6 @@ class TestDeterminismAndIo:
         with pytest.raises(RuntimeError):
             sim.emit(np.array([0], dtype=np.uint8), np.array([0], dtype=np.int64))
 
-    def test_address_beyond_capacity_rejected(self):
-        cfg = tiny_config()
-        cfg.memory_capacity = 1 << 20
-        sim = CacheSimulator(cfg)
-        with pytest.raises(ValueError):
-            sim.emit(np.array([0], dtype=np.uint8), np.array([1 << 21], dtype=np.int64))
-
     @pytest.mark.parametrize("kind", [2, 255])
     def test_unknown_kind_rejected(self, kind):
         sim = CacheSimulator(tiny_config())
@@ -489,11 +551,12 @@ class TestDeterminismAndIo:
         assert sim.blocks_simulated == 0
         assert sim.finish().n_accesses == 0
 
-    @pytest.mark.parametrize("bad", [4, 63, -8])
+    @pytest.mark.parametrize("bad", [4, 63, -8, pytest.param(np.uint64(2**63), id="2**63")])
     def test_unaligned_or_negative_address_rejected(self, bad):
         sim = CacheSimulator(tiny_config())
-        with pytest.raises(ValueError, match=str(bad)):
-            sim.emit(np.zeros(3, dtype=np.uint8), np.array([0, bad, 64], dtype=np.int64))
+        addrs = np.array([0, bad, 64], dtype=np.asarray(bad).dtype)
+        with pytest.raises(ValueError, match=f"address {bad} "):
+            sim.emit(np.zeros(3, dtype=np.uint8), addrs)
         assert sim.blocks_simulated == 0
 
 
@@ -679,8 +742,8 @@ class TestBlockMemo:
         patched = []
         real = CacheSimulator._replay
         monkeypatch.setattr(CacheSimulator, "_replay",
-                            lambda self, rec, n: patched.append(len(rec.pending))
-                            or real(self, rec, n))
+                            lambda self, rec, *args: patched.append(len(rec.pending))
+                            or real(self, rec, *args))
         rng = random.Random(seed)
         blocks = self._pending_blocks(rng)
         order = []

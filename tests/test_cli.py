@@ -112,6 +112,14 @@ class TestTraceAndMetrics:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_incomplete_config_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "partial.cfg"
+        path.write_text("l1.assoc = 8\n")
+        argv = ["metrics", "--trace", str(tmp_path / "absent.bin"),
+                "--config", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: no value for l1.size\n"
+
     def test_v1_trace_is_refused(self, tmp_path, capsys):
         # An empty v1 trace: magic, version, reserved, n_events, the two
         # ROI markers and n_regions.

@@ -6,8 +6,10 @@ Monte-Carlo sampler; the timeline abstraction is bridged to the cache
 analysis so a word's vulnerability factor and its timeline agree.
 """
 
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +106,20 @@ class TestTimeline:
         loaded = AccessTimeline.load(path)
         assert np.array_equal(loaded.times, tl.times)
         assert np.array_equal(loaded.unsafe, tl.unsafe)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"acc": []}, "needs an 'accesses' list"),
+        ([[1.0, "unsafe", 3]], "needs an 'accesses' list"),
+        ({"accesses": [[1.0]]}, "access [1.0] is not a [time, tag] pair"),
+        ({"accesses": [[1.0, "unsafe", 3]]}, "is not a [time, tag] pair"),
+        ({"accesses": [["1.0", "unsafe"]]}, "is not a [time, tag] pair"),
+        ({"accesses": [[float("nan"), "unsafe"]]}, "access times must be finite"),
+    ])
+    def test_malformed_json_rejected(self, tmp_path, doc, message):
+        path = tmp_path / "timeline.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AccessTimeline.load(path)
 
     def test_from_pairs_matches_iter(self):
         tl = random_timeline(random.Random(4), 50.0)

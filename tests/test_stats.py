@@ -28,8 +28,9 @@ def hand_made_report(metrics, unace, n_runs):
     for i, ((mvf, fea, ld, dvf), u) in enumerate(zip(metrics, unace)):
         name = f"s{i}"
         analysis.structures.append(StructureReport(
-            name, 512 + i, 500, 1000 + 7 * i, 300 + 3 * i,
-            mvf, fea, 1.0 - mvf, ld, dvf))
+            name=name, n_words=512 + i, touched_words=500,
+            loads=1000 + 7 * i, stores=300 + 3 * i, ld_ratio=ld, mvf=mvf,
+            fea=fea, safe_ratio=1.0 - mvf, dvf=dvf))
         campaigns[name] = CampaignResult(
             structure_id=name, n_runs=n_runs,
             tally={"ACE": n_runs - u, "crash": u},

@@ -8,7 +8,7 @@ event at a time.  The vectorized implementation must match it exactly
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from memvuln.cg import default_tol, generate_poisson27, solve, spmv
 from memvuln.trace import TRACKED_STRUCTURES, StructureMap, StructureRegion
 from memvuln.vulnmetrics import (
     AnalysisReport,
+    StructureReport,
     accumulate,
     analyze,
     structure_report,
@@ -315,8 +316,15 @@ class TestReports:
         report.write_csv(cpath)
         lines = cpath.read_text().splitlines()
         assert lines[0].startswith("# schema")
-        assert "structure" in lines[3]
         assert len(lines) == 4 + len(report.structures)
+        # Both files follow the field order of ``StructureReport``; the
+        # CSV calls the name column ``structure``.
+        names = [f.name for f in fields(StructureReport)]
+        assert lines[3].split(",") == ["structure", *names[1:]]
+        assert lines[3] == ("structure,n_words,touched_words,loads,stores,"
+                            "ld_ratio,mvf,fea,safe_ratio,dvf")
+        for row in json.loads(jpath.read_text())["structures"]:
+            assert list(row) == names
 
 
 class TestEndToEnd:
