@@ -20,8 +20,10 @@ Timing model (deliberately simple, fixed-latency):
     stands for all three;
   * a fill request reaches memory after the summed hit latencies of the
     three levels and completes one memory latency later;
-  * victim write-backs are stamped with the triggering fill's request
-    time; bandwidth is not modeled (every request has the same latency).
+  * a victim's write-back is stamped with the clock plus the summed hit
+    latencies: for a miss, the triggering fill's request time; for an L2
+    or L3 hit, which has no fill, the time that fill would have had;
+  * bandwidth is not modeled (every request has the same latency).
 
 Levels are non-inclusive: fills allocate in all three levels, evictions
 are independent, and hits in a lower level promote a clean copy upward
@@ -82,7 +84,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import zipfile
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
@@ -273,11 +274,11 @@ class SimResult:
         return int(np.sum(self.req_kind == REQ_WRITEBACK))
 
     def save(self, path) -> None:
-        """Write the arrays as ``.npy`` members of a deflated zip.
+        """Write the arrays as ``.npy`` members of a zip, with ``np.savez``.
 
-        The file is what ``np.savez_compressed`` writes, at the fastest
-        compression level, which costs a few percent more bytes and
-        about a sixth of the time.
+        The members are stored uncompressed: deflating them, even at the
+        fastest level, took most of the save and much of the load, for a
+        file about a fifth the size.  ``load`` reads deflated files too.
         """
         members = {"version": np.int64(1)}
         members |= {name: getattr(self, name) for name, _, _ in STREAMS}
@@ -285,14 +286,9 @@ class SimResult:
             [self.t_start, self.t_end, self.n_accesses, self.n_stall_cycles],
             dtype=np.int64,
         )
-        with zipfile.ZipFile(
-            path, "w", zipfile.ZIP_DEFLATED, compresslevel=1
-        ) as zf:
-            for name, arr in members.items():
-                with zf.open(name + ".npy", "w", force_zip64=True) as fh:
-                    np.lib.format.write_array(
-                        fh, np.asanyarray(arr), allow_pickle=False
-                    )
+        # An open file, so a path without ``.npz`` keeps its name.
+        with open(path, "wb") as fh:
+            np.savez(fh, **members)
 
     @classmethod
     def load(cls, path) -> "SimResult":
@@ -320,6 +316,18 @@ class _BlockReplay(NamedTuple):
     levels: list  # per level: changed set ids, their forms, sets in flight
     heap: bytes  # live MSHR entries minus the clock, sorted
     track: array  # per ``_track`` entry: line, its words, fill time minus clock
+
+
+def _ready_victim(st: dict, busy: int):
+    """The least recently used line of a full set whose fill has completed
+    (entry at most ``busy``)."""
+    victim = next((ln for ln, v in st.items() if v <= busy), None)
+    if victim is None:
+        # Every way holds an in-flight fill; force-complete the oldest.
+        # Unreachable for generated workloads, possible in adversarial
+        # traces with tiny MSHR-to-associativity ratios.
+        victim = min(st, key=lambda ln: st[ln] >> 1)
+    return victim
 
 
 class CacheSimulator:
@@ -350,6 +358,8 @@ class CacheSimulator:
                     "changed": (),  # sets a replay must rebuild (last snapshot)
                 }
             )
+        # The L1 sets as an object array: ``_run`` gathers each access's.
+        self._sets1 = np.array(self._levels[0]["sets"], dtype=object)
         self._mshrs = min(lv.mshrs for lv in levels)
         self._heap: list = []  # completion times of fills in flight
         self._req_lat = sum(lv.latency for lv in levels)
@@ -549,7 +559,7 @@ class CacheSimulator:
 
     def _run(self, kinds, addrs) -> None:
         """Simulate one slice of the block, given as numpy arrays."""
-        l1, l2, l3 = self._levels
+        l1 = self._levels[0]
         lines = addrs >> LINE_BITS
         if l1["forms"] is not None:
             # Once snapshots are taken, note the sets the slice may change.
@@ -558,12 +568,12 @@ class CacheSimulator:
         columns = (
             kinds.tolist(),
             lines.tolist(),
-            (lines % l1["nsets"]).tolist(),
+            self._sets1[lines % l1["nsets"]].tolist(),  # the access's L1 set
             (1 << ((addrs & LINE_SIZE - 1) >> 3)).tolist(),  # the word's bit
         )
-        sets1, ways1 = l1["sets"], l1["ways"]
-        sets2, nsets2 = l2["sets"], l2["nsets"]
-        sets3, nsets3 = l3["sets"], l3["nsets"]
+        homes = [(level["sets"], level["nsets"]) for level in self._levels]
+        (sets2, nsets2), (sets3, nsets3) = homes[1:]
+        ways = [level["ways"] for level in self._levels]
         heap, mshrs = self._heap, self._mshrs
         track = self._track
         req_lat = self._req_lat
@@ -571,29 +581,35 @@ class CacheSimulator:
         clock = self._clock
         stalls = self._stalls
         rq_t, rq_k, rq_l, rq_c, rq_o = self._req
+        rs_l, rs_f, rs_m, rs_t = self._res
         heappush = heapq.heappush
         heappop = heapq.heappop
 
-        for kind, line, s1, bit in zip(*columns):
+        for kind, line, st1, bit in zip(*columns):
             clock += 1
-            st1 = sets1[s1]
             v = st1.pop(line, None)
             if v is not None:
                 # L1 hit (or merge with an in-flight fill); to the LRU end.
                 st1[line] = v | kind
             else:
-                st = sets2[line % nsets2]
-                v = st.pop(line, None)
-                in_l2 = v is not None
-                if not in_l2:
-                    st = sets3[line % nsets3]
-                    v = st.pop(line, None)
+                # The line goes into every level above the first that holds
+                # it, or into all three from memory.
+                st2 = sets2[line % nsets2]
+                v = st2.pop(line, None)
                 if v is not None:
-                    # L2 or L3 hit; a still-pending copy acts as a merge and
-                    # keeps its ready time on the promoted copies.
-                    st[line] = v
+                    st2[line] = v
+                    into = (st1,)
+                else:
+                    st3 = sets3[line % nsets3]
+                    v = st3.pop(line, None)
+                    into = (st1, st2, st3)
+                    if v is not None:
+                        st3[line] = v
+                        into = (st1, st2)
+                if v is not None:
+                    # A still-pending copy acts as a merge and keeps its
+                    # ready time on the promoted copies.
                     ready = v >> 1 if v >> 1 > clock else 0
-                    req_time = None
                 else:
                     # Miss everywhere: fetch from memory once an MSHR is free.
                     while heap and heap[0] <= clock:
@@ -601,25 +617,32 @@ class CacheSimulator:
                     if len(heap) >= mshrs:
                         stalls += heap[0] - clock
                         clock = heap[0]
-                    req_time = clock + req_lat
                     ready = clock + fill_lat
-                    rq_t.append(req_time)
+                    rq_t.append(clock + req_lat)
                     rq_k.append(REQ_FILL)
                     rq_l.append(line << LINE_BITS)
                     rq_c.append(CAUSE_STORE_MISS if kind else CAUSE_LOAD_MISS)
                     rq_o.append(clock - stalls)
                     heappush(heap, ready)
-                # Evictions read the current clock and ordinal.
-                self._clock, self._stalls = clock, stalls
-                if len(st1) >= ways1:
-                    self._evict_one(0, st1, req_time)
-                st1[line] = ready << 1 | kind
-                if req_time is not None:
-                    self._install(1, line, ready << 1, req_time)
-                    self._install(2, line, ready << 1, req_time)
-                    track[line] = [req_time, 0, 0]
-                elif not in_l2:
-                    self._install(1, line, ready << 1)
+                    track[line] = [clock + req_lat, 0, 0]
+                # A full set evicts its least recently used ready line,
+                # which leaves at the clock plus the request latency.
+                t = clock + req_lat
+                busy = (clock << 1) + 1  # entries above it are in flight
+                v = ready << 1 | kind  # dirty in L1 only
+                for lvl, st in enumerate(into):
+                    if len(st) >= ways[lvl]:
+                        victim = next(iter(st))
+                        if st[victim] > busy:
+                            victim = _ready_victim(st, busy)
+                        if st.pop(victim) & 1:
+                            self._writeback(lvl, victim, t, clock - stalls)
+                        if victim in track and not any(
+                            victim in sets[victim % n] for sets, n in homes
+                        ):
+                            self._finalize(victim, track[victim], t)
+                    st[line] = v
+                    v &= -2
             entry = track.get(line)
             if entry is not None and not entry[1] & bit:
                 # The first access to a word of a pending fill resolves it:
@@ -627,37 +650,17 @@ class CacheSimulator:
                 entry[1] |= bit
                 if kind:
                     entry[2] |= bit
-                if entry[1] == _ALL_WORDS:
-                    self._finalize(line, entry, clock)
+                if entry[1] == _ALL_WORDS:  # ``_finalize``, inline
+                    del track[line]
+                    rs_l.append(line << LINE_BITS)
+                    rs_f.append(entry[0])
+                    rs_m.append(entry[2])
+                    rs_t.append(clock)
         self._clock, self._stalls = clock, stalls
 
-    def _install(self, lvl, line, entry, wb_time=None) -> None:
-        level = self._levels[lvl]
-        st = level["sets"][line % level["nsets"]]
-        if len(st) >= level["ways"]:
-            self._evict_one(lvl, st, wb_time)
-        st[line] = entry
-
-    def _evict_one(self, lvl, st, wb_time) -> None:
-        """Evict the least recently used line whose fill has completed."""
-        ready = (self._clock << 1) + 1
-        victim = next(iter(st))
-        if st[victim] > ready:  # still in flight: take the next ready line
-            victim = next((ln for ln, v in st.items() if v <= ready), None)
-        if victim is None:
-            # Every way holds an in-flight fill; force-complete the oldest.
-            # Unreachable for generated workloads, possible in adversarial
-            # traces with tiny MSHR-to-associativity ratios.
-            victim = min(st, key=lambda ln: st[ln] >> 1)
-        if st.pop(victim) & 1:
-            self._writeback(lvl, victim, wb_time)
-        entry = self._track.get(victim)
-        if entry is not None and not any(
-            victim in lv["sets"][victim % lv["nsets"]] for lv in self._levels
-        ):
-            self._finalize(victim, entry, wb_time)
-
-    def _writeback(self, from_lvl, line, wb_time) -> None:
+    def _writeback(self, from_lvl, line, t, ordinal) -> None:
+        """Mark a victim dirty in the next level that holds it, or write it
+        back to memory at time ``t``."""
         for lvl in range(from_lvl + 1, 3):
             level = self._levels[lvl]
             s = line % level["nsets"]
@@ -667,16 +670,14 @@ class CacheSimulator:
                 st[line] = v | 1  # keeps its place in the LRU order
                 level["stale"][s] = True  # not a set the block accessed
                 return
-        t = wb_time if wb_time is not None else self._clock + self._req_lat
-        row = (t, REQ_WRITEBACK, line << LINE_BITS, CAUSE_NONE,
-               self._clock - self._stalls)
+        row = (t, REQ_WRITEBACK, line << LINE_BITS, CAUSE_NONE, ordinal)
         for buf, value in zip(self._req, row):
             buf.append(value)
 
-    def _finalize(self, line, entry, at_time) -> None:
-        """Close a fill: every word accessed, its line left the hierarchy,
-        or at the end; its unaccessed words count as consumed."""
-        t = at_time if at_time is not None else self._clock + self._req_lat
+    def _finalize(self, line, entry, t) -> None:
+        """Close a fill at time ``t``: every word accessed, its line left
+        the hierarchy, or at the end; its unaccessed words count as
+        consumed."""
         for buf, value in zip(self._res, (line << LINE_BITS, entry[0], entry[2], t)):
             buf.append(value)
         del self._track[line]

@@ -49,11 +49,6 @@ class WordLedger:
     loads: np.ndarray  # int64, fills covering the word
     stores: np.ndarray  # int64, write-backs covering the word
 
-    @classmethod
-    def empty(cls, name: str, n_words: int) -> "WordLedger":
-        z = lambda: np.zeros(n_words, dtype=np.int64)
-        return cls(name, n_words, z(), z(), z(), z())
-
     @property
     def touched_words(self) -> int:
         return int(np.sum((self.loads + self.stores) > 0))
@@ -176,42 +171,45 @@ def _aligned_fill_stream(result: SimResult):
 def accumulate(result: SimResult, smap: StructureMap) -> dict:
     """Build exact per-word ledgers for every mapped structure.
 
+    Every word of a line shares the line's intervals, so each ledger is
+    counted per line and repeated to the line's words; only the kept time
+    depends on the word, through its bit of the resolution mask.
     Requests to lines outside every labeled region are ignored (they
     still shape the accounting window).  Raises if any fill lacks a
     matching resolution record.
     """
     line_f, dur_f, mask_f, line_w = _aligned_fill_stream(result)
+    per_line = LINE_SIZE // 8
     ledgers = {}
     for reg in smap:
         n_words = reg.length // 8
-        led = WordLedger.empty(reg.name, n_words)
         lo_line = reg.base >> LINE_BITS
         hi_line = (reg.base + reg.length + LINE_SIZE - 1) >> LINE_BITS
+        n_lines = hi_line - lo_line
         f0, f1 = np.searchsorted(line_f, (lo_line, hi_line))
         w0, w1 = np.searchsorted(line_w, (lo_line, hi_line))
-        base_word = (line_f[f0:f1] << (LINE_BITS - 3)) - (reg.base >> 3)
-        dur = dur_f[f0:f1]
-        mask = mask_f[f0:f1]
-        wb_word = (line_w[w0:w1] << (LINE_BITS - 3)) - (reg.base >> 3)
-        for w in range(LINE_SIZE // 8):
-            idx = base_word + w
-            ok = idx < n_words
-            iw = idx[ok]
-            # Integer weights below 2**53 survive the float64 round trip
-            # exactly, so bincount keeps the accumulators exact.
-            led.vuln_time += np.bincount(
-                iw, weights=dur[ok], minlength=n_words
-            ).astype(np.int64)
-            kept = ok & (((mask >> w) & 1) == 0)
-            led.kept_time += np.bincount(
-                idx[kept], weights=dur[kept], minlength=n_words
-            ).astype(np.int64)
-            led.loads += np.bincount(iw, minlength=n_words).astype(np.int64)
-            widx = wb_word + w
-            led.stores += np.bincount(
-                widx[widx < n_words], minlength=n_words
-            ).astype(np.int64)
-        ledgers[reg.name] = led
+        fill, dur, mask = line_f[f0:f1] - lo_line, dur_f[f0:f1], mask_f[f0:f1]
+        # Integer weights below 2**53 survive the float64 round trip
+        # exactly, so bincount keeps the accumulators exact.
+        kept = np.empty((n_lines, per_line))
+        for w in range(per_line):
+            k = ((mask >> w) & 1) == 0
+            kept[:, w] = np.bincount(fill[k], weights=dur[k], minlength=n_lines)
+        # The region's first word is word ``first`` of its first line.
+        first = (reg.base >> 3) % per_line
+        words = slice(first, first + n_words)
+
+        def to_words(line_counts):
+            return np.repeat(line_counts, per_line)[words].astype(np.int64)
+
+        ledgers[reg.name] = WordLedger(
+            reg.name,
+            n_words,
+            to_words(np.bincount(fill, weights=dur, minlength=n_lines)),
+            kept.ravel()[words].astype(np.int64),
+            to_words(np.bincount(fill, minlength=n_lines)),
+            to_words(np.bincount(line_w[w0:w1] - lo_line, minlength=n_lines)),
+        )
     return ledgers
 
 

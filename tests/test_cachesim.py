@@ -440,15 +440,21 @@ class TestTiming:
 
 
 class TestVictim:
-    """Which line an L1 install evicts.  Lines 0, 8 and 16 share L1 set 0
-    (two ways) and no line of the L2 or L3 set any of them maps to is
-    evicted; a fill is in flight for 199 cycles."""
+    """Which line an install evicts.  In ``tiny_config`` line n maps to L1
+    set n % 8 (two ways), L2 set n % 16 (two ways) and L3 set n % 16 (four
+    ways); a fill is in flight for 199 cycles.  Lines 0, 8 and 16 share L1
+    set 0, and no line of the L2 or L3 set any of them maps to is evicted."""
 
     @staticmethod
-    def _l1_set_after(lines):
-        sim = CacheSimulator(tiny_config())
-        sim.emit(np.zeros(len(lines), dtype=np.uint8), 64 * np.array(lines, dtype=np.int64))
-        return list(sim._levels[0]["sets"][0])
+    def _sim_after(lines, kinds=None, cfg=None):
+        sim = CacheSimulator(cfg or tiny_config())
+        kinds = np.zeros(len(lines)) if kinds is None else np.array(kinds)
+        sim.emit(kinds.astype(np.uint8), 64 * np.array(lines, dtype=np.int64))
+        return sim
+
+    @classmethod
+    def _l1_set_after(cls, lines):
+        return list(cls._sim_after(lines)._levels[0]["sets"][0])
 
     def test_in_flight_lru_line_is_skipped(self):
         # 0 lands while it is hit; 8 is still in flight when 0 is hit
@@ -459,6 +465,38 @@ class TestVictim:
         # 0 and 8 are both in flight; hitting 0 makes 8 the LRU line, but
         # 0's fill completes first.
         assert self._l1_set_after([0, 8, 0, 16]) == [8, 16]
+
+    def test_in_flight_lru_line_is_skipped_in_l2(self):
+        # 0 lands; 16 and 8 are in flight when 0, evicted from L1 by 8,
+        # hits in L2 and moves behind 16.  The miss to 32 finds 16 as L2
+        # set 0's LRU line, still in flight, and evicts 0, the next ready.
+        sim = self._sim_after([0] * 201 + [16, 8, 0, 32])
+        assert list(sim._levels[1]["sets"][0]) == [16, 32]
+
+    def test_in_flight_lru_line_is_skipped_in_l3(self):
+        # 0 lands; 16, 32 and 48 fill L3 set 0 behind it while in flight,
+        # and 0 hits in L3 and moves behind them.  The miss to 64 finds 16
+        # as the LRU line, still in flight, and evicts 0, the next ready.
+        sim = self._sim_after([0] * 201 + [16, 32, 48, 0, 64])
+        assert list(sim._levels[2]["sets"][0]) == [16, 32, 48, 64]
+
+    @pytest.mark.parametrize("lines, marked", [
+        # 16 installs in L2 set 0 after the dirty 0 leaves L1: 0 is still there.
+        ([0, 8, 16], 1),
+        # 32 evicts 0 from L2 set 0 while the L1 hit keeps it in L1; 48 then
+        # evicts the dirty 0 from L1, and only L3 still holds it.
+        ([0, 16, 0, 32, 48], 2),
+    ])
+    def test_dirty_victim_marks_the_next_level_that_holds_it(self, lines, marked):
+        cfg = latency_free(tiny_config())
+        sim = self._sim_after(lines, [1] + [0] * (len(lines) - 1), cfg)
+        sets = [level["sets"][0] for level in sim._levels]
+        assert 0 not in sets[0] and all(0 not in st for st in sets[1:marked])
+        assert sets[marked][0] & 1  # dirty, and no write-back to memory yet
+        assert not any(st.get(0, 0) & 1 for st in sets[marked + 1:])
+        assert REQ_WRITEBACK not in sim._req[1]
+        res = sim.finish()
+        assert list(res.req_line[res.req_kind == REQ_WRITEBACK]) == [0]
 
 
 class TestDeterminismAndIo:
@@ -514,9 +552,25 @@ class TestDeterminismAndIo:
         path = tmp_path / "run.npz"
         res.save(path)
         with zipfile.ZipFile(path) as zf:
-            members = zf.namelist()
-        assert members == ["version.npy", *(f"{n}.npy" for n in arrays),
-                           "scalars.npy"]
+            members = zf.infolist()
+        assert [m.filename for m in members] == [
+            "version.npy", *(f"{n}.npy" for n in arrays), "scalars.npy"]
+        assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
+
+    def test_deflated_result_file_still_loads(self, tmp_path):
+        # Result files were once written deflated, at level 1.
+        kinds, addrs = self._random_trace(46)
+        res = run_sim(tiny_config(), kinds, addrs)
+        members = {"version": np.int64(1)}
+        members |= {name: getattr(res, name) for name, _, _ in STREAMS}
+        members["scalars"] = np.array(
+            [res.t_start, res.t_end, res.n_accesses, res.n_stall_cycles], dtype=np.int64)
+        path = tmp_path / "deflated.npz"
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
+            for name, arr in members.items():
+                with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                    np.lib.format.write_array(fh, np.asanyarray(arr), allow_pickle=False)
+        assert_same_result(SimResult.load(path), res)
 
     def test_simulate_from_trace_file(self, tmp_path):
         kinds, addrs = self._random_trace(44, n=1200)

@@ -16,6 +16,8 @@ import pytest
 from memvuln.cachesim import (
     CAUSE_LOAD_MISS,
     CAUSE_NONE,
+    LINE_BITS,
+    LINE_SIZE,
     REQ_FILL,
     REQ_WRITEBACK,
     CacheConfig,
@@ -27,6 +29,7 @@ from memvuln.trace import TRACKED_STRUCTURES, StructureMap, StructureRegion
 from memvuln.vulnmetrics import (
     AnalysisReport,
     StructureReport,
+    _aligned_fill_stream,
     accumulate,
     analyze,
     structure_report,
@@ -103,6 +106,34 @@ def brute_force_ledgers(result, smap):
             np.array(loads, dtype=np.int64),
             np.array(stores, dtype=np.int64),
         )
+    return out
+
+
+def per_word_ledgers(result, smap):
+    """Reference accumulator: the vectorized per-word loop, one bincount
+    per word of a line and ledger, for regions that start on a line."""
+    line_f, dur_f, mask_f, line_w = _aligned_fill_stream(result)
+    out = {}
+    for reg in smap:
+        n_words = reg.length // 8
+        vuln, kept, loads, stores = (np.zeros(n_words, dtype=np.int64) for _ in range(4))
+        lo_line = reg.base >> LINE_BITS
+        hi_line = (reg.base + reg.length + LINE_SIZE - 1) >> LINE_BITS
+        f0, f1 = np.searchsorted(line_f, (lo_line, hi_line))
+        w0, w1 = np.searchsorted(line_w, (lo_line, hi_line))
+        base_word = (line_f[f0:f1] << (LINE_BITS - 3)) - (reg.base >> 3)
+        dur, mask = dur_f[f0:f1], mask_f[f0:f1]
+        wb_word = (line_w[w0:w1] << (LINE_BITS - 3)) - (reg.base >> 3)
+        for w in range(LINE_SIZE // 8):
+            idx = base_word + w
+            ok = idx < n_words
+            vuln += np.bincount(idx[ok], weights=dur[ok], minlength=n_words).astype(np.int64)
+            k = ok & (((mask >> w) & 1) == 0)
+            kept += np.bincount(idx[k], weights=dur[k], minlength=n_words).astype(np.int64)
+            loads += np.bincount(idx[ok], minlength=n_words).astype(np.int64)
+            widx = wb_word + w
+            stores += np.bincount(widx[widx < n_words], minlength=n_words).astype(np.int64)
+        out[reg.name] = (vuln, kept, loads, stores)
     return out
 
 
@@ -239,6 +270,32 @@ class TestBruteForceEquivalence:
                     assert np.array_equal(
                         getattr(got[name], fieldname), want[name][i]
                     ), (name, fieldname)
+
+    def test_partial_last_line_matches_the_per_word_loop(self):
+        # "a" has 29 words, 5 of them on its last line (line 67), as ``Ar``
+        # has n + 1; "b" starts on that line, at its word 5.
+        rng = random.Random(16)
+        smap = StructureMap([StructureRegion("a", 4096, 29 * 8),
+                             StructureRegion("b", 4096 + 29 * 8, 11 * 8)])
+        for trial in range(200):
+            requests, resolutions = [], {}
+            for line in (64, 66, 67, 67, 68):
+                for t in rng.sample(range(1, 3000), rng.randrange(1, 6)):
+                    if rng.random() < 0.6 and (line * 64, t) not in resolutions:
+                        requests.append((t, REQ_FILL, line * 64))
+                        # Mixed masks: words both inside and past "a".
+                        resolutions[(line * 64, t)] = rng.randrange(256)
+                    elif (line * 64, t) not in resolutions:
+                        requests.append((t, REQ_WRITEBACK, line * 64))
+            res = make_result(requests, resolutions)
+            got = accumulate(res, smap)
+            want = brute_force_ledgers(res, smap)
+            loop = per_word_ledgers(res, StructureMap([smap.region("a")]))
+            for i, name in enumerate(("vuln_time", "kept_time", "loads", "stores")):
+                assert np.array_equal(getattr(got["a"], name), loop["a"][i]), (trial, name)
+                for reg in ("a", "b"):
+                    assert np.array_equal(getattr(got[reg], name), want[reg][i]), (
+                        trial, reg, name)
 
     def test_identities_on_random_streams(self):
         rng = random.Random(99)
