@@ -17,6 +17,10 @@ measured un-ACE probability undercuts its metric bounds; that makes the
 toolkit's central claim (the metrics upper-bound the measured failure
 probability) directly scriptable.
 
+Every output and check of the validation report takes its columns from
+``REPORT_COLUMNS``.  A negative run count or a ``--parallel`` below 1 is
+refused before any work.
+
 Scratch artifacts (cached simulations, campaign logs) live under the
 directory named by ``--scratch`` or the ``MEMVULN_SCRATCH`` environment
 variable; campaign logs are append-only and safely resumable.
@@ -32,7 +36,7 @@ import os
 import sys
 import tempfile
 import time as _time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -48,20 +52,18 @@ from .faultmodel import (
 )
 from .inject import (
     PAD_STRUCTURE,
+    CampaignResult,
     build_context,
     measure_baseline,
     run_campaign,
 )
 from .stats import pearson, spearman
 from .trace import TraceReader, TraceWriter
-from .vulnmetrics import analyze
+from .vulnmetrics import StructureReport, analyze
 
 log = logging.getLogger(__name__)
 
 SCRATCH_ENV = "MEMVULN_SCRATCH"
-
-#: Metrics joined against campaign outcomes in the validation report.
-_METRIC_COLUMNS = ("mvf", "fea", "ld_st_normalized", "dvf")
 
 GNUPLOT_SCRIPT = """\
 # Render the validation figure emitted by `memvuln pipeline`.
@@ -183,7 +185,7 @@ def simulate_problem(
     if os.path.exists(cache_path):
         try:
             return A, b, tol, SimResult.load(cache_path)
-        except Exception as exc:  # pragma: no cover - corrupt cache
+        except Exception as exc:
             log.warning("ignoring unreadable cache %s: %s", cache_path, exc)
     if progress:
         progress(f"simulating side={side} (no cached run)")
@@ -207,22 +209,74 @@ def simulate_problem(
 
 @dataclass
 class StructureValidation:
-    """One structure's metric row joined with its campaign estimate."""
+    """One structure's metric row and its campaign (None if none ran)."""
 
-    name: str
-    mvf: float
-    fea: float
-    safe_ratio: float
-    ld_st_normalized: float
-    dvf: float
-    n_runs: int = 0
-    p_unace: float | None = None
-    ci_low: float | None = None
-    ci_high: float | None = None
-    tally: dict = field(default_factory=dict)
+    metrics: StructureReport
+    campaign: CampaignResult | None = None
 
-    def metric(self, key: str) -> float:
-        return getattr(self, key)
+    @property
+    def name(self) -> str:
+        return self.metrics.name
+
+
+@dataclass(frozen=True)
+class Column:
+    """One column of the validation report and its name in each output:
+    its report.json key, its report.csv header and format spec, its
+    figure.dat header (where every number is .6f), and the terminal
+    summary's template with the spec of the value that fills it.  None
+    leaves the column out of that output.  A campaign column of a structure
+    no campaign ran on reads None: null, empty, 0 and "-" in the four.
+    """
+
+    value: object  # StructureValidation -> the column's value
+    json: str | None = None
+    csv: tuple | None = None
+    plot: str | None = None
+    show: tuple | None = None
+    rescale: bool = False  # figure.dat divides it by its maximum
+    rank: bool = False  # correlated against p_unace
+    bound: bool = False  # must not fall below p_unace's 99% CI
+
+    def text(self, row, output: str, absent: str) -> str:
+        value = self.value(row)
+        return absent if value is None else format(value, getattr(self, output)[1])
+
+
+_METRIC_FIELDS = {f.name: f.metadata for f in fields(StructureReport)}
+
+
+def _metric(attr: str, key: str | None = None, **outputs) -> Column:
+    """A metric report column under ``key`` (default: its field name), with
+    the metric report's own CSV header and format."""
+    key, meta = key or attr, _METRIC_FIELDS[attr]
+    return Column(lambda r: getattr(r.metrics, attr), key,
+                  (meta.get("header", key), meta.get("spec", "")), **outputs)
+
+
+def _campaign(get):
+    return lambda r: None if r.campaign is None else get(r.campaign)
+
+
+#: The validation report's columns, in the order every output writes them.
+REPORT_COLUMNS = (
+    _metric("name", plot="structure", show=("{:<4}", "")),
+    Column(lambda r: 0 if r.campaign is None else r.campaign.n_runs, "n_runs",
+           ("n_runs", "")),
+    Column(_campaign(lambda c: c.p_unace), "p_unace", ("p_unace", ".6f"),
+           "p_unace", ("p_unace={:<8}", ".4f")),
+    Column(_campaign(lambda c: list(c.ci99)), "ci99"),
+    Column(_campaign(lambda c: c.ci99[0]), None, ("ci_low", ".6f"), "ci_low"),
+    Column(_campaign(lambda c: c.ci99[1]), None, ("ci_high", ".6f"), "ci_high"),
+    _metric("mvf", plot="mvf", show=("mvf={}", ".4f"), rank=True, bound=True),
+    _metric("fea", plot="fea", show=("fea={}", ".4f"), rank=True, bound=True),
+    _metric("safe_ratio"),
+    _metric("ld_ratio", "ld_st_normalized", plot="ld_norm",
+            show=("ld={}", ".4f"), rank=True),
+    _metric("dvf", plot="dvf_rescaled", show=("dvf={}", ".3e"), rescale=True,
+            rank=True),
+    Column(lambda r: dict(r.campaign.tally if r.campaign else {}), "tally"),
+)
 
 
 @dataclass
@@ -242,6 +296,7 @@ class ValidationReport:
         return not self.bound_violations
 
     def to_dict(self) -> dict:
+        cols = [c for c in REPORT_COLUMNS if c.json]
         return {
             "schema": 1,
             "side": self.side,
@@ -250,25 +305,7 @@ class ValidationReport:
             "runs_per_structure": self.runs_per_structure,
             "window_cycles": self.T,
             "baseline_iterations": self.baseline_iterations,
-            "structures": [
-                {
-                    "name": r.name,
-                    "n_runs": r.n_runs,
-                    "p_unace": r.p_unace,
-                    "ci99": (
-                        None
-                        if r.p_unace is None
-                        else [r.ci_low, r.ci_high]
-                    ),
-                    "mvf": r.mvf,
-                    "fea": r.fea,
-                    "safe_ratio": r.safe_ratio,
-                    "ld_st_normalized": r.ld_st_normalized,
-                    "dvf": r.dvf,
-                    "tally": dict(r.tally),
-                }
-                for r in self.rows
-            ],
+            "structures": [{c.json: c.value(r) for c in cols} for r in self.rows],
             "correlations": self.correlations,
             "bound_violations": list(self.bound_violations),
         }
@@ -281,61 +318,46 @@ class ValidationReport:
     def write_csv(self, path: str) -> None:
         import csv as _csv
 
+        cols = [c for c in REPORT_COLUMNS if c.csv]
         with open(path, "w", newline="") as fh:
             w = _csv.writer(fh)
             w.writerow(["# schema", "1"])
             w.writerow(["# side", str(self.side)])
             w.writerow(["# seed", str(self.seed)])
             w.writerow(["# window_cycles", str(self.T)])
-            w.writerow(
-                [
-                    "structure",
-                    "n_runs",
-                    "p_unace",
-                    "ci_low",
-                    "ci_high",
-                    "mvf",
-                    "fea",
-                    "safe_ratio",
-                    "ld_st_normalized",
-                    "dvf",
-                ]
-            )
+            w.writerow([c.csv[0] for c in cols])
             for r in self.rows:
-                has = r.p_unace is not None
-                w.writerow(
-                    [
-                        r.name,
-                        r.n_runs,
-                        f"{r.p_unace:.6f}" if has else "",
-                        f"{r.ci_low:.6f}" if has else "",
-                        f"{r.ci_high:.6f}" if has else "",
-                        f"{r.mvf:.6f}",
-                        f"{r.fea:.6f}",
-                        f"{r.safe_ratio:.6f}",
-                        f"{r.ld_st_normalized:.6f}",
-                        f"{r.dvf:.6e}",
-                    ]
-                )
+                w.writerow([c.text(r, "csv", "") for c in cols])
 
     def write_plot_data(self, path: str) -> None:
         """Bar+line figure data: measured probability vs. the metrics."""
-        dvf_max = max((r.dvf for r in self.rows), default=0.0) or 1.0
+        cols = [c for c in REPORT_COLUMNS if c.plot]
+        scale = {c.plot: max((c.value(r) for r in self.rows), default=0.0)
+                 or 1.0 for c in cols if c.rescale}
         with open(path, "w") as fh:
             fh.write("# memvuln figure data v1\n")
-            fh.write(
-                "# index structure p_unace ci_low ci_high "
-                "mvf fea ld_norm dvf_rescaled\n"
-            )
+            fh.write(" ".join(["# index"] + [c.plot for c in cols]) + "\n")
             for i, r in enumerate(self.rows):
-                p = 0.0 if r.p_unace is None else r.p_unace
-                lo = 0.0 if r.ci_low is None else r.ci_low
-                hi = 0.0 if r.ci_high is None else r.ci_high
-                fh.write(
-                    f"{i} {r.name} {p:.6f} {lo:.6f} {hi:.6f} "
-                    f"{r.mvf:.6f} {r.fea:.6f} {r.ld_st_normalized:.6f} "
-                    f"{r.dvf / dvf_max:.6f}\n"
-                )
+                cells = [str(i)]
+                for c in cols:
+                    v = c.value(r)
+                    cells.append(v if isinstance(v, str) else
+                                 f"{(v or 0.0) / scale.get(c.plot, 1.0):.6f}")
+                fh.write(" ".join(cells) + "\n")
+
+    def summary(self) -> list:
+        """The terminal summary: a line per structure, the Spearman
+        coefficients and any bound violations."""
+        cols = [c for c in REPORT_COLUMNS if c.show]
+        lines = [" ".join(c.show[0].format(c.text(r, "show", "-")) for c in cols)
+                 for r in self.rows]
+        if self.correlations:
+            sp = self.correlations["spearman"]
+            lines.append("spearman vs p_unace: "
+                         + "  ".join(f"{k}={v:+.3f}" for k, v in sp.items()))
+        if self.bound_violations:
+            lines += ["bound violations:"] + [f"  {v}" for v in self.bound_violations]
+        return lines
 
 
 def build_validation_report(
@@ -349,48 +371,28 @@ def build_validation_report(
     baseline_iterations: int | None,
 ) -> ValidationReport:
     """Join metric rows with campaign estimates and rank the metrics."""
-    rows = []
-    for rep in analysis.structures:
-        row = StructureValidation(
-            name=rep.name,
-            mvf=rep.mvf,
-            fea=rep.fea,
-            safe_ratio=rep.safe_ratio,
-            ld_st_normalized=rep.ld_ratio,
-            dvf=rep.dvf,
-        )
-        res = campaigns.get(rep.name)
-        if res is not None:
-            row.n_runs = res.n_runs
-            row.p_unace = res.p_unace
-            row.ci_low, row.ci_high = res.ci99
-            row.tally = dict(res.tally)
-        rows.append(row)
-
-    have_campaigns = any(r.p_unace is not None for r in rows)
+    rows = [StructureValidation(rep, campaigns.get(rep.name))
+            for rep in analysis.structures]
+    have_campaigns = any(r.campaign is not None for r in rows)
     if have_campaigns:
-        rows.sort(key=lambda r: (r.p_unace, r.name))
+        rows.sort(key=lambda r: (r.campaign.p_unace, r.name))
 
     correlations: dict = {}
     if have_campaigns and len(rows) > 2:
-        p = np.array([r.p_unace for r in rows])
+        p = np.array([r.campaign.p_unace for r in rows])
         correlations = {"spearman": {}, "pearson": {}}
-        for key in _METRIC_COLUMNS:
-            vals = np.array([r.metric(key) for r in rows])
-            correlations["spearman"][key] = spearman(vals, p)
-            correlations["pearson"][key] = pearson(vals, p)
+        for c in REPORT_COLUMNS:
+            if c.rank:
+                vals = np.array([c.value(r) for r in rows])
+                correlations["spearman"][c.json] = spearman(vals, p)
+                correlations["pearson"][c.json] = pearson(vals, p)
 
-    violations = []
-    for r in rows:
-        if r.p_unace is None:
-            continue
-        for key in ("mvf", "fea"):
-            if r.metric(key) < r.ci_low:
-                violations.append(
-                    f"{r.name}: {key}={r.metric(key):.6f} below "
-                    f"p_unace 99% CI lower bound {r.ci_low:.6f}"
-                )
-
+    violations = [
+        f"{r.name}: {c.json}={c.value(r):.6f} below p_unace 99% CI lower "
+        f"bound {r.campaign.ci99[0]:.6f}"
+        for r in rows if r.campaign is not None
+        for c in REPORT_COLUMNS if c.bound and c.value(r) < r.campaign.ci99[0]
+    ]
     return ValidationReport(
         side=side,
         tol_factor=tol_factor,
@@ -430,7 +432,16 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _check_counts(args, runs_flag: str) -> None:
+    """Refuse a negative run count and a pool of fewer than one worker."""
+    for flag, value, low in ((runs_flag, args.runs, 0),
+                             ("--parallel", args.parallel, 1)):
+        if value < low:
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
 def cmd_inject(args) -> int:
+    _check_counts(args, "--runs")
     cfg = _problem_config(args)
     scratch = _ensure_dir(args.scratch)
     A, b, tol, result = simulate_problem(
@@ -506,6 +517,7 @@ def cmd_faultmodel(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    _check_counts(args, "--runs-per-structure")
     out_dir = _ensure_dir(args.out)
     scratch = _ensure_dir(args.scratch)
     t0 = _time.perf_counter()
@@ -573,22 +585,9 @@ def cmd_pipeline(args) -> int:
     except Exception as exc:
         raise StageError("report", exc) from exc
 
-    for r in report.rows:
-        p = "-" if r.p_unace is None else f"{r.p_unace:.4f}"
-        print(
-            f"{r.name:<4} p_unace={p:<8} mvf={r.mvf:.4f} fea={r.fea:.4f} "
-            f"ld={r.ld_st_normalized:.4f} dvf={r.dvf:.3e}"
-        )
-    if report.correlations:
-        sp = report.correlations["spearman"]
-        print(
-            "spearman vs p_unace: "
-            + "  ".join(f"{k}={sp[k]:+.3f}" for k in _METRIC_COLUMNS)
-        )
+    for line in report.summary():
+        print(line)
     if report.bound_violations:
-        print("bound violations:")
-        for v in report.bound_violations:
-            print(f"  {v}")
         return 1
     print(f"report written to {out_dir}; no bound violations")
     return 0

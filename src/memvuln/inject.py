@@ -646,16 +646,19 @@ def flip_check(ctx: InjectionContext, plan: InjectionPlan):
 # ---------------------------------------------------------------------------
 # Campaign driver
 
-_LOG_FIELDS = (
-    "run",
-    "structure",
-    "bit_index",
-    "inject_time",
-    "outcome",
-    "iterations",
-    "reason",
-    "detail",
+#: The campaign log's columns in order: each is a field of a run's plan or
+#: of its outcome, with the type its text parses to.
+_LOG_COLUMNS = (
+    ("run", "plan", "run_index", int),
+    ("structure", "plan", "structure_id", str),
+    ("bit_index", "plan", "bit_index", int),
+    ("inject_time", "plan", "inject_time", int),
+    ("outcome", "outcome", "outcome", str),
+    ("iterations", "outcome", "iterations", int),
+    ("reason", "outcome", "reason", str),
+    ("detail", "outcome", "detail", str),
 )
+_LOG_NAMES = [name for name, *_ in _LOG_COLUMNS]
 
 _WORKER_STATE: dict = {}
 
@@ -668,17 +671,22 @@ def _worker_run(plan):
     return run_one(_WORKER_STATE["ctx"], plan)
 
 
-def _outcome_row(oc: Outcome) -> dict:
-    return {
-        "run": oc.plan.run_index,
-        "structure": oc.plan.structure_id,
-        "bit_index": oc.plan.bit_index,
-        "inject_time": oc.plan.inject_time,
-        "outcome": oc.outcome,
-        "iterations": oc.iterations,
-        "reason": oc.reason,
-        "detail": oc.detail,
-    }
+def _outcome_row(oc: Outcome) -> list:
+    return [getattr(oc.plan if part == "plan" else oc, attr)
+            for _, part, attr, _ in _LOG_COLUMNS]
+
+
+def _parse_row(cells: list, seed: int) -> Outcome:
+    """The outcome a log row records; its wall time was not measured in
+    this process."""
+    if len(cells) != len(_LOG_COLUMNS):
+        raise ValueError(f"{len(cells)} columns, want {len(_LOG_COLUMNS)}")
+    kw = {"plan": {"seed": seed}, "outcome": {"wall_time": float("nan")}}
+    for (_, part, attr, parse), text in zip(_LOG_COLUMNS, cells):
+        kw[part][attr] = parse(text)
+    if kw["outcome"]["outcome"] not in OUTCOME_CLASSES:
+        raise ValueError(f"unknown outcome {kw['outcome']['outcome']!r}")
+    return Outcome(InjectionPlan(**kw["plan"]), **kw["outcome"])
 
 
 def _log_header(ctx: InjectionContext, structure_id: str, seed: int) -> dict:
@@ -721,24 +729,15 @@ def _read_log(path, want_header: dict):
                     f"campaign's is {want}; delete it to run the campaign "
                     "afresh"
                 )
-        for row in csv.DictReader(fh):
-            plan = InjectionPlan(
-                row["structure"],
-                int(row["bit_index"]),
-                int(row["inject_time"]),
-                want_header["seed"],
-                int(row["run"]),
-            )
-            outcomes.append(
-                Outcome(
-                    plan,
-                    row["outcome"],
-                    int(row["iterations"]),
-                    float("nan"),  # not measured in this process
-                    row["detail"],
-                    row["reason"],
-                )
-            )
+        rows = csv.reader(fh)
+        names = next(rows, _LOG_NAMES)  # absent if torn inside this line
+        if names != _LOG_NAMES:
+            raise ValueError(f"{path}: log refused: its columns are {names}")
+        for i, cells in enumerate(rows):
+            try:
+                outcomes.append(_parse_row(cells, want_header["seed"]))
+            except ValueError as exc:
+                raise ValueError(f"{path}: logged run {i}: {exc}") from None
     return outcomes, end
 
 
@@ -774,10 +773,7 @@ def run_campaign(
             if len(outcomes) > n_runs:
                 outcomes = outcomes[:n_runs]
             for oc, plan in zip(outcomes, plans):
-                if (
-                    oc.plan.bit_index != plan.bit_index
-                    or oc.plan.inject_time != plan.inject_time
-                ):
+                if oc.plan != plan:
                     raise ValueError(
                         f"{log_path}: logged run {plan.run_index} does not "
                         f"match the plan sequence for seed {seed}"
@@ -792,9 +788,9 @@ def run_campaign(
             if fresh:
                 fields = " ".join(f"{k}={v}" for k, v in header.items())
                 log_fh.write(f"# campaign {fields}\n")
-            writer = csv.DictWriter(log_fh, fieldnames=_LOG_FIELDS)
+            writer = csv.writer(log_fh)
             if fresh:
-                writer.writeheader()
+                writer.writerow(_LOG_NAMES)
     pending = plans[len(outcomes) :]
     pool = None
     try:

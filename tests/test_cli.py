@@ -46,6 +46,24 @@ class TestParsing:
             main([])
         assert exc.value.code != 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["pipeline", "--runs-per-structure", "-2"],
+         "--runs-per-structure must be at least 0, got -2"),
+        (["pipeline", "--parallel", "0"], "--parallel must be at least 1, got 0"),
+        (["inject", "campaign", "--structure", "b", "--runs", "-3"],
+         "--runs must be at least 0, got -3"),
+        (["inject", "campaign", "--structure", "b", "--parallel", "0"],
+         "--parallel must be at least 1, got 0"),
+    ], ids=["pipeline-runs", "pipeline-parallel", "inject-runs",
+            "inject-parallel"])
+    def test_bad_run_counts_are_refused(self, tmp_path, capsys, argv, message):
+        if argv[0] == "pipeline":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        code = main(argv + ["--side", "4", "--scratch", str(tmp_path / "s")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())  # refused before any work
+
     def test_scratch_env_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv(SCRATCH_ENV, str(tmp_path / "sc"))
         assert default_scratch() == str(tmp_path / "sc")
@@ -272,6 +290,20 @@ class TestPipeline:
         assert (out / "report.json").read_bytes() == (
             out2 / "report.json"
         ).read_bytes()
+
+    def test_unreadable_cache_is_simulated_again(self, tmp_path, capfd, caplog):
+        _, out_a = self.run_pipeline(tmp_path, "a", runs=0)
+        (cache,) = (tmp_path / "scratch").glob("sim-*.npz")
+        size = cache.stat().st_size
+        with open(cache, "r+b") as fh:
+            fh.truncate(1000)
+        code, out_b = self.run_pipeline(tmp_path, "b", runs=0)
+        assert code == 0
+        assert f"ignoring unreadable cache {cache}" in caplog.text
+        assert "(no cached run)" in capfd.readouterr().err
+        assert cache.stat().st_size == size  # saved again, whole
+        for name in ("report.json", "report.csv", "figure.dat"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_stage_failure_names_the_stage(self, tmp_path, capsys):
         code = main(

@@ -903,6 +903,52 @@ class TestCampaign:
             run_campaign(ctx, "Av", 4, seed=21, log_path=str(path))
         assert path.read_bytes() == before
 
+    @staticmethod
+    def edit_log_line(path, index, edit):
+        """Replace line ``index`` of a log by ``edit`` of its cells."""
+        lines = path.read_bytes().decode().split("\n")
+        end = "\r" if lines[index].endswith("\r") else ""
+        cells = lines[index].removesuffix("\r").split(",")
+        lines[index] = ",".join(edit(cells)) + end
+        path.write_bytes("\n".join(lines).encode())
+
+    @pytest.mark.parametrize("index, edit, message", [
+        (3, lambda c: c[:4] + ["bogus"] + c[5:],
+         "logged run 1: unknown outcome 'bogus'"),
+        (3, lambda c: ["0", "b", "5"], "logged run 1: 3 columns, want 8"),
+        (3, lambda c: c[:5] + ["6.5"] + c[6:],
+         "logged run 1: invalid literal for int() with base 10: '6.5'"),
+        (1, lambda c: c[1:] + c[:1], "log refused: its columns are"),
+    ], ids=["unknown-outcome", "short-row", "non-integer", "column-order"])
+    def test_malformed_log_row_is_refused(
+        self, small_problem, tmp_path, index, edit, message
+    ):
+        *_, ctx = small_problem
+        path = tmp_path / "campaign.csv"
+        run_campaign(ctx, "Av", 4, seed=21, log_path=str(path))
+        self.edit_log_line(path, index, edit)
+        before = path.read_bytes()
+        with pytest.raises(ValueError) as exc:
+            run_campaign(ctx, "Av", 8, seed=21, log_path=str(path))
+        assert str(exc.value).startswith(f"{path}: {message}")
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("column, value", [
+        (0, "2"), (1, "d"), (2, "7"), (3, "9"),
+    ], ids=["run", "structure", "bit_index", "inject_time"])
+    def test_log_row_off_the_plan_sequence_is_refused(
+        self, small_problem, tmp_path, column, value
+    ):
+        # run, structure, bit_index, inject_time: each must be the plan's.
+        *_, ctx = small_problem
+        path = tmp_path / "campaign.csv"
+        run_campaign(ctx, "Av", 4, seed=21, log_path=str(path))
+        self.edit_log_line(
+            path, 3, lambda c: c[:column] + [value] + c[column + 1:])
+        with pytest.raises(ValueError, match=(
+            "logged run 1 does not match the plan sequence for seed 21")):
+            run_campaign(ctx, "Av", 8, seed=21, log_path=str(path))
+
     def test_rows_do_not_depend_on_the_clock(
         self, small_problem, tmp_path, monkeypatch
     ):

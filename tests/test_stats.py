@@ -1,27 +1,31 @@
 """Tests for the in-package statistics: the 99% z, the Wilson interval
 and the two correlation coefficients of the validation report."""
 
+import csv
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import warnings
 from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import memvuln
+from memvuln import cli
 from memvuln.cli import build_validation_report
 from memvuln.inject import CampaignResult
 from memvuln.stats import Z99, pearson, spearman, wilson_ci
 from memvuln.vulnmetrics import AnalysisReport, StructureReport
 
 
-def hand_made_report(metrics, unace, n_runs):
-    """A validation report over hand-written metric rows and campaigns."""
+def hand_made_inputs(metrics, unace, n_runs):
+    """Hand-written metric rows and campaigns: (analysis, campaigns)."""
     analysis = AnalysisReport(T=123_457, t_start=11, t_end=123_468,
                               fit_rate=1e-9)
     campaigns = {}
@@ -36,6 +40,12 @@ def hand_made_report(metrics, unace, n_runs):
             tally={"ACE": n_runs - u, "crash": u},
             p_unace=u / n_runs, ci99=wilson_ci(u, n_runs),
             baseline_iterations=17)
+    return analysis, campaigns
+
+
+def hand_made_report(metrics, unace, n_runs):
+    """A validation report over hand-written metric rows and campaigns."""
+    analysis, campaigns = hand_made_inputs(metrics, unace, n_runs)
     return build_validation_report(
         analysis, campaigns, side=6, tol_factor=1e-8, seed=3, runs=n_runs,
         baseline_iterations=17)
@@ -86,6 +96,134 @@ class TestValidationReportBytes:
     def test_constant_column_report_bytes(self, tmp_path):
         report = hand_made_report(*self.CONSTANT)
         assert self.digest(report, tmp_path) == self.CONSTANT_DIGEST
+
+
+class TestPipelineOutputBytes:
+    """Every file and the terminal summary of `pipeline`, pinned byte for
+    byte over the hand-made reports above and over one without campaigns.
+
+    The stages before the report are replaced by the hand-made metric rows
+    and campaigns, so `report.json` must be the one pinned above.
+    """
+
+    SPREAD = {
+        "report.json": TestValidationReportBytes.SPREAD_DIGEST,
+        "report.csv": (
+            "5069f1aa4cb9321f2f63c723a05171a92fd93dd18b36e81f1185f25b596ea210"),
+        "figure.dat": (
+            "3159a5b45367e3b7cbe111b5bca23d2d3319824236eee796317c8b22877e34a3"),
+        "summary": (
+            "bd77e84e64b9a2d49d38213c1ad31916628c24c65a66af97a4048c55375b22e3"),
+    }
+    CONSTANT = {
+        "report.json": TestValidationReportBytes.CONSTANT_DIGEST,
+        "report.csv": (
+            "eb643b1ba88e65dacdec583f386d762850054d8a056353caf0ae6934770890ea"),
+        "figure.dat": (
+            "235646cf827eef0ce7058670269f8ee6a1e611f06585c80c1766670465bf27d3"),
+        "summary": (
+            "0a92a1c4c60cf9e097efc4dc37eefcd9fd147f3a4e4fd9ea10cfae283eb13bb9"),
+    }
+    NO_CAMPAIGNS = {
+        "report.json": (
+            "42ec46f1648c353a51fe7e58526a1ead4a37f5d0b3a722cd92e1d0826d33f991"),
+        "report.csv": (
+            "ce9627f44ac05ec8a82b9ba3acdbf899abddf1bc3a57813daa05383f7c58b5b7"),
+        "figure.dat": (
+            "7468129601f4de1e6bd99dbdab26e08d231f4654c1e31d9421b5b98e7bc44b06"),
+        "summary": (
+            "760e1240c9376132bef31edafbc86ea525aa59e77f711d1a00d3bcf6c24926b1"),
+    }
+
+    @staticmethod
+    def outputs(monkeypatch, tmp_path, capsys, case, runs):
+        analysis, campaigns = hand_made_inputs(*case)
+        ctx = SimpleNamespace(baseline=SimpleNamespace(iterations=17))
+        monkeypatch.setattr(cli, "simulate_problem", lambda *a, **k: (None,) * 4)
+        monkeypatch.setattr(cli, "default_structure_map", lambda A: None)
+        monkeypatch.setattr(cli, "analyze", lambda result, smap: analysis)
+        monkeypatch.setattr(cli, "build_context", lambda *a: ctx)
+        monkeypatch.setattr(cli, "measure_baseline", lambda c: c.baseline)
+        monkeypatch.setattr(cli, "run_campaign",
+                            lambda c, name, *a, **k: campaigns[name])
+        monkeypatch.chdir(tmp_path)  # the summary names the output directory
+        code = cli.main(["pipeline", "--side", "6", "--seed", "3",
+                         "--runs-per-structure", str(runs),
+                         "--out", "out", "--scratch", "scratch"])
+        got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes())
+               .hexdigest() for name in ("report.json", "report.csv",
+                                         "figure.dat")}
+        got["summary"] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+        return code, got
+
+    def test_spread_outputs(self, monkeypatch, tmp_path, capsys):
+        case = TestValidationReportBytes.SPREAD
+        got = self.outputs(monkeypatch, tmp_path, capsys, case, case[2])
+        assert got == (1, self.SPREAD)  # two structures undercut their CI
+
+    def test_constant_column_outputs(self, monkeypatch, tmp_path, capsys):
+        case = TestValidationReportBytes.CONSTANT
+        got = self.outputs(monkeypatch, tmp_path, capsys, case, case[2])
+        assert got == (0, self.CONSTANT)
+
+    def test_outputs_without_campaigns(self, monkeypatch, tmp_path, capsys):
+        case = TestValidationReportBytes.SPREAD
+        got = self.outputs(monkeypatch, tmp_path, capsys, case, 0)
+        assert got == (0, self.NO_CAMPAIGNS)
+
+
+class TestReportColumns:
+    """Every output of the validation report follows `REPORT_COLUMNS`."""
+
+    @staticmethod
+    def names(output):
+        return [getattr(c, output) for c in cli.REPORT_COLUMNS
+                if getattr(c, output)]
+
+    def test_every_output_follows_the_declaration(self, tmp_path):
+        analysis, campaigns = hand_made_inputs(*TestValidationReportBytes.SPREAD)
+        report = build_validation_report(
+            analysis, campaigns, side=6, tol_factor=1e-8, seed=3, runs=200,
+            baseline_iterations=17)
+        structures = report.to_dict()["structures"]
+        assert [list(doc) for doc in structures] == [self.names("json")] * 9
+
+        report.write_csv(tmp_path / "report.csv")
+        with open(tmp_path / "report.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))[4:]
+        assert header == [name for name, _ in self.names("csv")]
+        # The metric columns are written as `memvuln metrics` writes them.
+        analysis.write_csv(tmp_path / "metrics.csv")
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            m_header, *m_rows = list(csv.reader(fh))[3:]
+        metrics = {row[0]: dict(zip(m_header, row)) for row in m_rows}
+        renamed = {"structure": "structure", "ld_st_normalized": "ld_ratio"}
+        for row in rows:
+            cells = dict(zip(header, row))
+            for name in ("mvf", "fea", "safe_ratio", "ld_st_normalized", "dvf"):
+                want = metrics[cells["structure"]][renamed.get(name, name)]
+                assert cells[name] == want
+
+        report.write_plot_data(tmp_path / "figure.dat")
+        plot_header = (tmp_path / "figure.dat").read_text().splitlines()[1]
+        assert plot_header.split() == ["#", "index"] + self.names("plot")
+        # figure.gp's column numbers name the columns it plots.
+        used = [plot_header.split()[int(n)] for n in
+                re.findall(r"using 1:(\d+)", cli.GNUPLOT_SCRIPT)]
+        assert used == ["p_unace", "p_unace", "mvf", "fea", "ld_norm",
+                        "dvf_rescaled"]
+
+        labels = [template.split("{")[0] for template, _ in self.names("show")]
+        for line in report.summary()[:9]:
+            assert [t[:t.find("=") + 1] for t in line.split()] == labels
+
+        ranked = [c.json for c in cli.REPORT_COLUMNS if c.rank]
+        assert [list(report.correlations[k]) for k in ("spearman", "pearson")
+                ] == [ranked, ranked]
+        bounds = {c.json for c in cli.REPORT_COLUMNS if c.bound}
+        named = {v.split(": ")[1].split("=")[0] for v in report.bound_violations}
+        assert named and named <= bounds
 
 
 def same_bits(a, b) -> bool:
