@@ -4,9 +4,10 @@ The simulator is an observer of the solver's access stream: each access
 is a kind (load or store; any other is refused) and the 8-byte-aligned
 address of the 64-bit word it touches.
 It produces the main-memory request stream — fills and write-backs with
-simulated timestamps — plus one resolution per fill recording, per word
-of the fetched line, whether the word was consumed or overwritten before
-any load (bit w of ``res_mask`` set means word w was overwritten).  The
+simulated timestamps, in time order — plus one resolution per fill
+recording, per word of the fetched line, whether the word was consumed
+or overwritten before any load (bit w of ``res_mask`` set means word w
+was overwritten).  The
 first access to a word after its fill resolves it: a load consumes it, a
 store overwrites it.  A word still unaccessed when its line leaves the
 hierarchy (or at the end) counts as consumed, conservatively.
@@ -273,6 +274,12 @@ class SimResult:
     def n_writebacks(self) -> int:
         return int(np.sum(self.req_kind == REQ_WRITEBACK))
 
+    def by_line(self) -> np.ndarray:
+        """The request rows in (line, time) order: the requests are in time
+        order (``load`` refuses a stream that is not), so a stable sort by
+        line."""
+        return np.argsort(self.req_line, kind="stable")
+
     def save(self, path) -> None:
         """Write the arrays as ``.npy`` members of a zip, with ``np.savez``.
 
@@ -296,7 +303,10 @@ class SimResult:
             if int(z["version"]) != 1:
                 raise ValueError("unsupported result file version")
             arrays = (z[name] for name, _, _ in STREAMS)
-            return cls(*arrays, *(int(v) for v in z["scalars"]))
+            result = cls(*arrays, *(int(v) for v in z["scalars"]))
+        if np.any(result.req_time[1:] < result.req_time[:-1]):
+            raise ValueError("request stream is not in time order")
+        return result
 
 
 class _BlockReplay(NamedTuple):

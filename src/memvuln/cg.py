@@ -22,11 +22,16 @@ finds from it where a flipped word is read or written.  Both run the
 recurrence through the one loop, ``iterate``, with their own hooks; the
 loop can resume from a saved state (``LoopState`` and the vectors),
 which is how injected runs skip the fault-free prefix.
+
+``memory_image`` is the one statement of what a solve works on: the
+nine tracked structures by name, the inputs shared with the problem and
+the ``STATE_VECTORS`` zeroed.  ``solve``, the injector's baseline and
+its injected runs all start from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +77,11 @@ class CsrMatrix:
     @property
     def nnz(self) -> int:
         return len(self.col_idx)
+
+    def nz_rows(self) -> np.ndarray:
+        """The row of each nonzero (int64, nnz)."""
+        rows = np.arange(self.n_rows, dtype=np.int64)
+        return np.repeat(rows, np.diff(self.row_ptr))
 
 
 def generate_poisson27(side: int) -> CsrMatrix:
@@ -148,20 +158,17 @@ def spmv(A: CsrMatrix, v: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-@dataclass
-class CgVectors:
-    """Working storage for one solve.  Injection campaigns flip bits in
-    their own memory image (``inject._InjectedSolve.arr``), not here."""
+#: The vectors a solve writes; it only ever reads the other structures.
+STATE_VECTORS = ("x", "g", "d", "dp", "q")
 
-    x: np.ndarray
-    g: np.ndarray
-    d: np.ndarray
-    dp: np.ndarray
-    q: np.ndarray
 
-    @classmethod
-    def allocate(cls, n: int) -> "CgVectors":
-        return cls(*(np.zeros(n) for _ in range(5)))
+def memory_image(A: CsrMatrix, b: np.ndarray) -> dict:
+    """The arrays of the nine tracked structures, by name, as a solve
+    starts: the inputs are ``A``'s arrays and ``b`` themselves, not
+    copies, and each of the ``STATE_VECTORS`` is a fresh zero vector."""
+    inputs = {"Ar": A.row_ptr, "Ac": A.col_idx, "Av": A.values, "b": b}
+    return {name: inputs[name] if name in inputs else np.zeros(A.n_rows)
+            for name in TRACKED_STRUCTURES}
 
 
 @dataclass
@@ -170,6 +177,7 @@ class SolveRecord:
     converged: bool
     final_residual_norm_sq: float
     verified: bool
+    x: np.ndarray = field(repr=False, compare=False)  # the final iterate
 
 
 def verify(A: CsrMatrix, b: np.ndarray, x: np.ndarray, tol: float) -> bool:
@@ -301,7 +309,7 @@ def iterate(
     start=LoopState(),
     boundary=_no_hook,
 ):
-    """The solver loop over the named vectors ``arr`` (b, x, g, d, dp, q).
+    """The solver loop over the memory image ``arr`` (see ``memory_image``).
 
     ``open_phase(phase, t, parity)`` runs as each phase opens and
     ``product(phase, parity, out)`` writes a sweep's sparse product to
@@ -361,7 +369,6 @@ def solve(
     *,
     tol: float,
     t_max: int = T_MAX,
-    vectors: CgVectors | None = None,
     observer=None,
 ) -> SolveRecord:
     """Run the solver loop (``iterate``) and verify against (A, b).
@@ -371,15 +378,11 @@ def solve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = A.n_rows
-    if len(b) != n:
+    if len(b) != A.n_rows:
         raise ValueError("dimension mismatch")
     if np.any(np.diff(A.row_ptr) == 0):
         raise ValueError("matrices with empty rows are not supported")
-    v = vectors if vectors is not None else CgVectors.allocate(n)
-    arr = {"b": b, "x": v.x, "g": v.g, "d": v.d, "dp": v.dp, "q": v.q}
-    for name in ("x", "g", "q", "d", "dp"):
-        arr[name][:] = 0.0
+    arr = memory_image(A, b)
 
     def product(phase, parity, out):
         spmv(A, arr[phase.source(parity)], out=out)
@@ -394,8 +397,8 @@ def solve(
 
     converged, iterations, eps = iterate(arr, tol, t_max, open_phase, product)
 
-    verified = converged and verify(A, b, v.x, tol)
-    return SolveRecord(iterations, converged, float(eps), verified)
+    verified = converged and verify(A, b, arr["x"], tol)
+    return SolveRecord(iterations, converged, float(eps), verified, arr["x"])
 
 
 class _AccessEmitter:
@@ -443,7 +446,7 @@ class _AccessEmitter:
             for k in (0, 1):
                 put(phase.row_ptr_ord(k, rows, A.row_ptr), "Ar", KIND_LOAD, rows + k)
             j = np.arange(A.nnz, dtype=np.int64)
-            row_of = np.repeat(rows, np.diff(A.row_ptr))
+            row_of = A.nz_rows()
             for k, (name, idx) in enumerate(
                 zip(phase.nz_operands(parity), (j, j, A.col_idx))
             ):

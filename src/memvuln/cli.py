@@ -54,7 +54,6 @@ from .inject import (
     PAD_STRUCTURE,
     CampaignResult,
     build_context,
-    measure_baseline,
     run_campaign,
 )
 from .stats import pearson, spearman
@@ -157,10 +156,7 @@ def replay_trace(path: str, cfg: CacheConfig):
 
 def _config_digest(cfg: CacheConfig) -> str:
     raw = json.dumps(
-        {
-            name: astuple(lv)
-            for name, lv in (("l1", cfg.l1), ("l2", cfg.l2), ("l3", cfg.l3))
-        }
+        {name: astuple(lv) for name, lv in cfg.levels()}
         | {"line": LINE_SIZE, "mem": cfg.memory_latency},
         sort_keys=True,
     )
@@ -370,10 +366,16 @@ def build_validation_report(
     runs: int,
     baseline_iterations: int | None,
 ) -> ValidationReport:
-    """Join metric rows with campaign estimates and rank the metrics."""
+    """Join metric rows with campaign estimates and rank the metrics.
+
+    ``campaigns`` must cover every structure of ``analysis`` or none.
+    """
     rows = [StructureValidation(rep, campaigns.get(rep.name))
             for rep in analysis.structures]
-    have_campaigns = any(r.campaign is not None for r in rows)
+    missing = [r.name for r in rows if r.campaign is None]
+    have_campaigns = len(missing) < len(rows)
+    if have_campaigns and missing:
+        raise ValueError(f"no campaign for structures {', '.join(missing)}")
     if have_campaigns:
         rows.sort(key=lambda r: (r.campaign.p_unace, r.name))
 
@@ -449,7 +451,6 @@ def cmd_inject(args) -> int:
         progress=lambda msg: print(msg, file=sys.stderr),
     )
     ctx = build_context(A, b, tol, result)
-    measure_baseline(ctx)
     log_path = args.log or _campaign_log(scratch, args, args.structure, args.seed)
     res = run_campaign(
         ctx,
@@ -548,7 +549,6 @@ def cmd_pipeline(args) -> int:
     if args.runs > 0:
         try:
             ctx = build_context(A, b, tol, result)
-            measure_baseline(ctx)
             baseline_iterations = ctx.baseline.iterations
             names = [r.name for r in analysis.structures]
             for i, name in enumerate(names):

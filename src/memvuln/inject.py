@@ -7,23 +7,26 @@ of the word: it becomes visible to the program only when memory next
 serves that word's line, and it is silently erased when the next traffic
 for the line is a write-back (the cached copy was newer) or when the
 line never travels again.  The reference request stream recorded by the
-cache simulator decides which of these happens and pins the exact
-program access ordinal at which the flipped value first reaches the
-hierarchy; the instrumented solver below applies the flip at precisely
-that point, splitting a phase's vectorized work when the ordinal lands
-inside it.
+cache simulator, read in its line order (``SimResult.by_line``), decides
+which of these happens and pins the exact program access ordinal at
+which the flipped value first reaches the hierarchy; the instrumented
+solver below applies the flip at precisely that point, splitting a
+phase's vectorized work when the ordinal lands inside it.  Each run
+works on a copy of the solver's memory image (``cg.memory_image``) that
+shares every input with the problem except the one its flip targets.
 
-No run repeats the fault-free work it shares with the baseline.  The
+No run repeats the fault-free work it shares with the baseline, which
+``build_context`` measures, so a context is whole from the start.  The
 baseline keeps a checkpoint as each of its iterations opens: the
-vectors x, g, d, dp and q, the loop's scalars, and the iteration's first
-access ordinal.  An injected run restarts from the last checkpoint at
-or before its flip's ordinal, since up to there it is the baseline bit
-for bit.  A flip that never surfaces (``silent``, ``writeback``) leaves
-the memory image the baseline's for the whole run, so the plan gets the
-baseline's row without a solve; an ``erased`` flip does the same from
-the moment the store overwrites it, so its run ends there.  Only
-``Outcome.wall_time``, which no log row carries, tells these rows from
-full replays.
+vectors x, g, d, dp and q (``cg.STATE_VECTORS``), the loop's scalars,
+and the iteration's first access ordinal.  An injected run restarts
+from the last checkpoint at or before its flip's ordinal, since up to
+there it is the baseline bit for bit.  A flip that never surfaces
+(``silent``, ``writeback``) leaves the memory image the baseline's for
+the whole run, so the plan gets the baseline's row without a solve; an
+``erased`` flip does the same from the moment the store overwrites it,
+so its run ends there.  Only ``Outcome.wall_time``, which no log row
+carries, tells these rows from full replays.
 
 Every run is classified into exactly one outcome class:
 
@@ -56,12 +59,14 @@ import numpy as np
 
 from .cg import (
     PAGE,
+    STATE_VECTORS,
     T_MAX,
     CsrMatrix,
     LoopState,
     Phase,
     default_structure_map,
     iterate,
+    memory_image,
     spmv,
     verify,
 )
@@ -127,17 +132,12 @@ class Outcome:
     reason: str = ""  # fill, silent, writeback or erased
 
 
-#: The solver vectors a checkpoint keeps; a fault-free solve never
-#: writes its inputs.
-_STATE_VECTORS = ("x", "g", "d", "dp", "q")
-
-
 class _Checkpoint(NamedTuple):
     """The fault-free solve as one iteration opens."""
 
     ordinal: int  # the iteration's first access ordinal
     state: LoopState
-    vectors: dict  # _STATE_VECTORS by buffer name; d and dp are not roles
+    vectors: dict  # STATE_VECTORS by buffer name; d and dp are not roles
 
 
 @dataclass(frozen=True)
@@ -189,35 +189,25 @@ class _SegFault(RuntimeError):
     """Emulates what natively compiled row loops do with escaped bounds."""
 
 
-class _Paused(Exception):
-    """Raised by the paused test mode right after the flip is applied."""
-
-    def __init__(self, clean: bool):
-        super().__init__("paused after flip")
-        self.clean = clean
-
-
 @dataclass
 class InjectionContext:
-    """Pristine problem, reference traffic index, and campaign settings."""
+    """Pristine problem, its fault-free baseline, reference traffic index,
+    and campaign settings."""
 
     A: CsrMatrix
     b: np.ndarray
     tol: float
     t_max: int
     regions: dict  # name -> (base, length); includes the pad control region
-    T: int
-    t_start: int
-    # reference request stream sorted by (line, time)
-    ref_line: np.ndarray
-    ref_time: np.ndarray
-    ref_kind: np.ndarray
-    ref_ord: np.ndarray
+    ref: SimResult  # the reference request stream
+    ref_order: np.ndarray  # its rows in (line, time) order (``by_line``)
+    ref_line: np.ndarray  # its lines in that order
     # column-occurrence index of the matrix: positions of each column value
     col_order: np.ndarray
     col_sorted: np.ndarray
     row_of: np.ndarray
-    baseline: Baseline | None = None
+    baseline: Baseline
+    image: dict  # the pristine memory image (``cg.memory_image``)
 
     @property
     def n(self) -> int:
@@ -237,68 +227,61 @@ def build_context(
     tol: float,
     result: SimResult,
 ) -> InjectionContext:
-    """Index the reference run so individual plans resolve in O(log N)."""
+    """Index the reference run so individual plans resolve in O(log N),
+    and measure the fault-free baseline (``measure_baseline``)."""
     regions = {r.name: (r.base, r.length) for r in default_structure_map(A)}
     pad_base = max(-(-(base + length) // PAGE) * PAGE
                    for base, length in regions.values())
     regions[PAD_STRUCTURE] = (pad_base, 8 * PAD_WORDS)
-    order = np.lexsort((result.req_time, result.req_line))
-    ctx = InjectionContext(
+    b, tol = np.asarray(b, dtype=np.float64), float(tol)
+    order = result.by_line()
+    return InjectionContext(
         A=A,
-        b=np.asarray(b, dtype=np.float64),
-        tol=float(tol),
+        b=b,
+        tol=tol,
         t_max=T_MAX,
         regions=regions,
-        T=result.T,
-        t_start=result.t_start,
+        ref=result,
+        ref_order=order,
         ref_line=result.req_line[order],
-        ref_time=result.req_time[order],
-        ref_kind=result.req_kind[order],
-        ref_ord=result.req_ord[order],
         col_order=np.argsort(A.col_idx, kind="stable"),
         col_sorted=np.sort(A.col_idx, kind="stable"),
-        row_of=np.repeat(
-            np.arange(A.n_rows, dtype=np.int64), np.diff(A.row_ptr)
-        ),
+        row_of=A.nz_rows(),
+        baseline=measure_baseline(A, b, tol),
+        image=memory_image(A, b),
     )
-    return ctx
 
 
-def measure_baseline(ctx: InjectionContext) -> Baseline:
-    """Fault-free reference run; campaigns refuse to start without one.
+def measure_baseline(A: CsrMatrix, b: np.ndarray, tol: float) -> Baseline:
+    """Fault-free reference run, capped at ``T_MAX`` iterations.
 
     One pass of the solver loop keeps a checkpoint as each iteration
     opens.  An iteration's first access ordinal is the sum of the lengths
     of every phase opened before it, the same cursor the injector keeps.
     """
-    arr = {"b": ctx.b, **{k: np.zeros(ctx.n) for k in _STATE_VECTORS}}
+    arr = memory_image(A, b)
     cum = 0
     kept = []
 
     def open_phase(phase, t, parity):
         nonlocal cum
-        cum += phase.length(ctx.n, ctx.nnz)
+        cum += phase.length(A.n_rows, A.nnz)
 
     def product(phase, parity, out):
-        spmv(ctx.A, arr[phase.source(parity)], out=out)
+        spmv(A, arr[phase.source(parity)], out=out)
 
     def boundary(state):
-        vectors = {k: arr[k].copy() for k in _STATE_VECTORS}
+        vectors = {k: arr[k].copy() for k in STATE_VECTORS}
         kept.append(_Checkpoint(cum, state, vectors))
 
     t0 = _time.perf_counter()
     converged, iterations, _ = iterate(
-        arr, ctx.tol, ctx.t_max, open_phase, product, boundary=boundary
+        arr, tol, T_MAX, open_phase, product, boundary=boundary
     )
     wall = _time.perf_counter() - t0
-    if not (converged and verify(ctx.A, ctx.b, arr["x"], ctx.tol)):
+    if not (converged and verify(A, b, arr["x"], tol)):
         raise RuntimeError("baseline run did not converge and verify")
-    ctx.baseline = Baseline(
-        iterations=iterations,
-        wall_time=wall,
-        checkpoints=tuple(kept),
-    )
-    return ctx.baseline
+    return Baseline(iterations=iterations, wall_time=wall, checkpoints=tuple(kept))
 
 
 def resolve_visibility(ctx: InjectionContext, plan: InjectionPlan):
@@ -313,31 +296,30 @@ def resolve_visibility(ctx: InjectionContext, plan: InjectionPlan):
     if not 0 <= plan.bit_index < 8 * length:
         raise ValueError("bit index outside the structure")
     line_addr = (base + 8 * plan.word_index) & -LINE_SIZE
-    u_abs = ctx.t_start + plan.inject_time
+    u_abs = ctx.ref.t_start + plan.inject_time
     lo = np.searchsorted(ctx.ref_line, line_addr, side="left")
     hi = np.searchsorted(ctx.ref_line, line_addr, side="right")
-    if lo == hi:
+    rows = ctx.ref_order[lo:hi]  # the line's requests, in time order
+    pos = np.searchsorted(ctx.ref.req_time[rows], u_abs, side="left")
+    if pos == len(rows):
         return None, "silent"
-    pos = lo + np.searchsorted(ctx.ref_time[lo:hi], u_abs, side="left")
-    if pos == hi:
-        return None, "silent"
-    if ctx.ref_kind[pos] != REQ_FILL:
+    if ctx.ref.req_kind[rows[pos]] != REQ_FILL:
         return None, "writeback"
-    return int(ctx.ref_ord[pos]), "fill"
+    return int(ctx.ref.req_ord[rows[pos]]), "fill"
 
 
 def draw_plans(ctx: InjectionContext, structure_id: str, n_runs: int, seed: int):
     """Deterministic plan sequence for a campaign."""
     if structure_id not in ctx.regions:
         raise ValueError(f"unknown structure: {structure_id}")
-    if ctx.T < 2:
+    if ctx.ref.T < 2:
         raise ValueError("window too short to inject strictly inside it")
     bits = ctx.structure_bits(structure_id)
     rng = np.random.Generator(np.random.Philox(seed))
     plans = []
     for i in range(n_runs):
         bit = int(rng.integers(0, bits))
-        at = int(rng.integers(1, ctx.T))  # strictly inside the window
+        at = int(rng.integers(1, ctx.ref.T))  # strictly inside the window
         plans.append(InjectionPlan(structure_id, bit, at, seed, i))
     return plans
 
@@ -347,7 +329,8 @@ def draw_plans(ctx: InjectionContext, structure_id: str, n_runs: int, seed: int)
 
 
 class _Stop(Exception):
-    """The run ends early: its flip was erased."""
+    """The run ends early: its flip was erased (or, in a flip check,
+    applied)."""
 
 
 class _InjectedSolve:
@@ -370,7 +353,7 @@ class _InjectedSolve:
     real program would.
     """
 
-    def __init__(self, ctx: InjectionContext, plan: InjectionPlan, apply_ord, pause=False):
+    def __init__(self, ctx: InjectionContext, plan: InjectionPlan, apply_ord):
         self.ctx = ctx
         self.n, self.nnz = ctx.n, ctx.nnz
         self.rp = ctx.A.row_ptr  # pristine schedule reference
@@ -382,45 +365,30 @@ class _InjectedSolve:
         self.e = apply_ord if apply_ord is not None else -1
         self.applied = False
         self.erased = False
-        self.pause = pause
         self.cum = 0
         self.e_off = None  # flip ordinal within the open phase, if inside it
         self.iter_done = 0
         self.ar_flip_entry = None
 
-        # The memory image: inputs are shared with the pristine problem
-        # except the one the flip targets.  No pad plan ever surfaces, so
-        # none gets a runner.
-        inputs = {
-            "Ar": ctx.A.row_ptr, "Ac": ctx.A.col_idx, "Av": ctx.A.values, "b": ctx.b
-        }
-        self.arr = {k: v.copy() if k == target else v for k, v in inputs.items()}
-        for name in _STATE_VECTORS:
-            self.arr[name] = np.zeros(self.n)
+        # Copies of the pristine state vectors and of the flip's target, in
+        # structure order, so a copied input precedes them on the heap.
+        # Copied after fresh state vectors, its pages were handed back and
+        # faulted in again between runs (a loop of side-16 Ac runs took
+        # twice as long).
+        self.arr = {k: v.copy() if k == target or k in STATE_VECTORS else v
+                    for k, v in ctx.image.items()}
         self.rp_w, self.ci_w, self.av_w = (self.arr[k] for k in ("Ar", "Ac", "Av"))
         self.prod = None  # the last sweep's products, Av[j] * src[Ac[j]]
 
     # -- flip plumbing -------------------------------------------------------
 
     def _apply(self):
-        snapshot = None
-        if self.pause:
-            snapshot = {k: v.copy() for k, v in self.arr.items()}
-        arr = self.arr[self.target]
-        view = arr.view(np.uint64)
+        view = self.arr[self.target].view(np.uint64)
         view[self.word] = view[self.word] ^ np.uint64(1 << self.bit)
         self.pending = False
         self.applied = True
         if self.target == "Ar":
             self.ar_flip_entry = self.word
-        if self.pause:
-            diffs = []
-            for name, cur in self.arr.items():
-                delta = cur.view(np.uint64) ^ snapshot[name].view(np.uint64)
-                for i in np.nonzero(delta)[0]:
-                    diffs.append((name, int(i), int(delta[i])))
-            clean = diffs == [(self.target, self.word, 1 << self.bit)]
-            raise _Paused(clean)
 
     def _cancel(self):
         self.pending = False
@@ -551,8 +519,7 @@ class _InjectedSolve:
 
     def _restart(self) -> LoopState:
         """Load the last checkpoint at or before the flip ordinal, if any."""
-        bl = self.ctx.baseline
-        checkpoints = bl.checkpoints if bl is not None else ()
+        checkpoints = self.ctx.baseline.checkpoints
         i = bisect_right(checkpoints, self.e, key=lambda c: c.ordinal)
         if i == 0:
             return LoopState()
@@ -589,8 +556,6 @@ def run_one(ctx: InjectionContext, plan: InjectionPlan) -> Outcome:
     count unconverged stops there as a hang (or at the solver's own cap
     ``t_max``, should that be lower).
     """
-    if ctx.baseline is None:
-        raise RuntimeError("no baseline run; call measure_baseline first")
     bl = ctx.baseline
     t0 = _time.perf_counter()
     apply_ord, reason = resolve_visibility(ctx, plan)
@@ -624,23 +589,38 @@ def run_one(ctx: InjectionContext, plan: InjectionPlan) -> Outcome:
     return outcome(OUTCOME_WRONG, iterations, detail)
 
 
+class _PausedSolve(_InjectedSolve):
+    """A run that stops as its flip is applied, noting in ``clean`` whether
+    the flip changed the planned bit and nothing else of the image."""
+
+    clean = None
+
+    def _apply(self):
+        before = {k: v.copy() for k, v in self.arr.items()}
+        super()._apply()
+        diffs = []
+        for name, cur in self.arr.items():
+            delta = cur.view(np.uint64) ^ before[name].view(np.uint64)
+            for i in np.nonzero(delta)[0]:
+                diffs.append((name, int(i), int(delta[i])))
+        self.clean = diffs == [(self.target, self.word, 1 << self.bit)]
+        raise _Stop
+
+
 def flip_check(ctx: InjectionContext, plan: InjectionPlan):
-    """Paused mode: pause at the injection instant and audit the image.
+    """Pause at the injection instant and audit the image.
 
     Returns True when exactly the planned bit of the planned word of the
     planned structure changed and nothing else did, False when the image
     differs in any other way, and None when the plan never surfaces (no
-    memory image ever carries the flip).
+    memory image ever carries the flip) or is erased before it is applied.
     """
     apply_ord, _reason = resolve_visibility(ctx, plan)
     if apply_ord is None:
         return None
-    runner = _InjectedSolve(ctx, plan, apply_ord, pause=True)
-    try:
-        runner.run(ctx.t_max)
-    except _Paused as p:
-        return p.clean
-    return None  # erased mid-phase before ever being applied
+    runner = _PausedSolve(ctx, plan, apply_ord)
+    runner.run(ctx.t_max)
+    return runner.clean
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +676,7 @@ def _log_header(ctx: InjectionContext, structure_id: str, seed: int) -> dict:
         "structure": structure_id,
         "seed": seed,
         "baseline": ctx.baseline.iterations,
-        "T": ctx.T,
+        "T": ctx.ref.T,
         "hang_iters": HANG_ITERS,
     }
 
@@ -757,11 +737,6 @@ def run_campaign(
     sequence is a pure function of the seed, making the resumed tail
     exactly the runs the interrupted campaign would have done.
     """
-    if ctx.baseline is None:
-        raise RuntimeError(
-            "campaign refused: measure a baseline run first "
-            "(measure_baseline)"
-        )
     plans = draw_plans(ctx, structure_id, n_runs, seed)
     header = _log_header(ctx, structure_id, seed)
     outcomes = []

@@ -43,6 +43,9 @@ _REGION_FMT = "<16sQQ"
 _REGION_SIZE = struct.calcsize(_REGION_FMT)
 _BLOCK_DTYPE = np.dtype("<u8")
 
+#: The most events ``TraceReader.iter_blocks`` yields at once.
+BLOCK_EVENTS = 1 << 20
+
 
 def check_kinds(kinds: np.ndarray, n_addrs: int) -> None:
     """Refuse kinds that do not pair one to one with ``n_addrs`` addresses
@@ -216,13 +219,13 @@ class TraceReader:
                 f"the header {n_events}"
             )
 
-    def iter_blocks(self, block_events: int = 1 << 20):
+    def iter_blocks(self):
         """Yield the writer's blocks as structured-record arrays, each
-        split into parts of at most block_events."""
+        split into parts of at most ``BLOCK_EVENTS``."""
         self._fh.seek(self._data_offset)
         for length in self._blocks.tolist():
             while length:
-                take = min(length, block_events)
+                take = min(length, BLOCK_EVENTS)
                 block = np.fromfile(self._fh, dtype=RECORD_DTYPE, count=take)
                 if len(block) < take:
                     raise TraceFormatError(

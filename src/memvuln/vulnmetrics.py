@@ -132,9 +132,9 @@ def _aligned_fill_stream(result: SimResult):
     sorted copy is dropped as soon as it has been used: the request
     stream is the largest thing ``analyze`` holds.
     """
-    lines = result.req_line >> LINE_BITS
-    order = np.lexsort((result.req_time, lines))
-    lines = lines[order]
+    order = result.by_line()
+    lines = result.req_line[order]
+    lines >>= LINE_BITS
     times = result.req_time[order]
     kinds = result.req_kind[order]
     del order

@@ -45,7 +45,6 @@ from memvuln.inject import (
     PAD_STRUCTURE,
     build_context,
     flip_check,
-    measure_baseline,
     run_campaign,
     wilson_ci,
 )
@@ -134,9 +133,7 @@ def small(live_note):
 
 @pytest.fixture(scope="session")
 def ctx(desk):
-    c = build_context(desk.A, desk.b, desk.tol, desk.result)
-    measure_baseline(c)
-    return c
+    return build_context(desk.A, desk.b, desk.tol, desk.result)
 
 
 @pytest.fixture(scope="session")

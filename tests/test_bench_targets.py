@@ -13,7 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
+from memvuln import inject
 from memvuln.cachesim import CacheSimulator, SimResult
+from memvuln.cg import solve
+from memvuln.cli import build_problem
 from memvuln.trace import KIND_LOAD, KIND_STORE
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -55,3 +58,26 @@ def test_result_counters_read_from_finish_and_load(tmp_path):
         counts = sim_counts(res)
         assert {k: counts[k] for k in want} == want
         assert counts["window_cycles"] == result.T > 0
+
+
+def test_build_context_measures_the_baseline_through_the_module_global(
+    monkeypatch,
+):
+    # The recorder rebinds ``memvuln.inject.measure_baseline``, and reads the
+    # baseline's wall time off the wrapped call's result.
+    (attrs,) = [a for _l, mod, qual, a in load_spans().TARGETS
+                if (mod, qual) == ("memvuln.inject", "measure_baseline")]
+    seen = []
+    measure = inject.measure_baseline
+
+    def spy(*args, **kwargs):
+        seen.append(measure(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(inject, "measure_baseline", spy)
+    A, b, tol = build_problem(3, 1e-8)
+    sim = CacheSimulator()
+    solve(A, b, tol=tol, observer=sim)
+    ctx = inject.build_context(A, b, tol, sim.finish())
+    assert len(seen) == 1 and ctx.baseline is seen[0]
+    assert attrs((), {}, seen[0])["wall_time"] == ctx.baseline.wall_time > 0

@@ -31,7 +31,8 @@ from memvuln.cachesim import (
     LevelConfig,
     SimResult,
 )
-from memvuln.cli import replay_trace
+from memvuln.cg import solve
+from memvuln.cli import build_problem, replay_trace
 from memvuln.trace import KIND_LOAD, KIND_STORE, StructureMap, StructureRegion, TraceWriter
 
 from observers import CollectingObserver
@@ -122,14 +123,19 @@ def run_sim(cfg, kinds, addrs):
     return sim.finish()
 
 
-def timed_digest(cfg, seed, lines):
-    """``result_digest`` of a seeded random trace of 20,000 accesses over
-    ``lines`` lines, simulated under ``cfg``."""
+def timed_trace(seed, lines):
+    """A seeded random trace of 20,000 accesses over ``lines`` lines."""
     rng = np.random.default_rng(seed)
     n = 20_000
     kinds = rng.integers(0, 2, n, dtype=np.uint8)
     addrs = 64 * rng.integers(0, lines, n) + 8 * rng.integers(0, 8, n)
-    return result_digest(run_sim(cfg, kinds, addrs))
+    return kinds, addrs
+
+
+def timed_digest(cfg, seed, lines):
+    """``result_digest`` of ``timed_trace(seed, lines)`` simulated under
+    ``cfg``."""
+    return result_digest(run_sim(cfg, *timed_trace(seed, lines)))
 
 
 def sim_event_multiset(res):
@@ -437,6 +443,30 @@ class TestTiming:
     def test_fewest_mshrs_in_l3_are_pinned(self, seed, lines):
         cfg = tiny_config(mshrs=(8, 8, 3))
         assert timed_digest(cfg, seed, lines) == self.TIMED_L3[seed, lines]
+
+
+class TestLineOrder:
+    """``by_line`` is the (line, time) order of the request rows."""
+
+    @staticmethod
+    def assert_line_order(res):
+        assert np.all(np.diff(res.req_time) >= 0)
+        want = np.lexsort((res.req_time, res.req_line))
+        assert np.array_equal(res.by_line(), want)
+
+    @pytest.mark.parametrize("mshrs", [(2, 2, 4), (8, 8, 3)])
+    @pytest.mark.parametrize("seed, lines", list(TestTiming.TIMED))
+    def test_few_mshr_random_traces(self, seed, lines, mshrs):
+        res = run_sim(tiny_config(mshrs=mshrs), *timed_trace(seed, lines))
+        self.assert_line_order(res)
+
+    def test_side_16_solve(self):
+        A, b, tol = build_problem(16, 1e-8)
+        sim = CacheSimulator(CacheConfig.desk_scaled(16))
+        solve(A, b, tol=tol, observer=sim)
+        res = sim.finish()
+        assert len(res.req_line) > 500_000
+        self.assert_line_order(res)
 
 
 class TestVictim:

@@ -141,10 +141,9 @@ class TestSolve:
         base = cg.solve(A, b, tol=tol)
         xs = []
         for _ in range(100):
-            v = cg.CgVectors.allocate(A.n_rows)
-            rec = cg.solve(A, b, tol=tol, vectors=v)
+            rec = cg.solve(A, b, tol=tol)
             assert rec.iterations == base.iterations
-            xs.append(v.x.copy())
+            xs.append(rec.x)
         for x in xs[1:]:
             assert np.array_equal(x, xs[0])
 
@@ -333,12 +332,22 @@ class TestObservedAccesses:
         A = cg.generate_poisson27(4)
         b = cg.spmv(A, np.ones(A.n_rows))
         tol = cg.default_tol(b)
-        v1 = cg.CgVectors.allocate(A.n_rows)
-        v2 = cg.CgVectors.allocate(A.n_rows)
-        r1 = cg.solve(A, b, tol=tol, vectors=v1)
-        r2 = cg.solve(A, b, tol=tol, vectors=v2, observer=CollectingObserver())
+        r1 = cg.solve(A, b, tol=tol)
+        r2 = cg.solve(A, b, tol=tol, observer=CollectingObserver())
         assert r1.iterations == r2.iterations
-        assert np.array_equal(v1.x, v2.x)
+        assert np.array_equal(r1.x, r2.x)
+
+    def test_memory_image_shares_inputs_and_zeroes_state(self):
+        A = cg.generate_poisson27(3)
+        b = cg.spmv(A, np.ones(A.n_rows))
+        image = cg.memory_image(A, b)
+        assert list(image) == cg.default_structure_map(A).names()
+        for name, array in (("Ar", A.row_ptr), ("Ac", A.col_idx),
+                            ("Av", A.values), ("b", b)):
+            assert image[name] is array
+        state = [image[name] for name in cg.STATE_VECTORS]
+        assert len({id(v) for v in state}) == 5
+        assert all(np.array_equal(v, np.zeros(A.n_rows)) for v in state)
 
     def test_structure_map_geometry(self):
         A = cg.generate_poisson27(2)

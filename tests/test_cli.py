@@ -8,10 +8,11 @@ import struct
 import numpy as np
 import pytest
 
-from memvuln.cachesim import CacheConfig, CacheSimulator, LevelConfig
+from memvuln.cachesim import CacheConfig, CacheSimulator, LevelConfig, SimResult
 from memvuln.cg import default_structure_map, solve
 from memvuln.cli import (
     SCRATCH_ENV,
+    _config_digest,
     build_problem,
     build_validation_report,
     default_scratch,
@@ -295,15 +296,39 @@ class TestPipeline:
         _, out_a = self.run_pipeline(tmp_path, "a", runs=0)
         (cache,) = (tmp_path / "scratch").glob("sim-*.npz")
         size = cache.stat().st_size
-        with open(cache, "r+b") as fh:
-            fh.truncate(1000)
-        code, out_b = self.run_pipeline(tmp_path, "b", runs=0)
-        assert code == 0
-        assert f"ignoring unreadable cache {cache}" in caplog.text
-        assert "(no cached run)" in capfd.readouterr().err
-        assert cache.stat().st_size == size  # saved again, whole
-        for name in ("report.json", "report.csv", "figure.dat"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+        def truncate():
+            with open(cache, "r+b") as fh:
+                fh.truncate(1000)
+
+        def out_of_time_order():
+            result = SimResult.load(cache)
+            result.req_time[[0, -1]] = result.req_time[[-1, 0]]
+            result.save(cache)
+
+        for spoil, why in ((truncate, ""),
+                           (out_of_time_order, "not in time order")):
+            spoil()
+            caplog.clear()
+            capfd.readouterr()
+            code, out_b = self.run_pipeline(tmp_path, "b", runs=0)
+            assert code == 0
+            assert f"ignoring unreadable cache {cache}: " in caplog.text
+            assert why in caplog.text
+            assert "(no cached run)" in capfd.readouterr().err
+            assert cache.stat().st_size == size  # saved again, whole
+            for name in ("report.json", "report.csv", "figure.dat"):
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    # A cached simulation's file name carries its config's digest, so a
+    # changed digest would orphan every cached simulation.
+    @pytest.mark.parametrize("cfg, digest", [
+        (CacheConfig(), "1e932fb58e72"),
+        (CacheConfig.desk_scaled(16), "b873643c6dc6"),
+        (CacheConfig.desk_scaled(32), "01f0c10e92ba"),
+    ])
+    def test_config_digest_is_pinned(self, cfg, digest):
+        assert _config_digest(cfg) == digest
 
     def test_stage_failure_names_the_stage(self, tmp_path, capsys):
         code = main(

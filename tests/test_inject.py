@@ -59,7 +59,6 @@ from memvuln.inject import (
     build_context,
     draw_plans,
     flip_check,
-    measure_baseline,
     resolve_visibility,
     run_campaign,
     run_one,
@@ -79,7 +78,7 @@ def churn_config():
     return cfg
 
 
-def build_problem(side=6, cfg=None, with_baseline=True):
+def build_problem(side=6, cfg=None):
     A = generate_poisson27(side)
     b = np.zeros(A.n_rows)
     spmv(A, np.ones(A.n_rows), out=b)
@@ -89,8 +88,6 @@ def build_problem(side=6, cfg=None, with_baseline=True):
     assert rec.converged
     res = sim.finish()
     ctx = build_context(A, b, tol, res)
-    if with_baseline:
-        measure_baseline(ctx)
     return A, b, tol, res, ctx
 
 
@@ -106,8 +103,8 @@ def fill_plans(ctx, res, structure, word, bit, count=3):
     sel = (res.req_line == line_addr) & (res.req_kind == REQ_FILL)
     plans = []
     for t_f in res.req_time[sel]:
-        u = int(t_f) - ctx.t_start
-        if 0 < u < ctx.T:
+        u = int(t_f) - ctx.ref.t_start
+        if 0 < u < ctx.ref.T:
             plans.append(InjectionPlan(structure, 64 * word + bit, u, 0, 0))
     step = max(1, len(plans) // count)
     return plans[::step][:count]
@@ -159,7 +156,7 @@ class TestPlans:
         bits = ctx.structure_bits("Av")
         for plan in draw_plans(ctx, "Av", 300, seed=3):
             assert 0 <= plan.bit_index < bits
-            assert 0 < plan.inject_time < ctx.T
+            assert 0 < plan.inject_time < ctx.ref.T
             assert plan.word_index == plan.bit_index // 64
             assert plan.bit == plan.bit_index % 64
 
@@ -179,7 +176,7 @@ class TestVisibility:
     def brute_force(self, ctx, res, plan):
         base, _ = ctx.regions[plan.structure_id]
         line_addr = (base + 8 * plan.word_index) & ~63
-        u_abs = ctx.t_start + plan.inject_time
+        u_abs = ctx.ref.t_start + plan.inject_time
         sel = np.nonzero(res.req_line == line_addr)[0]
         if len(sel) == 0:
             return None, "silent"
@@ -201,7 +198,7 @@ class TestVisibility:
             sid = rng.choice(names)
             bits = ctx.structure_bits(sid)
             plan = InjectionPlan(
-                sid, rng.randrange(bits), rng.randrange(1, ctx.T), 0, 0
+                sid, rng.randrange(bits), rng.randrange(1, ctx.ref.T), 0, 0
             )
             got = resolve_visibility(ctx, plan)
             want = self.brute_force(ctx, res, plan)
@@ -224,21 +221,16 @@ class TestVisibility:
 class TestRunnerFidelity:
     def test_unapplied_flip_reproduces_baseline_bitwise(self, small_problem):
         A, b, tol, res, ctx = small_problem
-        from memvuln.cg import CgVectors
-
-        vecs = CgVectors.allocate(A.n_rows)
-        rec = solve(A, b, tol=tol, vectors=vecs)
+        rec = solve(A, b, tol=tol)
         plan = InjectionPlan("d", 64 * 3 + 7, 1, 0, 0)
         runner = _InjectedSolve(ctx, plan, apply_ord=None)
         converged, iterations = runner.run(ctx.t_max)
         assert converged and iterations == rec.iterations
-        assert np.array_equal(runner.arr["x"], vecs.x)
+        assert np.array_equal(runner.arr["x"], rec.x)
         assert runner.cum == res.n_accesses
 
     def test_flip_before_first_event_equals_flipped_problem(self, small_problem):
         A, b, tol, _res, ctx = small_problem
-        from memvuln.cg import CgVectors
-
         cases = [
             ("b", 5, 61),
             ("b", 11, 3),
@@ -258,13 +250,12 @@ class TestRunnerFidelity:
             arr = {"b": b2, "Av": A2.values, "Ac": A2.col_idx}[sid]
             view = arr.view(np.uint64)
             view[word] ^= np.uint64(1 << bit)
-            vecs = CgVectors.allocate(A.n_rows)
             with np.errstate(all="ignore"):
-                ref = solve(A2, b2, tol=tol, t_max=ctx.t_max, vectors=vecs)
+                ref = solve(A2, b2, tol=tol, t_max=ctx.t_max)
             assert converged == ref.converged
             assert iterations == ref.iterations
             assert np.array_equal(
-                runner.arr["x"].view(np.uint64), vecs.x.view(np.uint64)
+                runner.arr["x"].view(np.uint64), ref.x.view(np.uint64)
             ), (sid, word, bit)
 
     def test_erased_flip_is_baseline(self, small_problem):
@@ -647,7 +638,7 @@ class TestClassification:
         rng = random.Random(2)
         for _ in range(12):
             bit = rng.randrange(ctx.structure_bits("b"))
-            u = rng.randrange(last + 1 - ctx.t_start, ctx.T)
+            u = rng.randrange(last + 1 - ctx.ref.t_start, ctx.ref.T)
             oc = run_one(ctx, InjectionPlan("b", bit, u, 0, 0))
             assert oc.outcome == OUTCOME_ACE
 
@@ -692,7 +683,7 @@ class TestClassification:
             plan = InjectionPlan(
                 sid,
                 rng.randrange(ctx.structure_bits(sid)),
-                rng.randrange(1, ctx.T),
+                rng.randrange(1, ctx.ref.T),
                 0,
                 0,
             )
@@ -784,13 +775,6 @@ class TestGoldenOutcomes:
 
 
 class TestCampaign:
-    def test_requires_baseline(self):
-        *_, ctx = build_problem(side=4, with_baseline=False)
-        with pytest.raises(RuntimeError, match="baseline"):
-            run_campaign(ctx, "d", 2, seed=0)
-        with pytest.raises(RuntimeError, match="baseline"):
-            run_one(ctx, InjectionPlan("d", 0, 1, 0, 0))
-
     def test_tally_and_p_unace(self, small_problem):
         *_, ctx = small_problem
         r = run_campaign(ctx, PAD_STRUCTURE, 25, seed=5)
@@ -852,7 +836,7 @@ class TestCampaign:
             lines = path.read_text().splitlines()
             assert lines[0] == (
                 f"# campaign schema={LOG_SCHEMA} structure={sid} seed=0 "
-                f"baseline={ctx.baseline.iterations} T={ctx.T} "
+                f"baseline={ctx.baseline.iterations} T={ctx.ref.T} "
                 f"hang_iters={HANG_ITERS}"
             )
             assert lines[1] == (
@@ -893,7 +877,7 @@ class TestCampaign:
         path = tmp_path / "campaign.csv"
         path.write_text(
             f"# campaign structure=Av seed=21 baseline={ctx.baseline.iterations} "
-            f"T={ctx.T}\n"
+            f"T={ctx.ref.T}\n"
             "run,structure,bit_index,inject_time,outcome,iterations,wall_time,"
             "detail\n"
             "0,Av,100,200,ACE,6,0.000101,silent\n"

@@ -97,6 +97,14 @@ class TestValidationReportBytes:
         report = hand_made_report(*self.CONSTANT)
         assert self.digest(report, tmp_path) == self.CONSTANT_DIGEST
 
+    def test_campaigns_for_only_some_structures_are_refused(self):
+        analysis, campaigns = hand_made_inputs(*self.CONSTANT)
+        del campaigns["s1"]
+        with pytest.raises(ValueError, match="no campaign for structures s1$"):
+            build_validation_report(
+                analysis, campaigns, side=6, tol_factor=1e-8, seed=3,
+                runs=self.CONSTANT[2], baseline_iterations=17)
+
 
 class TestPipelineOutputBytes:
     """Every file and the terminal summary of `pipeline`, pinned byte for
@@ -143,7 +151,6 @@ class TestPipelineOutputBytes:
         monkeypatch.setattr(cli, "default_structure_map", lambda A: None)
         monkeypatch.setattr(cli, "analyze", lambda result, smap: analysis)
         monkeypatch.setattr(cli, "build_context", lambda *a: ctx)
-        monkeypatch.setattr(cli, "measure_baseline", lambda c: c.baseline)
         monkeypatch.setattr(cli, "run_campaign",
                             lambda c, name, *a, **k: campaigns[name])
         monkeypatch.chdir(tmp_path)  # the summary names the output directory

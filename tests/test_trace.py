@@ -87,11 +87,12 @@ class TestRoundTrip:
         assert [len(b) for b in got] == [5, 2500, 1, 1200]
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
-    def test_iter_blocks_splits_long_blocks(self, tmp_path):
+    def test_iter_blocks_splits_long_blocks(self, tmp_path, monkeypatch):
         path = tmp_path / "t.bin"
         want = self.write_blocks(path, [5, 2500, 0, 1, 1200])
+        monkeypatch.setattr(memvuln.trace, "BLOCK_EVENTS", 1000)
         with TraceReader(path) as r:
-            got = [blk["addr"] for blk in r.iter_blocks(1000)]
+            got = [blk["addr"] for blk in r.iter_blocks()]
         assert [len(b) for b in got] == [5, 1000, 1000, 500, 1, 1000, 200]
         assert np.array_equal(np.concatenate(got), np.concatenate(want))
 
@@ -200,7 +201,7 @@ class TestRoundTrip:
 
 
 class TestSolverCapture:
-    def test_file_capture_matches_collector(self, tmp_path):
+    def test_file_capture_matches_collector(self, tmp_path, monkeypatch):
         A = cg.generate_poisson27(2)
         b = cg.spmv(A, np.ones(A.n_rows))
         tol = cg.default_tol(b)
@@ -215,11 +216,12 @@ class TestSolverCapture:
         with TraceReader(path) as r:
             assert r.n_events == len(kinds)
             assert r.structures.regions == col.smap.regions
-            got = np.concatenate([blk for blk in r.iter_blocks(1000)])
+            monkeypatch.setattr(memvuln.trace, "BLOCK_EVENTS", 1000)
+            got = np.concatenate([blk for blk in r.iter_blocks()])
         assert np.array_equal(got["kind"], kinds)
         assert np.array_equal(got["addr"], addrs)
 
-    def test_bounded_memory_streaming(self, tmp_path):
+    def test_bounded_memory_streaming(self, tmp_path, monkeypatch):
         # A side=8 capture streams back in small blocks; peak resident
         # growth must stay far below the file size would suggest if the
         # trace were materialized (file is ~3.2 MB; we demand < 64 MiB total
@@ -234,8 +236,9 @@ class TestSolverCapture:
         writer.close()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         count = 0
+        monkeypatch.setattr(memvuln.trace, "BLOCK_EVENTS", 1 << 16)
         with TraceReader(path) as r:
-            for block in r.iter_blocks(1 << 16):
+            for block in r.iter_blocks():
                 count += len(block)
         after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         assert count == r.n_events

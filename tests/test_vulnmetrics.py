@@ -39,9 +39,8 @@ from memvuln.vulnmetrics import (
 def make_result(requests, resolutions):
     """Assemble a SimResult from (time, kind, line_addr) and
     {(line_addr, fill_time): overwritten_mask}."""
-    req = sorted(range(len(requests)), key=lambda i: requests[i][0])
     # Keep the given order for equal times (matches simulator append order).
-    req = sorted(range(len(requests)), key=lambda i: (requests[i][0],))
+    req = sorted(range(len(requests)), key=lambda i: requests[i][0])
     times = np.array([requests[i][0] for i in req], dtype=np.int64)
     kinds = np.array([requests[i][1] for i in req], dtype=np.uint8)
     lines = np.array([requests[i][2] for i in req], dtype=np.int64)
