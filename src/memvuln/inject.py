@@ -25,8 +25,42 @@ there it is the baseline bit for bit.  A flip that never surfaces
 (``silent``, ``writeback``) leaves the memory image the baseline's for
 the whole run, so the plan gets the baseline's row without a solve; an
 ``erased`` flip does the same from the moment the store overwrites it,
-so its run ends there.  Only ``Outcome.wall_time``, which no log row
-carries, tells these rows from full replays.
+so its run ends there.
+
+Four more rules decide a surfaced run's row before its last iteration,
+each exactly: the row equals the full replay's.
+
+* **A flipped ``x`` word.**  Only ``g_recompute`` (as its sweep's
+  source) and ``x_update`` read ``x``.  When the flip applies outside a
+  recompute and no recompute opens before the baseline's last iteration,
+  the flipped word reaches no other vector: the run converges with the
+  baseline and its final ``x`` differs from the baseline's in that word
+  alone.  ``run_one`` replays the word's updates ``v + d[w] * alpha``
+  from the checkpoints and verifies the patched final ``x``, without a
+  solve.  The word's first ``x_update`` access at or after the flip
+  decides, as in a replay: a load sees the flip, a store erases it.
+* **Non-finite ``x`` and ``g``.**  As an iteration opens after the flip
+  has applied, both vectors hold a non-finite entry.  Every column is
+  still read by some row under a single flip, so a recompute of ``g``
+  from ``x`` leaves an entry non-finite, and so does ``g``'s update; the
+  residual norm is never below the tolerance and the run is a hang.  A
+  non-finite ``g`` alone is not enough, since a recompute rebuilds it.
+  A run whose matrix indices escape crashes at the first full sweep
+  after the flip applies, before both can turn non-finite.
+* **An emptied row.**  An ``Ar`` flip that stays inside ``[0, nnz]``
+  makes row ``r`` (``w - 1`` or ``w``) start at or past its end, so its
+  products are exactly 0.0.  Once ``q[r]`` is 0.0, ``g[r]`` keeps its
+  value, turns NaN, or is reset to ``b[r]`` by a recompute.  The
+  residual norm, a float sum of non-negative squares, is at least
+  ``g[r]**2``; so when that and ``b[r]**2`` (if a recompute opens before
+  the cap) are at or above the tolerance, the run is a hang.
+* **A baseline sweep.**  While the flip is pending, the image is the
+  baseline's.  A ``q_spmv`` sweep that ends at or before the flip
+  computes the baseline's product, checkpoint ``t + 1``'s ``q``, so it
+  is copied from there.
+
+Only ``Outcome.wall_time``, which no log row carries, tells settled rows
+from full replays.
 
 Every run is classified into exactly one outcome class:
 
@@ -57,13 +91,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import cg  # RECOMPUTE_EVERY, read at call time as cg.iterate reads it
 from .cg import (
+    G_RECOMPUTE,
     PAGE,
+    Q_SPMV,
     STATE_VECTORS,
     T_MAX,
+    X_UPDATE,
     CsrMatrix,
     LoopState,
     Phase,
+    _role,
     default_structure_map,
     iterate,
     memory_image,
@@ -72,7 +111,7 @@ from .cg import (
 )
 from .cachesim import LINE_SIZE, REQ_FILL, SimResult
 from .stats import wilson_ci
-from .trace import KIND_LOAD
+from .trace import KIND_LOAD, KIND_STORE
 
 OUTCOME_ACE = "ACE"
 OUTCOME_CRASH = "crash"
@@ -333,6 +372,38 @@ class _Stop(Exception):
     applied)."""
 
 
+class _Hung(Exception):
+    """The run provably cannot converge before its cap."""
+
+
+#: What a flip meets in a phase when it lands past the word's last own
+#: access there: it applies as the next phase opens.
+_LATER = -1
+
+
+def _flip_meets(phase: Phase, parity: int, target: str, word: int, row_ptr,
+                e_off: int):
+    """What a flip landing ``e_off`` accesses into ``phase`` meets first.
+
+    The flipped word's first own access in the phase at or after
+    ``e_off`` decides: its kind (``KIND_LOAD`` sees the flip,
+    ``KIND_STORE`` erases it), or ``_LATER`` past them all; None when
+    the phase makes no own access to the word.
+    """
+    met = None
+    for k, (name, kind) in enumerate(phase.operands(parity)):
+        if name == target:
+            if e_off <= phase.op_ord(k, word, row_ptr):
+                return kind
+            met = _LATER
+    return met
+
+
+def _last_checkpoint(checkpoints, ordinal: int) -> int:
+    """Index of the last checkpoint at or before ``ordinal``, or -1."""
+    return bisect_right(checkpoints, ordinal, key=lambda c: c.ordinal) - 1
+
+
 class _InjectedSolve:
     """Replays the solver with one flip applied at an exact access ordinal.
 
@@ -350,7 +421,10 @@ class _InjectedSolve:
     sparse product at the same ordinals.  Arithmetic follows native float
     semantics — a zero denominator yields inf/nan rather than an
     exception, so poisoned runs drift on to the iteration cap just as the
-    real program would.
+    real program would, unless an iteration opens in a state that
+    provably cannot converge (``_non_finite``, ``_emptied_row``).  A
+    sweep that reads the baseline's image copies the baseline's product
+    (``_baseline_sweep``).
     """
 
     def __init__(self, ctx: InjectionContext, plan: InjectionPlan, apply_ord):
@@ -368,7 +442,9 @@ class _InjectedSolve:
         self.cum = 0
         self.e_off = None  # flip ordinal within the open phase, if inside it
         self.iter_done = 0
+        self.t_cap = 0  # the run's iteration cap, set by ``run``
         self.ar_flip_entry = None
+        self.empty_rows = ()  # rows an applied Ar flip emptied in bounds
 
         # Copies of the pristine state vectors and of the flip's target, in
         # structure order, so a copied input precedes them on the heap.
@@ -388,7 +464,11 @@ class _InjectedSolve:
         self.pending = False
         self.applied = True
         if self.target == "Ar":
-            self.ar_flip_entry = self.word
+            w, rp = self.word, self.rp_w
+            self.ar_flip_entry = w
+            if 0 <= rp[w] <= self.nnz:  # no product can escape the arrays
+                self.empty_rows = [r for r in (w - 1, w)
+                                   if 0 <= r < self.n and rp[r] >= rp[r + 1]]
 
     def _cancel(self):
         self.pending = False
@@ -397,8 +477,32 @@ class _InjectedSolve:
     # -- loop hooks -------------------------------------------------------------
 
     def boundary(self, state: LoopState) -> None:
-        """Note the iteration opening."""
+        """Note the iteration opening; end a run that cannot converge."""
         self.iter_done = state.t
+        if self.applied and (self._non_finite(state) or self._emptied_row(state)):
+            raise _Hung
+
+    def _non_finite(self, state: LoopState) -> bool:
+        """x and g both hold a non-finite entry.  Then g stays non-finite,
+        so eps_old is non-finite from the next iteration on; it is tested
+        first, which leaves a finite run one comparison."""
+        return not state.eps_old < np.inf and not (
+            np.isfinite(self.arr["x"]).all() or np.isfinite(self.arr["g"]).all()
+        )
+
+    def _emptied_row(self, state: LoopState) -> bool:
+        """An emptied row keeps the residual norm at or above tol."""
+        tol = self.ctx.tol
+        arr = self.arr
+        for r in self.empty_rows:
+            g_r = float(arr["g"][r])
+            if arr["q"][r] == 0.0 and g_r * g_r >= tol:
+                b_r = float(arr["b"][r])
+                every = cg.RECOMPUTE_EVERY
+                next_recompute = -(-state.t // every) * every
+                if b_r * b_r >= tol or next_recompute >= self.t_cap:
+                    return True
+        return False
 
     def open_phase(self, phase: Phase, t: int, parity: int) -> None:
         """Advance the cursor over the phase; settle a flip landing in it."""
@@ -413,31 +517,31 @@ class _InjectedSolve:
             self._apply()
             return
         e_off = self.e - start
-        own = [
-            (phase.op_ord(k, self.word, self.rp), kind)
-            for k, (name, kind) in enumerate(phase.operands(parity))
-            if name == self.target
-        ]
-        if own:
-            for ordinal, kind in own:
-                if e_off <= ordinal:
-                    if kind == KIND_LOAD:
-                        self._apply()
-                    else:
-                        self._cancel()
-                    break
-            # past the word's last access: it applies as the next phase opens
-        elif phase.src is None:
+        met = _flip_meets(phase, parity, self.target, self.word, self.rp, e_off)
+        if met == KIND_LOAD:
             self._apply()
-        else:
-            self.e_off = e_off  # the sweep's product splits itself
+        elif met == KIND_STORE:
+            self._cancel()
+        elif met is None:
+            if phase.src is None:
+                self._apply()
+            else:
+                self.e_off = e_off  # the sweep's product splits itself
 
     def product(self, phase: Phase, parity: int, out) -> None:
         """Sparse product of a sweep under the memory image it reads."""
-        if self.e_off is None:
+        if self._baseline_sweep(phase):
+            cp = self.ctx.baseline.checkpoints[self.iter_done + 1]
+            np.copyto(out, cp.vectors["q"])
+        elif self.e_off is None:
             self._spmv_value(phase.source(parity), out)
         else:
             self._spmv_mid(phase, parity, out)
+
+    def _baseline_sweep(self, phase: Phase) -> bool:
+        """A q_spmv that ends at or before a pending flip: it reads the
+        baseline's image, so its product is the next checkpoint's q."""
+        return phase is Q_SPMV and self.pending and self.e >= self.cum
 
     # -- sparse products -------------------------------------------------------
 
@@ -520,10 +624,10 @@ class _InjectedSolve:
     def _restart(self) -> LoopState:
         """Load the last checkpoint at or before the flip ordinal, if any."""
         checkpoints = self.ctx.baseline.checkpoints
-        i = bisect_right(checkpoints, self.e, key=lambda c: c.ordinal)
-        if i == 0:
+        i = _last_checkpoint(checkpoints, self.e)
+        if i < 0:
             return LoopState()
-        cp = checkpoints[i - 1]
+        cp = checkpoints[i]
         for name, vector in cp.vectors.items():
             self.arr[name][:] = vector
         self.cum = cp.ordinal
@@ -532,8 +636,10 @@ class _InjectedSolve:
     def run(self, t_cap: int):
         """Returns (converged, iterations) of the loop capped at ``t_cap``
         iterations, or (None, the iteration open) when the run stops early
-        because its flip was erased."""
+        because its flip was erased.  A run that provably cannot converge
+        returns (False, ``t_cap``) as soon as that is known."""
         start = self._restart()
+        self.t_cap = t_cap
         try:
             with np.errstate(all="ignore"):
                 converged, iterations, _eps = iterate(
@@ -543,7 +649,50 @@ class _InjectedSolve:
                 )
         except _Stop:
             return None, self.iter_done
+        except _Hung:
+            return False, t_cap
         return converged, iterations
+
+
+def _x_row(ctx: InjectionContext, plan: InjectionPlan, e: int):
+    """The row of a surfaced ``x`` flip, settled from its one word.
+
+    Returns (outcome, detail, reason) at the baseline's iteration count,
+    or None when the flip applies in a residual recompute or one opens
+    after it before the baseline converges: then the run is solved.
+    """
+    cps = ctx.baseline.checkpoints
+    last = len(cps) - 1
+    t = _last_checkpoint(cps, e)  # the iteration the flip lands in
+    every = cg.RECOMPUTE_EVERY
+    if t // every < last // every:
+        return None  # a recompute opens after it
+    if t % every == 0 and e < cps[t].ordinal + G_RECOMPUTE.length(ctx.n, ctx.nnz):
+        return None  # it lands in this iteration's recompute
+    s0 = t  # the first iteration whose x_update reads the flipped word
+    if t < last:
+        x_start = cps[t + 1].ordinal - X_UPDATE.length(ctx.n, ctx.nnz)
+        if e >= x_start:  # x_update closes the iteration
+            met = _flip_meets(X_UPDATE, cps[t].state.parity, "x",
+                              plan.word_index, ctx.A.row_ptr, e - x_start)
+            if met == KIND_STORE:
+                return OUTCOME_ACE, "erased", "erased"
+            if met == _LATER:
+                s0 = t + 1
+    w = plan.word_index
+    word = cps[s0].vectors["x"][w : w + 1].copy()
+    word.view(np.uint64)[0] ^= np.uint64(1 << plan.bit)
+    v = word[0]
+    with np.errstate(all="ignore"):
+        for s in range(s0, last):
+            # x_update of iteration s, as the next checkpoint holds its
+            # direction buffer and step.
+            nxt = cps[s + 1]
+            v = v + nxt.vectors[_role("d", cps[s].state.parity)][w] * nxt.state.alpha
+        x = cps[last].vectors["x"].copy()
+        x[w] = v
+        ok = verify(ctx.A, ctx.b, x, ctx.tol)
+    return (OUTCOME_ACE if ok else OUTCOME_WRONG), "", "fill"
 
 
 def run_one(ctx: InjectionContext, plan: InjectionPlan) -> Outcome:
@@ -552,9 +701,11 @@ def run_one(ctx: InjectionContext, plan: InjectionPlan) -> Outcome:
     A flip that never surfaces, or is erased before the program reads
     it, leaves the memory image the baseline's: the plan gets the
     baseline's row without a solve, or as soon as the erasure happens.
-    A run that would open iteration ``HANG_ITERS`` times the baseline's
-    count unconverged stops there as a hang (or at the solver's own cap
-    ``t_max``, should that be lower).
+    A surfaced ``x`` flip that no recompute reads is settled from its
+    one word (``_x_row``).  A run that would open iteration
+    ``HANG_ITERS`` times the baseline's count unconverged stops there as
+    a hang (or at the solver's own cap ``t_max``, should that be lower),
+    or sooner once it provably cannot converge.
     """
     bl = ctx.baseline
     t0 = _time.perf_counter()
@@ -566,6 +717,11 @@ def run_one(ctx: InjectionContext, plan: InjectionPlan) -> Outcome:
 
     if apply_ord is None:
         return outcome(OUTCOME_ACE, bl.iterations, reason)
+    if plan.structure_id == "x":
+        row = _x_row(ctx, plan, apply_ord)
+        if row is not None:
+            name, detail, why = row
+            return outcome(name, bl.iterations, detail, why)
     runner = _InjectedSolve(ctx, plan, apply_ord)
     try:
         converged, iterations = runner.run(

@@ -158,8 +158,12 @@ def _aligned_fill_stream(result: SimResult):
     line_w = lines[kinds == REQ_WRITEBACK]
     del lines, kinds
 
+    # A line is fetched again only after its previous fill has resolved,
+    # so a line's resolutions are appended in fill order (memo replays
+    # included), and a stable sort by line alone orders them by (line,
+    # fill time).  The check below refuses any stream where that fails.
     res_lines = result.res_line >> LINE_BITS
-    r_order = np.lexsort((result.res_fill_time, res_lines))
+    r_order = np.argsort(res_lines, kind="stable")
     if not (
         np.array_equal(res_lines[r_order], line_f)
         and np.array_equal(result.res_fill_time[r_order], time_f)

@@ -19,6 +19,8 @@ from memvuln.cg import solve
 from memvuln.cli import build_problem
 from memvuln.trace import KIND_LOAD, KIND_STORE
 
+from test_inject import build_problem as build_churn_problem
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -81,3 +83,42 @@ def test_build_context_measures_the_baseline_through_the_module_global(
     ctx = inject.build_context(A, b, tol, sim.finish())
     assert len(seen) == 1 and ctx.baseline is seen[0]
     assert attrs((), {}, seen[0])["wall_time"] == ctx.baseline.wall_time > 0
+
+
+def test_rows_settled_early_carry_what_the_recorder_reads(monkeypatch):
+    # The recorder wraps ``run_one`` and ``cg.verify`` through the module
+    # globals and reads outcome, detail, reason and wall time off each
+    # Outcome; a row settled without a solve, and a hang decided before
+    # its budget, must take the same paths.
+    *_, ctx = build_churn_problem(side=6)
+    for x_plan in inject.draw_plans(ctx, "x", 100, seed=0):
+        apply_ord, _reason = inject.resolve_visibility(ctx, x_plan)
+        row = None if apply_ord is None else inject._x_row(ctx, x_plan, apply_ord)
+        if row is not None and row[1] != "erased":
+            break
+    hang_plan = inject.InjectionPlan("Ar", 64 * 173 + 9, 76997, 0, 0)
+    verified = []
+    verify = inject.verify
+    monkeypatch.setattr(inject, "verify",
+                        lambda *args: verified.append(args[2]) or verify(*args))
+    recorded = load_spans()._run_one
+
+    class NoSolve(inject._InjectedSolve):
+        def __init__(self, *args):
+            raise AssertionError("the x plan was solved")
+
+    with monkeypatch.context() as m:
+        m.setattr(inject, "_InjectedSolve", NoSolve)
+        settled = inject.run_one(ctx, x_plan)
+    hung = inject.run_one(ctx, hang_plan)
+    assert len(verified) == 1
+    budget = inject.HANG_ITERS * ctx.baseline.iterations
+    for out, plan, outcome, iterations in (
+        (settled, x_plan, settled.outcome, ctx.baseline.iterations),
+        (hung, hang_plan, "hang", budget),
+    ):
+        assert recorded((ctx, plan), {}, out) == {
+            "structure": plan.structure_id, "outcome": outcome, "detail": ""}
+        assert (out.iterations, out.reason) == (iterations, "fill")
+        assert out.wall_time > 0
+    assert settled.outcome in ("ACE", "wrong-result")

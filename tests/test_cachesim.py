@@ -454,11 +454,19 @@ class TestLineOrder:
         want = np.lexsort((res.req_time, res.req_line))
         assert np.array_equal(res.by_line(), want)
 
+    @staticmethod
+    def assert_resolution_order(res):
+        """A line's resolutions come in fill order, so a stable sort by
+        line is their (line, fill time) order (``_aligned_fill_stream``)."""
+        want = np.lexsort((res.res_fill_time, res.res_line))
+        assert np.array_equal(np.argsort(res.res_line, kind="stable"), want)
+
     @pytest.mark.parametrize("mshrs", [(2, 2, 4), (8, 8, 3)])
     @pytest.mark.parametrize("seed, lines", list(TestTiming.TIMED))
     def test_few_mshr_random_traces(self, seed, lines, mshrs):
         res = run_sim(tiny_config(mshrs=mshrs), *timed_trace(seed, lines))
         self.assert_line_order(res)
+        self.assert_resolution_order(res)
 
     def test_side_16_solve(self):
         A, b, tol = build_problem(16, 1e-8)
@@ -467,6 +475,7 @@ class TestLineOrder:
         res = sim.finish()
         assert len(res.req_line) > 500_000
         self.assert_line_order(res)
+        self.assert_resolution_order(res)
 
 
 class TestVictim:

@@ -8,7 +8,9 @@ independent oracles:
   explicitly flipped problem with the clean solver;
 * a flip surfacing mid-phase must match a scalar interpreter that walks
   the trace emitter's own event template and switches the flipped word's
-  value at the injection ordinal.
+  value at the injection ordinal;
+* a row ``run_one`` settles early must equal the row of the same plan
+  solved to its end with the settlements turned off (``_FullSolve``).
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from memvuln.cachesim import (
     CacheSimulator,
     LevelConfig,
 )
+from memvuln import cg
 from memvuln.cg import (
     EPS,
     G_AXPY,
@@ -34,6 +37,7 @@ from memvuln.cg import (
     RECOMPUTE_EVERY,
     X_UPDATE,
     CsrMatrix,
+    LoopState,
     _AccessEmitter,
     default_tol,
     generate_poisson27,
@@ -42,7 +46,8 @@ from memvuln.cg import (
     verify,
 )
 from memvuln import inject
-from memvuln.trace import KIND_LOAD, KIND_STORE
+from memvuln.cli import build_problem as build_pipeline_problem
+from memvuln.trace import KIND_LOAD, KIND_STORE, TRACKED_STRUCTURES
 from memvuln.inject import (
     HANG_ITERS,
     LOG_SCHEMA,
@@ -66,6 +71,21 @@ from memvuln.inject import (
 )
 
 from observers import in_region
+
+
+class _FullSolve(_InjectedSolve):
+    """A runner with the early settlements turned off: it computes every
+    sweep and runs every iteration up to its cap.  The oracles below use
+    it, so they do not rest on the rules they check."""
+
+    def _non_finite(self, state):
+        return False
+
+    def _emptied_row(self, state):
+        return False
+
+    def _baseline_sweep(self, phase):
+        return False
 
 
 def churn_config():
@@ -223,7 +243,7 @@ class TestRunnerFidelity:
         A, b, tol, res, ctx = small_problem
         rec = solve(A, b, tol=tol)
         plan = InjectionPlan("d", 64 * 3 + 7, 1, 0, 0)
-        runner = _InjectedSolve(ctx, plan, apply_ord=None)
+        runner = _FullSolve(ctx, plan, apply_ord=None)
         converged, iterations = runner.run(ctx.t_max)
         assert converged and iterations == rec.iterations
         assert np.array_equal(runner.arr["x"], rec.x)
@@ -240,7 +260,7 @@ class TestRunnerFidelity:
         ]
         for sid, word, bit in cases:
             plan = InjectionPlan(sid, 64 * word + bit, 1, 0, 0)
-            runner = _InjectedSolve(ctx, plan, apply_ord=0)
+            runner = _FullSolve(ctx, plan, apply_ord=0)
             with np.errstate(all="ignore"):
                 converged, iterations = runner.run(ctx.t_max)
             A2 = CsrMatrix(
@@ -275,7 +295,7 @@ def without_checkpoints(ctx):
     return dataclasses.replace(ctx, baseline=baseline)
 
 
-class _RunPastErasure(_InjectedSolve):
+class _RunPastErasure(_FullSolve):
     """A runner that replays the whole solve even after an erasure."""
 
     def open_phase(self, phase, t, parity):
@@ -344,8 +364,8 @@ class TestCheckpoints:
                 plan = InjectionPlan(sid, 64 * word + bit, 1, 0, 0)
                 probe = _InjectedSolve(ctx, plan, e)
                 assert probe._restart().t == t and probe.cum == ords[t]
-                got = _InjectedSolve(ctx, plan, e)
-                want = _InjectedSolve(scratch, plan, e)
+                got = _FullSolve(ctx, plan, e)
+                want = _FullSolve(scratch, plan, e)
                 with np.errstate(all="ignore"):
                     rows = [r.run(ctx.t_max) for r in (got, want)]
                 assert rows[0] == rows[1], (e, sid)
@@ -442,7 +462,7 @@ class TestMidPhaseSplits:
     oracles; the tests do a phase's elementwise arithmetic themselves."""
 
     def make_runner(self, ctx, plan, e, d0):
-        runner = _InjectedSolve(ctx, plan, apply_ord=e)
+        runner = _FullSolve(ctx, plan, apply_ord=e)
         runner.arr["d"][:] = d0
         return runner
 
@@ -579,7 +599,7 @@ class TestMidPhaseSplits:
             ("after", 3 * w + 3),
         ):
             plan = InjectionPlan("x", 64 * w + bit, 1, 0, 0)
-            runner = _InjectedSolve(ctx, plan, apply_ord=e)
+            runner = _FullSolve(ctx, plan, apply_ord=e)
             runner.arr["x"][:] = x0
             runner.arr["d"][:] = d0
             runner.open_phase(X_UPDATE, 0, 0)
@@ -698,10 +718,198 @@ class TestFlipCheck:
             plans = fill_plans(ctx, res, sid, word, bit, count=1)
             assert flip_check(ctx, plans[0]) is True
 
+    def test_plans_settled_without_a_solve_are_audited(self, small_problem):
+        *_, ctx = small_problem
+        audited = 0
+        for plan in draw_plans(ctx, "x", 100, seed=0):
+            apply_ord, _reason = resolve_visibility(ctx, plan)
+            if apply_ord is None:
+                continue
+            row = inject._x_row(ctx, plan, apply_ord)
+            if row is not None and row[1] != "erased":
+                assert flip_check(ctx, plan) is True, plan
+                audited += 1
+        assert audited > 20
+
+    def test_row_emptying_plan_is_audited(self, small_problem):
+        *_, ctx = small_problem
+        # Bit 9 of entry 173 moves row 173's start from 3470 past its end,
+        # 3488, inside nnz; the run is decided a hang at iteration 5.
+        plan = InjectionPlan("Ar", 64 * 173 + 9, 76997, 0, 0)
+        apply_ord, _reason = resolve_visibility(ctx, plan)
+        runner = _InjectedSolve(ctx, plan, apply_ord)
+        cap = HANG_ITERS * ctx.baseline.iterations
+        with np.errstate(all="ignore"):
+            assert runner.run(cap) == (False, cap)
+        assert runner.empty_rows == [173] and runner.iter_done < cap
+        assert flip_check(ctx, plan) is True
+
     def test_uncaptured_plan_has_no_image(self, small_problem):
         *_, ctx = small_problem
         plan = draw_plans(ctx, PAD_STRUCTURE, 1, seed=0)[0]
         assert flip_check(ctx, plan) is None
+
+
+def rows_both_ways(ctx, plans, monkeypatch):
+    """Every plan's log row through ``run_one`` with the settlement rules
+    on, and with them off: no ``x`` word settled, every sweep computed and
+    every run solved to its end.
+
+    Returns both row lists, the plan indices each rule decided (``sweep``:
+    a plan with at least one sweep copied from the baseline), and the
+    final ``x`` that each way handed to ``verify``, by plan index.
+    """
+    decided = {rule: set() for rule in ("x", "non-finite", "emptied-row", "sweep")}
+    now = [None]
+
+    def note(rule, hit):
+        if hit:
+            decided[rule].add(now[0])
+        return hit
+
+    class Recording(_InjectedSolve):
+        def _non_finite(self, state):
+            return note("non-finite", super()._non_finite(state))
+
+        def _emptied_row(self, state):
+            return note("emptied-row", super()._emptied_row(state))
+
+        def _baseline_sweep(self, phase):
+            return note("sweep", super()._baseline_sweep(phase))
+
+    x_row, verify_ = inject._x_row, inject.verify
+
+    def classify(runner, settle):
+        finals = {}
+
+        def spy(A, b, x, tol):
+            finals[now[0]] = x.copy()
+            return verify_(A, b, x, tol)
+
+        monkeypatch.setattr(inject, "_InjectedSolve", runner)
+        monkeypatch.setattr(inject, "_x_row", settle)
+        monkeypatch.setattr(inject, "verify", spy)
+        rows = []
+        for now[0], plan in enumerate(plans):
+            rows.append(_outcome_row(run_one(ctx, plan)))
+        return rows, finals
+
+    def settle(*args):
+        row = x_row(*args)
+        note("x", row is not None)
+        return row
+
+    on = classify(Recording, settle)
+    off = classify(_FullSolve, lambda *a: None)
+    return on[0], off[0], decided, on[1], off[1]
+
+
+def campaign_plans(ctx, seeds, runs=100):
+    """The plans of the pipeline's campaigns for each seed: structure i of
+    a pipeline at seed s draws with seed s + i."""
+    return [plan for seed in seeds for i, name in enumerate(TRACKED_STRUCTURES)
+            for plan in draw_plans(ctx, name, runs, seed + i)]
+
+
+@pytest.fixture(scope="module")
+def side16_context():
+    A, b, tol = build_pipeline_problem(16, 1e-8)
+    sim = CacheSimulator(CacheConfig.desk_scaled(16))
+    solve(A, b, tol=tol, observer=sim)
+    return build_context(A, b, tol, sim.finish())
+
+
+class TestSettlements:
+    """Rows settled before a run's end equal full solves, plan for plan."""
+
+    def check_both_ways(self, ctx, plans, monkeypatch):
+        on, off, decided, on_x, off_x = rows_both_ways(ctx, plans, monkeypatch)
+        for plan, a, b in zip(plans, on, off):
+            assert a == b, plan
+        # A settled x word is the full solve's final x, bit for bit.
+        compared = 0
+        for i in decided["x"]:
+            if i in on_x:  # not erased
+                assert np.array_equal(
+                    on_x[i].view(np.uint64), off_x[i].view(np.uint64)
+                ), plans[i]
+                compared += 1
+        return decided, compared
+
+    def test_side_16_campaign_rows(self, side16_context, monkeypatch):
+        ctx = side16_context
+        assert ctx.baseline.iterations < RECOMPUTE_EVERY
+        plans = campaign_plans(ctx, seeds=range(3))
+        decided, compared = self.check_both_ways(ctx, plans, monkeypatch)
+        for rule, hits in decided.items():
+            assert hits, rule
+        assert compared > 200
+
+    def test_recompute_every_4(self, monkeypatch):
+        # With a recompute every 4 iterations, one opens inside the 6
+        # iterations of the side-6 baseline, and inside every hang budget.
+        monkeypatch.setattr(cg, "RECOMPUTE_EVERY", 4)
+        *_, ctx = build_problem(side=6)
+        last = ctx.baseline.iterations
+        assert last > 4
+        plans = campaign_plans(ctx, seeds=range(3))
+        plans += draw_plans(ctx, "x", 500, seed=99)
+        # Rows that a recompute refills from b: more Ar plans, some of
+        # which empty an interior row (b is 0 there).
+        plans += [plan for seed in range(3, 10)
+                  for plan in draw_plans(ctx, "Ar", 100, seed)]
+        decided, compared = self.check_both_ways(ctx, plans, monkeypatch)
+        assert decided["emptied-row"] and decided["non-finite"]
+        assert compared > 50
+        # Iteration 4's recompute reads x flips landing in iterations 1
+        # to 3, so those are solved.
+        cps = ctx.baseline.checkpoints
+        landed = {i: resolve_visibility(ctx, plan)[0]
+                  for i, plan in enumerate(plans) if plan.structure_id == "x"}
+        guarded = {i for i, e in landed.items()
+                   if e is not None and cps[1].ordinal <= e < cps[4].ordinal}
+        assert len(guarded) > 20 and not guarded & decided["x"]
+
+    def test_x_flips_at_the_edges_of_its_update(self, small_problem, monkeypatch):
+        # Flips just before, on and past a word's x_update load and store,
+        # as an iteration opens, and in the converging iteration.
+        *_, ctx = small_problem
+        cps = ctx.baseline.checkpoints
+        last = len(cps) - 1
+        x_len = X_UPDATE.length(ctx.n, ctx.nnz)
+        ordinals = {0: [cps[last].ordinal + 1]}
+        for t in (1, 3, last - 1):
+            x_start = cps[t + 1].ordinal - x_len
+            for w in (0, 9, ctx.n - 1):
+                ordinals.setdefault(w, []).extend(
+                    [cps[t].ordinal] + [x_start + 3 * w + k for k in range(-1, 4)]
+                )
+        # Here a plan's instant is its flip's apply ordinal.
+        plans = [InjectionPlan("x", 64 * w + bit, e, 0, 0)
+                 for w, es in ordinals.items() for e in es for bit in (30, 52, 62, 63)]
+        monkeypatch.setattr(inject, "resolve_visibility",
+                            lambda _ctx, plan: (plan.inject_time, "fill"))
+        decided, compared = self.check_both_ways(ctx, plans, monkeypatch)
+        assert len(decided["x"]) == len(plans)
+        assert compared == len(plans) - 2 * 4 * 3 * 3  # two erasing ordinals
+
+    def test_non_finite_g_alone_does_not_decide(self, small_problem):
+        # A recompute rebuilds g from x, so a non-finite g with a finite x
+        # says nothing about convergence.
+        *_, ctx = small_problem
+        plan = InjectionPlan("g", 64 * 3 + 62, 1, 0, 0)
+        runner = _InjectedSolve(ctx, plan, 0)
+        runner._apply()
+        runner.arr["x"][:] = ctx.baseline.checkpoints[-1].vectors["x"]
+        runner.arr["g"][3] = np.inf
+        runner.t_cap = HANG_ITERS * ctx.baseline.iterations
+        state = LoopState(t=RECOMPUTE_EVERY, eps_old=np.inf, alpha=0.5, parity=0)
+        assert not runner._non_finite(state)
+        runner.boundary(state)  # does not end the run
+        runner.arr["x"][7] = np.nan
+        assert runner._non_finite(state)
+        with pytest.raises(inject._Hung):
+            runner.boundary(state)
 
 
 def unbounded_row(ctx, plan):
@@ -711,7 +919,7 @@ def unbounded_row(ctx, plan):
     bl = ctx.baseline
     hang_at = HANG_ITERS * bl.iterations
     apply_ord, reason = resolve_visibility(ctx, plan)
-    runner = _InjectedSolve(ctx, plan, apply_ord)
+    runner = _FullSolve(ctx, plan, apply_ord)
     try:
         with np.errstate(all="ignore"):
             converged, iterations = runner.run(ctx.t_max)

@@ -6,6 +6,7 @@ event at a time.  The vectorized implementation must match it exactly
 (integer equality) on randomized request streams.
 """
 
+import dataclasses
 import json
 import random
 from dataclasses import dataclass, fields
@@ -45,9 +46,11 @@ def make_result(requests, resolutions):
     kinds = np.array([requests[i][1] for i in req], dtype=np.uint8)
     lines = np.array([requests[i][2] for i in req], dtype=np.int64)
     causes = np.where(kinds == REQ_FILL, CAUSE_LOAD_MISS, CAUSE_NONE).astype(np.uint8)
-    rl = np.array([k[0] for k in resolutions], dtype=np.int64)
-    rt = np.array([k[1] for k in resolutions], dtype=np.int64)
-    rm = np.array(list(resolutions.values()), dtype=np.uint16)
+    # The simulator resolves a line's fills in fill order.
+    keys = sorted(resolutions)
+    rl = np.array([k[0] for k in keys], dtype=np.int64)
+    rt = np.array([k[1] for k in keys], dtype=np.int64)
+    rm = np.array([resolutions[k] for k in keys], dtype=np.uint16)
     t0 = int(times.min()) if len(times) else 0
     t1 = int(times.max()) if len(times) else 0
     ords = np.zeros(len(times), dtype=np.int64)
@@ -360,6 +363,16 @@ class TestReports:
         res = make_result(reqs, {(0, 0): 0})  # second fill unresolved
         with pytest.raises(ValueError):
             accumulate(res, single_region_map(2))
+
+    def test_resolutions_out_of_fill_order_rejected(self):
+        # A line is fetched again only after its previous fill resolved, so
+        # a stream that resolves a line's later fill first is refused.
+        reqs = [(0, REQ_FILL, 0), (100, REQ_WRITEBACK, 0), (300, REQ_FILL, 0)]
+        res = make_result(reqs, {(0, 0): 1, (0, 300): 2})
+        flipped = {name: getattr(res, name)[::-1].copy()
+                   for name in ("res_line", "res_fill_time", "res_mask", "res_time")}
+        with pytest.raises(ValueError, match="does not match the fill stream"):
+            accumulate(dataclasses.replace(res, **flipped), single_region_map(1))
 
     def test_csv_and_json_roundtrip(self, tmp_path):
         rng = random.Random(3)
