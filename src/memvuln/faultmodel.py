@@ -84,10 +84,10 @@ class AccessTimeline:
 
     @staticmethod
     def _parse_tag(tag):
-        if tag is True or tag == UNSAFE:
-            return True
-        if tag is False or tag == SAFE:
-            return False
+        if isinstance(tag, (bool, np.bool_)):
+            return bool(tag)
+        if tag in (SAFE, UNSAFE):
+            return tag == UNSAFE
         raise ValueError(f"unknown access tag: {tag!r}")
 
     @classmethod

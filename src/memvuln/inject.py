@@ -236,15 +236,10 @@ class InjectionContext:
     A: CsrMatrix
     b: np.ndarray
     tol: float
-    t_max: int
     regions: dict  # name -> (base, length); includes the pad control region
     ref: SimResult  # the reference request stream
     ref_order: np.ndarray  # its rows in (line, time) order (``by_line``)
     ref_line: np.ndarray  # its lines in that order
-    # column-occurrence index of the matrix: positions of each column value
-    col_order: np.ndarray
-    col_sorted: np.ndarray
-    row_of: np.ndarray
     baseline: Baseline
     image: dict  # the pristine memory image (``cg.memory_image``)
 
@@ -278,14 +273,10 @@ def build_context(
         A=A,
         b=b,
         tol=tol,
-        t_max=T_MAX,
         regions=regions,
         ref=result,
         ref_order=order,
         ref_line=result.req_line[order],
-        col_order=np.argsort(A.col_idx, kind="stable"),
-        col_sorted=np.sort(A.col_idx, kind="stable"),
-        row_of=A.nz_rows(),
         baseline=measure_baseline(A, b, tol),
         image=memory_image(A, b),
     )
@@ -417,8 +408,12 @@ class _InjectedSolve:
     (see the ``cg`` module) gives the flipped word's own accesses, and the
     first of them at or after the ordinal decides: a load sees the flip,
     a store erases it, and past them all the flip waits for the next
-    phase.  A sweep whose matrix or source carries the flip splits its
-    sparse product at the same ordinals.  Arithmetic follows native float
+    phase.  A sweep the flip lands in follows one rule: it gathers every
+    product from the image as the sweep opens, applies the flip, gathers
+    again the products whose column, value or source load of the word
+    comes at or after the ordinal, and sums the rows whose row-pointer
+    load of it does over their moved bounds; every later sweep sums both
+    rows an ``Ar`` flip moved that way.  Arithmetic follows native float
     semantics — a zero denominator yields inf/nan rather than an
     exception, so poisoned runs drift on to the iteration cap just as the
     real program would, unless an iteration opens in a state that
@@ -443,8 +438,8 @@ class _InjectedSolve:
         self.e_off = None  # flip ordinal within the open phase, if inside it
         self.iter_done = 0
         self.t_cap = 0  # the run's iteration cap, set by ``run``
-        self.ar_flip_entry = None
-        self.empty_rows = ()  # rows an applied Ar flip emptied in bounds
+        self.ar_rows = ()  # rows whose bounds an applied Ar flip moved
+        self.empty_rows = ()  # those of them it emptied in bounds
 
         # Copies of the pristine state vectors and of the flip's target, in
         # structure order, so a copied input precedes them on the heap.
@@ -454,7 +449,6 @@ class _InjectedSolve:
         self.arr = {k: v.copy() if k == target or k in STATE_VECTORS else v
                     for k, v in ctx.image.items()}
         self.rp_w, self.ci_w, self.av_w = (self.arr[k] for k in ("Ar", "Ac", "Av"))
-        self.prod = None  # the last sweep's products, Av[j] * src[Ac[j]]
 
     # -- flip plumbing -------------------------------------------------------
 
@@ -465,10 +459,9 @@ class _InjectedSolve:
         self.applied = True
         if self.target == "Ar":
             w, rp = self.word, self.rp_w
-            self.ar_flip_entry = w
+            self.ar_rows = [r for r in (w - 1, w) if 0 <= r < self.n]
             if 0 <= rp[w] <= self.nnz:  # no product can escape the arrays
-                self.empty_rows = [r for r in (w - 1, w)
-                                   if 0 <= r < self.n and rp[r] >= rp[r + 1]]
+                self.empty_rows = [r for r in self.ar_rows if rp[r] >= rp[r + 1]]
 
     def _cancel(self):
         self.pending = False
@@ -533,10 +526,20 @@ class _InjectedSolve:
         if self._baseline_sweep(phase):
             cp = self.ctx.baseline.checkpoints[self.iter_done + 1]
             np.copyto(out, cp.vectors["q"])
-        elif self.e_off is None:
-            self._spmv_value(phase.source(parity), out)
-        else:
-            self._spmv_mid(phase, parity, out)
+            return
+        src = self.arr[phase.source(parity)]
+        # prod[j] = Av[j] * src[Ac[j]]; a column index out of range raises
+        # IndexError (see ``cg.spmv``).
+        prod = np.take(src, self.ci_w)
+        np.multiply(self.av_w, prod, out=prod)
+        rows = self.ar_rows
+        if self.e_off is not None:  # the flip lands in this sweep
+            self._apply()
+            nz, rows = self._late_reads(phase, parity)
+            prod[nz] = self.av_w[nz] * np.take(src, self.ci_w[nz])
+        np.add.reduceat(prod, self.rp[:-1], out=out)
+        for r in rows:
+            out[r] = self._row_sum(prod, int(self.rp_w[r]), int(self.rp_w[r + 1]))
 
     def _baseline_sweep(self, phase: Phase) -> bool:
         """A q_spmv that ends at or before a pending flip: it reads the
@@ -545,79 +548,26 @@ class _InjectedSolve:
 
     # -- sparse products -------------------------------------------------------
 
-    def _row_sum(self, start, end) -> float:
+    def _late_reads(self, phase: Phase, parity: int):
+        """The nonzeros whose column, value or source load reads the
+        flipped word at or after the flip ordinal, and the rows whose
+        row-pointer load of it does."""
+        e_off, w, rp = self.e_off, self.word, self.rp
+        nz = np.empty(0, dtype=np.int64)
+        for k, name in enumerate(phase.nz_operands(parity)):
+            if name == self.target:
+                nz = np.flatnonzero(self.ctx.A.col_idx == w) if k == 2 else np.array([w])
+                row = np.searchsorted(rp, nz, side="right") - 1
+                nz = nz[phase.nz_ord(k, nz, row) >= e_off]
+        return nz, [r for r in self.ar_rows if e_off <= phase.row_ptr_ord(w - r, r, rp)]
+
+    def _row_sum(self, prod, start, end) -> float:
+        """A row's sum over moved bounds, as a native row loop takes it."""
         if end <= start:
             return 0.0
         if start < 0 or end > self.nnz:
             raise _SegFault("row bounds escape the matrix arrays")
-        return float(np.add.reduce(self.prod[start:end]))
-
-    def _gather_products(self, src_name):
-        """prod[j] = Av[j] * src[Ac[j]] under the current memory image; a
-        column index out of range raises IndexError (see ``cg.spmv``)."""
-        self.prod = np.take(self.arr[src_name], self.ci_w)
-        np.multiply(self.av_w, self.prod, out=self.prod)
-
-    def _spmv_plain(self, src_name, out):
-        self._gather_products(src_name)
-        np.add.reduceat(self.prod, self.rp[:-1], out=out)
-
-    def _spmv_value(self, src_name, out):
-        """Product under the current memory image (post-flip if applied)."""
-        self._spmv_plain(src_name, out)
-        r0 = self.ar_flip_entry
-        if r0 is not None:
-            for r in (r0 - 1, r0):
-                if 0 <= r < self.n:
-                    out[r] = self._row_sum(
-                        int(self.rp_w[r]), int(self.rp_w[r + 1])
-                    )
-
-    def _spmv_mid(self, phase: Phase, parity: int, out):
-        """Sparse sweep with the flip surfacing mid-phase.
-
-        Accesses at or past the flip ordinal see the new value, earlier
-        ones the old.
-        """
-        e_off = self.e_off
-        t = self.target
-        w = self.word
-        src_name = phase.source(parity)
-        nz_ops = phase.nz_operands(parity)
-        if t == src_name:
-            self._gather_products(src_name)
-            lo = np.searchsorted(self.ctx.col_sorted, w, side="left")
-            hi = np.searchsorted(self.ctx.col_sorted, w, side="right")
-            occ = self.ctx.col_order[lo:hi]
-            sees_new = phase.nz_ord(2, occ, self.ctx.row_of[occ]) >= e_off
-            occ_new = occ[sees_new]
-            self._apply()
-            if len(occ_new):
-                self.prod[occ_new] = self.av_w[occ_new] * self.arr[src_name][w]
-            np.add.reduceat(self.prod, self.rp[:-1], out=out)
-        elif t in nz_ops:
-            if e_off <= phase.nz_ord(nz_ops.index(t), w, self.ctx.row_of[w]):
-                self._apply()
-            self._spmv_value(src_name, out)
-        elif t == "Ar":
-            # Entry w is read as the end of row w - 1 and the start of row w.
-            r0 = w
-            as_end = None if r0 == 0 else phase.row_ptr_ord(1, r0 - 1, self.rp)
-            as_start = None if r0 == self.n else phase.row_ptr_ord(0, r0, self.rp)
-            if as_end is not None and e_off <= as_end:
-                self._apply()
-                self._spmv_value(src_name, out)
-            elif as_start is not None and e_off <= as_start:
-                # The previous row already swept with the old bound; only
-                # this row starts at the corrupted one.
-                self._apply()
-                self._spmv_plain(src_name, out)
-                out[r0] = self._row_sum(int(self.rp_w[r0]), int(self.rp[r0 + 1]))
-            else:
-                self._spmv_plain(src_name, out)
-        else:
-            self._apply()
-            self._spmv_value(src_name, out)
+        return float(np.add.reduce(prod[start:end]))
 
     # -- main loop ----------------------------------------------------------------
 
@@ -704,7 +654,7 @@ def run_one(ctx: InjectionContext, plan: InjectionPlan) -> Outcome:
     A surfaced ``x`` flip that no recompute reads is settled from its
     one word (``_x_row``).  A run that would open iteration
     ``HANG_ITERS`` times the baseline's count unconverged stops there as
-    a hang (or at the solver's own cap ``t_max``, should that be lower),
+    a hang (or at the solver's own cap ``T_MAX``, should that be lower),
     or sooner once it provably cannot converge.
     """
     bl = ctx.baseline
@@ -725,7 +675,7 @@ def run_one(ctx: InjectionContext, plan: InjectionPlan) -> Outcome:
     runner = _InjectedSolve(ctx, plan, apply_ord)
     try:
         converged, iterations = runner.run(
-            min(HANG_ITERS * bl.iterations, ctx.t_max)
+            min(HANG_ITERS * bl.iterations, T_MAX)
         )
     except Exception as exc:  # noqa: BLE001 - any abnormal end is a crash
         return outcome(OUTCOME_CRASH, runner.iter_done, type(exc).__name__)
@@ -775,7 +725,7 @@ def flip_check(ctx: InjectionContext, plan: InjectionPlan):
     if apply_ord is None:
         return None
     runner = _PausedSolve(ctx, plan, apply_ord)
-    runner.run(ctx.t_max)
+    runner.run(T_MAX)
     return runner.clean
 
 

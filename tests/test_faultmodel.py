@@ -72,6 +72,13 @@ class TestTimeline:
         tl = AccessTimeline([1.0, 2.0], [True, False])
         assert list(tl) == [(1.0, UNSAFE), (2.0, SAFE)]
 
+    def test_numpy_boolean_tags(self):
+        tl = AccessTimeline([1.0, 2.0], np.array([True, False]))
+        assert list(tl) == [(1.0, UNSAFE), (2.0, SAFE)]
+        for bad in ([1, 0], np.array([1, 0]), ["unsafe", "maybe"]):
+            with pytest.raises(ValueError, match="unknown access tag"):
+                AccessTimeline([1.0, 2.0], bad)
+
     def test_empty(self):
         tl = AccessTimeline([], [])
         assert len(tl) == 0

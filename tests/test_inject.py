@@ -35,6 +35,7 @@ from memvuln.cg import (
     G_RECOMPUTE,
     Q_SPMV,
     RECOMPUTE_EVERY,
+    T_MAX,
     X_UPDATE,
     CsrMatrix,
     LoopState,
@@ -244,7 +245,7 @@ class TestRunnerFidelity:
         rec = solve(A, b, tol=tol)
         plan = InjectionPlan("d", 64 * 3 + 7, 1, 0, 0)
         runner = _FullSolve(ctx, plan, apply_ord=None)
-        converged, iterations = runner.run(ctx.t_max)
+        converged, iterations = runner.run(T_MAX)
         assert converged and iterations == rec.iterations
         assert np.array_equal(runner.arr["x"], rec.x)
         assert runner.cum == res.n_accesses
@@ -262,7 +263,7 @@ class TestRunnerFidelity:
             plan = InjectionPlan(sid, 64 * word + bit, 1, 0, 0)
             runner = _FullSolve(ctx, plan, apply_ord=0)
             with np.errstate(all="ignore"):
-                converged, iterations = runner.run(ctx.t_max)
+                converged, iterations = runner.run(T_MAX)
             A2 = CsrMatrix(
                 A.n_rows, A.row_ptr.copy(), A.col_idx.copy(), A.values.copy()
             )
@@ -271,7 +272,7 @@ class TestRunnerFidelity:
             view = arr.view(np.uint64)
             view[word] ^= np.uint64(1 << bit)
             with np.errstate(all="ignore"):
-                ref = solve(A2, b2, tol=tol, t_max=ctx.t_max)
+                ref = solve(A2, b2, tol=tol, t_max=T_MAX)
             assert converged == ref.converged
             assert iterations == ref.iterations
             assert np.array_equal(
@@ -367,7 +368,7 @@ class TestCheckpoints:
                 got = _FullSolve(ctx, plan, e)
                 want = _FullSolve(scratch, plan, e)
                 with np.errstate(all="ignore"):
-                    rows = [r.run(ctx.t_max) for r in (got, want)]
+                    rows = [r.run(T_MAX) for r in (got, want)]
                 assert rows[0] == rows[1], (e, sid)
                 assert (got.applied, got.erased) == (want.applied, want.erased)
                 if not got.erased:  # an erased run stops where it was erased
@@ -386,7 +387,7 @@ class TestCheckpoints:
                 apply_ord, reason = resolve_visibility(ctx, plan)
                 full = _RunPastErasure(scratch, plan, apply_ord)
                 with np.errstate(all="ignore"):
-                    converged, iterations = full.run(ctx.t_max)
+                    converged, iterations = full.run(T_MAX)
                 if full.applied:
                     continue
                 # The classification of the full run, as run_one makes it.
@@ -448,144 +449,183 @@ def scalar_sweep_oracle(ctx, template, src_name, values, flip, e_off):
     return out
 
 
+#: The sweeps a flip can land in, one per source buffer: (phase, parity).
+SWEEPS = ((Q_SPMV, 0), (Q_SPMV, 1), (G_RECOMPUTE, 0))
+
+
 @pytest.fixture(scope="module")
 def phase_rig():
     A, _b, _tol, _res, ctx = build_problem(side=4)
-    template = _AccessEmitter(A, None)._template(Q_SPMV, 0)
+    emitter = _AccessEmitter(A, None)
+    templates = {sweep: emitter._template(*sweep) for sweep in SWEEPS}
     rng = np.random.default_rng(23)
     d0 = rng.normal(size=A.n_rows)
-    return A, ctx, template, d0
+    return A, ctx, templates, d0
 
 
 class TestMidPhaseSplits:
     """Drive single phases through the loop's hooks against independent
-    oracles; the tests do a phase's elementwise arithmetic themselves."""
+    oracles; the tests do a phase's elementwise arithmetic themselves.
+    Each sweep test runs on every sweep a flip can land in (``SWEEPS``),
+    with ``d0`` as that sweep's source vector."""
 
-    def make_runner(self, ctx, plan, e, d0):
+    def make_runner(self, ctx, plan, e, d0, phase, parity):
         runner = _FullSolve(ctx, plan, apply_ord=e)
-        runner.arr["d"][:] = d0
+        runner.arr[phase.source(parity)][:] = d0
         return runner
 
-    def q_after_phase(self, runner):
-        runner.open_phase(Q_SPMV, 0, 0)
-        runner.product(Q_SPMV, 0, runner.arr["q"])
-        return runner.arr["q"].copy()
+    def sweep(self, runner, phase, parity):
+        """Open the phase at the runner's cursor and return its product."""
+        runner.open_phase(phase, 0, parity)
+        out = np.empty(runner.n)
+        runner.product(phase, parity, out)
+        return out
 
     def flipped_value(self, arr, word, bit):
         v = arr[word : word + 1].copy()
         v.view(np.uint64)[0] ^= np.uint64(1 << bit)
         return v[0]
 
+    def loads_of(self, ctx, template, name, word):
+        """Stream positions of the sweep's loads of the word."""
+        return np.flatnonzero(template[1] == ctx.regions[name][0] + 8 * word)
+
+    def check_split(self, ctx, template, phase, parity, values, flip, e, plan):
+        """One flip landing ``e`` accesses into the sweep, against the
+        scalar oracle; the flip stays in the image afterwards."""
+        name, word, new = flip
+        runner = self.make_runner(ctx, plan, e, values[phase.source(parity)],
+                                  phase, parity)
+        with np.errstate(all="ignore"):
+            got = self.sweep(runner, phase, parity)
+            want = scalar_sweep_oracle(
+                ctx, template, phase.source(parity), values, flip, e
+            )
+        # The oracle sums a row left to right, reduceat pairwise.
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
+                                   err_msg=f"{phase.name} {parity} {e}")
+        assert runner.applied
+        stored = runner.arr[name][word : word + 1]
+        assert stored.tobytes() == np.array([new], stored.dtype).tobytes()
+
     def test_source_vector_split_all_offsets(self, phase_rig):
-        A, ctx, template, d0 = phase_rig
-        values = {"Ac": A.col_idx, "Av": A.values, "d": d0}
-        d_base = ctx.regions["d"][0]
+        A, ctx, templates, d0 = phase_rig
         rng = random.Random(3)
-        for _ in range(25):
-            word = rng.randrange(A.n_rows)
-            bit = rng.choice([48, 52, 58, 62])
-            # A random ordinal, and the edges of the word's gathered loads.
-            loads = np.nonzero(template[1] == d_base + 8 * word)[0]
-            edges = (int(loads[0]), int(loads[0]) + 1, int(loads[-1]) + 1)
-            for e in (rng.randrange(1, len(template[0])),) + edges:
-                plan = InjectionPlan("d", 64 * word + bit, 1, 0, 0)
-                runner = self.make_runner(ctx, plan, e, d0)
+        for (phase, parity), template in templates.items():
+            src = phase.source(parity)
+            values = {"Ac": A.col_idx, "Av": A.values, src: d0}
+            for _ in range(25):
+                word = rng.randrange(A.n_rows)
+                bit = rng.choice([48, 52, 58, 62])
+                # A random ordinal, and the edges of the word's gathered loads.
+                loads = self.loads_of(ctx, template, src, word)
+                edges = (int(loads[0]), int(loads[0]) + 1, int(loads[-1]) + 1)
                 new = self.flipped_value(d0, word, bit)
-                with np.errstate(all="ignore"):
-                    got = self.q_after_phase(runner)
-                    want = scalar_sweep_oracle(
-                        ctx, template, "d", values, ("d", word, new), e
-                    )
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-                # The flip stays in the memory image afterwards.
-                assert runner.arr["d"].view(np.uint64)[word] == np.uint64(
-                    d0.view(np.uint64)[word] ^ np.uint64(1 << bit)
-                )
+                plan = InjectionPlan(src, 64 * word + bit, 1, 0, 0)
+                for e in (rng.randrange(1, len(template[0])),) + edges:
+                    self.check_split(ctx, template, phase, parity, values,
+                                     (src, word, new), e, plan)
 
     def test_matrix_value_split(self, phase_rig):
-        A, ctx, template, d0 = phase_rig
-        values = {"Ac": A.col_idx, "Av": A.values, "d": d0}
+        A, ctx, templates, d0 = phase_rig
         rng = random.Random(4)
-        for _ in range(25):
-            word = rng.randrange(A.nnz)
-            bit = rng.choice([50, 55, 62])
-            e = rng.randrange(1, len(template[0]))
-            plan = InjectionPlan("Av", 64 * word + bit, 1, 0, 0)
-            runner = self.make_runner(ctx, plan, e, d0)
-            new = self.flipped_value(A.values, word, bit)
-            with np.errstate(all="ignore"):
-                got = self.q_after_phase(runner)
-                want = scalar_sweep_oracle(
-                    ctx, template, "d", values, ("Av", word, new), e
-                )
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        for (phase, parity), template in templates.items():
+            values = {"Ac": A.col_idx, "Av": A.values, phase.source(parity): d0}
+            for _ in range(25):
+                word = rng.randrange(A.nnz)
+                bit = rng.choice([50, 55, 62])
+                (load,) = self.loads_of(ctx, template, "Av", word)
+                new = self.flipped_value(A.values, word, bit)
+                plan = InjectionPlan("Av", 64 * word + bit, 1, 0, 0)
+                for e in (rng.randrange(1, len(template[0])), load, load + 1):
+                    self.check_split(ctx, template, phase, parity, values,
+                                     ("Av", word, new), int(e), plan)
 
     def test_column_index_split_in_range(self, phase_rig):
-        A, ctx, template, d0 = phase_rig
-        values = {"Ac": A.col_idx, "Av": A.values, "d": d0}
+        A, ctx, templates, d0 = phase_rig
         rng = random.Random(6)
-        tried = 0
-        while tried < 25:
-            word = rng.randrange(A.nnz)
-            bit = rng.randrange(0, 6)
-            if int(A.col_idx[word]) ^ (1 << bit) >= A.n_rows:
-                continue
-            tried += 1
-            e = rng.randrange(1, len(template[0]))
+        for (phase, parity), template in templates.items():
+            values = {"Ac": A.col_idx, "Av": A.values, phase.source(parity): d0}
+            tried = 0
+            while tried < 25:
+                word = rng.randrange(A.nnz)
+                bit = rng.randrange(0, 6)
+                new = int(A.col_idx[word]) ^ (1 << bit)
+                if new >= A.n_rows:
+                    continue
+                tried += 1
+                (load,) = self.loads_of(ctx, template, "Ac", word)
+                plan = InjectionPlan("Ac", 64 * word + bit, 1, 0, 0)
+                for e in (rng.randrange(1, len(template[0])), load, load + 1):
+                    self.check_split(ctx, template, phase, parity, values,
+                                     ("Ac", word, new), int(e), plan)
+
+    def test_column_index_out_of_range_raises_where_it_is_read(self, phase_rig):
+        A, ctx, templates, d0 = phase_rig
+        word, bit = 100, 40  # a column far past the source vector
+        for (phase, parity), template in templates.items():
+            (load,) = self.loads_of(ctx, template, "Ac", word)
             plan = InjectionPlan("Ac", 64 * word + bit, 1, 0, 0)
-            runner = self.make_runner(ctx, plan, e, d0)
-            got = self.q_after_phase(runner)
-            new = float(int(A.col_idx[word]) ^ (1 << bit))
-            want = scalar_sweep_oracle(
-                ctx, template, "d", values, ("Ac", word, int(new)), e
-            )
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            runner = self.make_runner(ctx, plan, int(load), d0, phase, parity)
+            with pytest.raises(IndexError):
+                self.sweep(runner, phase, parity)
+            # Landing past its load, the flip leaves this sweep whole and
+            # is read by the next.
+            runner = self.make_runner(ctx, plan, int(load) + 1, d0, phase, parity)
+            got = self.sweep(runner, phase, parity)
+            np.testing.assert_array_equal(got, spmv(A, d0))
+            assert runner.applied
+            with pytest.raises(IndexError):
+                self.sweep(runner, phase, parity)
 
     def test_row_pointer_split_three_cases(self, phase_rig):
-        A, ctx, template, d0 = phase_rig
-        n = A.n_rows
-        ar_base = ctx.regions["Ar"][0]
+        A, ctx, templates, d0 = phase_rig
+        n, nnz, rp = A.n_rows, A.nnz, A.row_ptr
+        prod = A.values * d0[A.col_idx]
+        pristine = spmv(A, d0)
+
+        def expected(r0, new_val, moved):
+            """The product with each moved row summed over its new bounds,
+            or None when one of them escapes the matrix arrays."""
+            want = pristine.copy()
+            for r in moved:
+                lo, hi = (new_val, rp[r + 1]) if r == r0 else (rp[r], new_val)
+                if hi > lo and (lo < 0 or hi > nnz):
+                    return None
+                want[r] = np.add.reduce(prod[lo:hi]) if hi > lo else 0.0
+            return want
+
         rng = random.Random(8)
-        rp = A.row_ptr
-        tested = 0
-        for _ in range(20):
-            r0 = rng.randrange(1, n)  # interior entry: read twice
-            delta = rng.choice([1, 2, -1, -2])
-            new_val = int(rp[r0]) + delta
-            if not 0 <= new_val <= A.nnz:
-                continue
-            bits = int(rp[r0]) ^ new_val
-            if bits & (bits - 1):
-                continue  # keep to single-bit flips
-            bit = bits.bit_length() - 1
-            tested += 1
-            # Entry r0 is read twice: as the end of row r0 - 1, then as
-            # the start of row r0.
-            as_end, as_start = np.nonzero(template[1] == ar_base + 8 * r0)[0]
-            prod = A.values * d0[A.col_idx]
-
-            def c_row(lo, hi):
-                return float(np.add.reduce(prod[lo:hi])) if hi > lo else 0.0
-
-            pristine = spmv(A, d0)
-            for e, touched in (
-                (as_end, "both"),
-                (as_end + 1, "start-only"),
-                (as_start + 1, "neither"),
-            ):
+        # Entry 0 is read only as row 0's start, entry n only as row n - 1's
+        # end, an interior entry as both.
+        entries = [0, n] + rng.sample(range(1, n), 3)
+        escaped = 0
+        for (phase, parity), template in templates.items():
+            for r0, bit in itertools.product(entries, (0, 1, 2, 3, 40, 63)):
+                new_val = int(self.flipped_value(rp, r0, bit))
+                rows = [r for r in (r0 - 1, r0) if 0 <= r < n]
+                loads = self.loads_of(ctx, template, "Ar", r0)
+                assert len(loads) == len(rows)
                 plan = InjectionPlan("Ar", 64 * r0 + bit, 1, 0, 0)
-                runner = self.make_runner(ctx, plan, e, d0)
-                got = self.q_after_phase(runner)
-                want = pristine.copy()
-                if touched in ("both",):
-                    want[r0 - 1] = c_row(int(rp[r0 - 1]), new_val)
-                if touched in ("both", "start-only"):
-                    want[r0] = c_row(new_val, int(rp[r0 + 1]))
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert tested >= 3
+                for e in sorted({0, *loads, *(loads + 1)}):
+                    runner = self.make_runner(ctx, plan, int(e), d0, phase, parity)
+                    # A row moves in this sweep when its load comes at or
+                    # after the flip, and in every later sweep.
+                    for moved in ([r for r, p in zip(rows, loads) if p >= e], rows):
+                        want = expected(r0, new_val, moved)
+                        if want is None:
+                            escaped += 1
+                            with pytest.raises(inject._SegFault):
+                                self.sweep(runner, phase, parity)
+                            break
+                        got = self.sweep(runner, phase, parity)
+                        np.testing.assert_array_equal(
+                            got, want, err_msg=f"{phase.name} {r0} {bit} {e}")
+                        assert runner.applied
+        assert escaped > 20
 
     def test_elementwise_split_boundaries(self, phase_rig):
-        A, ctx, template, d0 = phase_rig
+        A, ctx, _templates, d0 = phase_rig
         n = A.n_rows
         rng = np.random.default_rng(31)
         x0 = rng.normal(size=n)
@@ -622,14 +662,18 @@ class TestMidPhaseSplits:
         assert np.array_equal(results["after"], after)
 
     def test_bystander_flip_applies_before_phase(self, phase_rig):
-        A, ctx, template, d0 = phase_rig
-        # b is not touched by the direction sweep: any mid-phase ordinal
-        # simply deposits the flip for later phases.
-        plan = InjectionPlan("b", 64 * 2 + 40, 1, 0, 0)
-        runner = self.make_runner(ctx, plan, 17, d0)
-        got = self.q_after_phase(runner)
-        np.testing.assert_allclose(got, spmv(A, d0), rtol=1e-12, atol=0)
-        assert runner.applied
+        A, ctx, templates, d0 = phase_rig
+        # A vector the sweep does not touch (b for q_spmv, q for
+        # g_recompute): any mid-phase ordinal simply deposits the flip for
+        # later phases.
+        for phase, parity in templates:
+            read = {phase.source(parity), *(name for name, _ in phase.operands(parity))}
+            name = next(v for v in ("b", "q") if v not in read)
+            plan = InjectionPlan(name, 64 * 2 + 40, 1, 0, 0)
+            runner = self.make_runner(ctx, plan, 17, d0, phase, parity)
+            got = self.sweep(runner, phase, parity)
+            np.testing.assert_array_equal(got, spmv(A, d0))
+            assert runner.applied
 
 
 class TestClassification:
@@ -664,18 +708,18 @@ class TestClassification:
 
     def test_hang_on_poisoned_state(self, small_problem):
         *_, ctx = small_problem
-        # Left to t_max this run ends as a wrong result at iteration 2000.
+        # Left to T_MAX this run ends as a wrong result at iteration 2000.
         plan = InjectionPlan("Av", 158910, 12070, 0, 0)
         oc = run_one(ctx, plan)
         assert oc.outcome == OUTCOME_HANG
         assert oc.iterations == HANG_ITERS * ctx.baseline.iterations
         assert _outcome_row(run_one(ctx, plan)) == _outcome_row(oc)
 
-    def test_solver_cap_below_budget_ends_a_hang(self, small_problem):
+    def test_solver_cap_below_budget_ends_a_hang(self, small_problem, monkeypatch):
         *_, ctx = small_problem
-        capped = dataclasses.replace(ctx, t_max=10)
-        assert capped.t_max < HANG_ITERS * ctx.baseline.iterations
-        oc = run_one(capped, InjectionPlan("Av", 158910, 12070, 0, 0))
+        monkeypatch.setattr(inject, "T_MAX", 10)
+        assert inject.T_MAX < HANG_ITERS * ctx.baseline.iterations
+        oc = run_one(ctx, InjectionPlan("Av", 158910, 12070, 0, 0))
         assert (oc.outcome, oc.iterations) == (OUTCOME_HANG, 10)
 
     def test_extra_work_exists(self, small_problem):
@@ -913,7 +957,7 @@ class TestSettlements:
 
 
 def unbounded_row(ctx, plan):
-    """A run left to go on to t_max, classified, then relabelled ``hang``
+    """A run left to go on to T_MAX, classified, then relabelled ``hang``
     if it had not converged before iteration HANG_ITERS times the
     baseline's."""
     bl = ctx.baseline
@@ -922,7 +966,7 @@ def unbounded_row(ctx, plan):
     runner = _FullSolve(ctx, plan, apply_ord)
     try:
         with np.errstate(all="ignore"):
-            converged, iterations = runner.run(ctx.t_max)
+            converged, iterations = runner.run(T_MAX)
     except Exception as exc:  # noqa: BLE001
         if runner.iter_done < hang_at:
             return OUTCOME_CRASH, runner.iter_done, type(exc).__name__
@@ -971,7 +1015,7 @@ class TestGoldenOutcomes:
 
     def test_budget_equals_unbounded_run_relabelled(self, small_problem):
         *_, ctx = small_problem
-        assert HANG_ITERS * ctx.baseline.iterations < ctx.t_max
+        assert HANG_ITERS * ctx.baseline.iterations < T_MAX
         relabelled = 0
         for sid in self.STRUCTURES:
             for plan in draw_plans(ctx, sid, 100, seed=0):
