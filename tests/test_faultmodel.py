@@ -69,15 +69,9 @@ class TestTimeline:
         assert tl.last_time == 9.0
 
     def test_boolean_tags(self):
-        tl = AccessTimeline([1.0, 2.0], [True, False])
-        assert list(tl) == [(1.0, UNSAFE), (2.0, SAFE)]
-
-    def test_numpy_boolean_tags(self):
-        tl = AccessTimeline([1.0, 2.0], np.array([True, False]))
-        assert list(tl) == [(1.0, UNSAFE), (2.0, SAFE)]
-        for bad in ([1, 0], np.array([1, 0]), ["unsafe", "maybe"]):
-            with pytest.raises(ValueError, match="unknown access tag"):
-                AccessTimeline([1.0, 2.0], bad)
+        for tags in ([True, False], np.array([True, False])):
+            tl = AccessTimeline([1.0, 2.0], tags)
+            assert list(tl) == [(1.0, UNSAFE), (2.0, SAFE)]
 
     def test_empty(self):
         tl = AccessTimeline([], [])
@@ -96,6 +90,9 @@ class TestTimeline:
             AccessTimeline([3.0, 2.0], [SAFE, SAFE])
         with pytest.raises(ValueError):
             AccessTimeline([1.0], ["sometimes"])
+        for ints in ([1, 0], np.array([1, 0])):
+            with pytest.raises(ValueError, match="unknown access tag"):
+                AccessTimeline([1.0, 2.0], ints)
 
     def test_vulnerability_needs_window(self):
         tl = AccessTimeline([1.0], [UNSAFE])
