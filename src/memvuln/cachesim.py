@@ -69,16 +69,40 @@ until ``finish``, so a span stays valid) and the forms of the sets it
 changed.  A hit appends those rows again, shifted as ``STREAMS`` says by
 the change of clock (times) or of access count (ordinals), gives the
 resolutions of fills pending at its start their live fill times, adds
-the recorded stall cycles, and rebuilds the changed sets at the new
-clock.  Blocks are recorded, and the state snapshotted, only once the
-stream has repeated a block's content digest: a stream that never
-repeats pays only the digest, and a solver's stream (or its trace, read
-in the blocks it was written in) is recorded from its second iteration
-on, so the first state that recurs is already in the memo.  A block
-recorded ``MEMO_MISSES`` times in a row without a replay is simulated
-directly from then on and its recordings are freed: where the state
-never settles, the memo holds at most that many recordings per distinct
-block and stops taking snapshots.
+the recorded stall cycles, and installs the changed sets' forms at the
+new clock.  A changed set's form is already the one a snapshot compares,
+so its dict is rebuilt from the form only when a block is next
+simulated, at ``finish``, or when a snapshot finds the set in flight and
+must read its ready times against the clock.  Blocks are recorded, and
+the state snapshotted, only once the stream has repeated a block's
+content digest: a stream that never repeats pays only the digest, and a
+solver's stream (or its trace, read in the blocks it was written in) is
+recorded from its second iteration on, so the first state that recurs is
+already in the memo.  A block recorded ``MEMO_MISSES`` times in a row
+without a replay is simulated directly from then on and its recordings
+are freed: where the state never settles, the memo holds at most that
+many recordings per distinct block and stops taking snapshots.
+
+The d/dp swap.  The solver's two direction buffers ``d`` and ``dp``
+trade roles every iteration, so a block's content comes back only every
+second iteration; in between comes the same block with the two swapped.
+Let σ map each line of ``d`` to the line of ``dp`` at the same offset,
+``delta`` lines on, and back, and every other line to itself.  Every
+decision the simulator makes about a line (``_run``, ``_writeback``,
+``_finalize``, ``_ready_victim``) asks only whether it equals another
+line and which set it falls in at each level, and renaming keys keeps a
+dict's order.  So a bijection of lines that keeps every line's set at
+every level commutes with the simulation: block σ(B) from state σ(S)
+writes σ of the rows B writes from S and ends in σ of B's end state.  σ
+keeps every set when ``delta`` is a multiple of each level's set count;
+``register_structures`` takes σ from the structure map only then, and
+only for buffers of equal length whose line ranges do not overlap.  When
+the plain lookup misses, the memo looks up σ(block) (its digest is kept
+once its content has been compared in full) in state σ(state), again
+compared in full.  A hit replays that recording through σ: the line
+streams (``STREAMS``), the lines of fills pending at the start, the
+``_track`` lines and the installed set forms.  ``finish`` sorts lines,
+so it never runs under σ.
 """
 
 from __future__ import annotations
@@ -91,7 +115,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .trace import check_kinds
+from .trace import SWAPPED_BUFFERS, check_kinds
 
 REQ_FILL = 0
 REQ_WRITEBACK = 1
@@ -112,16 +136,17 @@ _ALL_WORDS = (1 << LINE_SIZE // 8) - 1  # per-line mask of its 8-byte words
 
 #: The simulator's output streams, in ``SimResult`` field order: each
 #: field's ``array`` typecode (also its numpy dtype) and what a replayed
-#: block shifts it by: the clock, the access ordinal, or nothing.  The
-#: ``req_`` streams hold one row per request, the ``res_`` ones one per
-#: resolution.
+#: block shifts it by: the clock, the access ordinal, or nothing; a
+#: ``line`` stream holds line addresses, which a replay under the swap
+#: maps through it.  The ``req_`` streams hold one row per request, the
+#: ``res_`` ones one per resolution.
 STREAMS = (
     ("req_time", "q", "clock"),
     ("req_kind", "B", None),
-    ("req_line", "q", None),
+    ("req_line", "q", "line"),
     ("req_cause", "B", None),
     ("req_ord", "q", "ordinal"),  # the program access that triggered it
-    ("res_line", "q", None),
+    ("res_line", "q", "line"),
     ("res_fill_time", "q", "clock"),
     ("res_mask", "H", None),
     ("res_time", "q", "clock"),
@@ -328,6 +353,38 @@ class _BlockReplay(NamedTuple):
     track: array  # per ``_track`` entry: line, its words, fill time minus clock
 
 
+#: Which way σ moves a line, by how many of ``_Swap.bounds`` it reaches.
+_SWAP_STEP = np.array([0, 1, 0, -1, 0])
+
+
+class _Swap(NamedTuple):
+    """σ (see module doc): lines ``[lo, lo + n)`` and ``[lo + delta, lo +
+    delta + n)`` trade places, each with the one ``delta`` lines away."""
+
+    bounds: np.ndarray  # lo, lo + n, lo + delta, lo + delta + n
+    delta: int
+
+    def __call__(self, values: np.ndarray, bits: int = 0) -> np.ndarray:
+        """σ of int64 lines, or of addresses with ``2**bits`` bytes a line."""
+        where = np.searchsorted(self.bounds, values >> bits, side="right")
+        return values + _SWAP_STEP[where] * (self.delta << bits)
+
+    def records(self, raw, width: int) -> np.ndarray:
+        """σ of packed int64 records of ``width`` words, each led by a line."""
+        words = np.frombuffer(raw, dtype=np.int64).copy()
+        words[::width] = self(words[::width])
+        return words
+
+    def forms(self, forms) -> list:
+        """σ of each set's form, in one pass over all of them."""
+        raw = self.records(b"".join(forms), 2).tobytes()
+        out, at = [], 0
+        for form in forms:
+            out.append(raw[at : at + len(form)])
+            at += len(form)
+        return out
+
+
 def _ready_victim(st: dict, busy: int):
     """The least recently used line of a full set whose fill has completed
     (entry at most ``busy``)."""
@@ -347,7 +404,7 @@ class CacheSimulator:
     solver drives) and call ``finish()`` to flush dirty lines, resolve
     pending fills, and obtain the SimResult.
     ``blocks_simulated`` and ``blocks_replayed`` count how each non-empty
-    block was handled.
+    block was handled, and ``blocks_swapped`` the replays made under σ.
     """
 
     def __init__(self, config: CacheConfig | None = None):
@@ -366,6 +423,7 @@ class CacheSimulator:
                     "stale": np.zeros(nsets, dtype=bool),  # may have changed since
                     "hot": [],  # sets with a line in flight at the last snapshot
                     "changed": (),  # sets a replay must rebuild (last snapshot)
+                    "deferred": {},  # set -> (form, clock << 1) a replay left
                 }
             )
         # The L1 sets as an object array: ``_run`` gathers each access's.
@@ -387,13 +445,31 @@ class CacheSimulator:
         self._blocks: dict = {}  # digest -> (kinds, addrs) copy
         self._memo: dict = {}  # digest -> {canonical state: _BlockReplay}
         self._misses: dict = {}  # digest -> recordings since its last replay
+        self._swap: _Swap | None = None  # σ, where the hierarchy keeps it exact
+        self._twins: dict = {}  # digest -> digest of σ(block), checked
         self.blocks_simulated = 0
         self.blocks_replayed = 0
+        self.blocks_swapped = 0
 
     # -- observer protocol ----------------------------------------------------
 
     def register_structures(self, smap) -> None:
-        """The simulator needs no structure map."""
+        """Take σ from the map's direction buffers where it is exact: equal
+        lengths, line ranges ``delta`` lines apart that do not overlap, and
+        ``delta`` a multiple of every level's set count."""
+        self._swap = None
+        names = smap.names()
+        if not all(name in names for name in SWAPPED_BUFFERS):
+            return
+        a, b = sorted((smap.region(name) for name in SWAPPED_BUFFERS),
+                      key=lambda r: r.base)
+        offset, lo = b.base - a.base, a.base >> LINE_BITS
+        n = ((a.end - 1) >> LINE_BITS) + 1 - lo
+        delta = offset >> LINE_BITS
+        if (a.length != b.length or offset % LINE_SIZE or delta < n
+                or any(delta % level["nsets"] for level in self._levels)):
+            return
+        self._swap = _Swap(np.array([lo, lo + n, lo + delta, lo + delta + n]), delta)
 
     def emit(self, kinds, addrs) -> None:
         if self._result is not None:
@@ -443,16 +519,47 @@ class CacheSimulator:
         states = self._memo.setdefault(digest, {})
         state = self._state()
         rec = states.get(state)  # dict lookup compares the full state
+        swapped = False
+        if rec is None and self._swap is not None:
+            # The same block with d and dp swapped, met with them swapped.
+            twins = self._memo.get(self._twin(digest, kinds, addrs))
+            if twins:
+                rec = twins.get(self._swapped(state))
+                swapped = rec is not None
         if rec is not None:
             self._misses[digest] = 0
-            self._replay(rec)
+            self._replay(rec, swapped)
             return
         states[state] = self._record(kinds, addrs)
         misses = self._misses[digest] = self._misses.get(digest, 0) + 1
         if misses == MEMO_MISSES:
-            del self._memo[digest], self._blocks[digest]  # never looked up again
+            # Never looked up again.
+            del self._memo[digest], self._blocks[digest]
+            self._twins.pop(digest, None)
 
     # -- block memo ---------------------------------------------------------------
+
+    def _twin(self, digest, kinds, addrs):
+        """The digest of σ(block) once the memo holds that block, compared
+        in full; it is kept, so σ(block) is built only until it is found."""
+        twin = self._twins.get(digest)
+        if twin is None:
+            swapped = self._swap(addrs, LINE_BITS)
+            h = hashlib.sha256(kinds)
+            h.update(swapped)
+            block = self._blocks.get(h.digest())
+            if block is None or not (np.array_equal(block[0], kinds)
+                                     and np.array_equal(block[1], swapped)):
+                return None
+            twin = self._twins[digest] = h.digest()
+        return twin
+
+    def _swapped(self, state: tuple) -> tuple:
+        """σ(state): every line of every set form and ``_track`` entry."""
+        *levels, heap, track = state
+        swap = self._swap
+        return (*(tuple(swap.forms(forms)) for forms in levels), heap,
+                swap.records(track, 3).tobytes())
 
     def _record(self, kinds, addrs) -> _BlockReplay:
         """Simulate one block and return what it did."""
@@ -481,6 +588,7 @@ class CacheSimulator:
 
     def _simulate(self, kinds, addrs) -> None:
         self.blocks_simulated += 1
+        self._rebuild_deferred()
         # The core loop wants Python ints; converting in slices bounds the
         # size of the temporary lists.
         step = 1 << 14
@@ -503,6 +611,8 @@ class CacheSimulator:
                 stale[level["hot"]] = True
                 ids = np.flatnonzero(stale).tolist()
             stale[:] = False
+            # Only a set in flight reads its ready times against the clock.
+            self._rebuild(level, [s for s in ids if s in level["deferred"]])
             # A set in flight at the last snapshot is rebuilt on a replay
             # even if its form came back: its absolute ready times moved.
             changed, hot = set(level["hot"]), []
@@ -524,8 +634,12 @@ class CacheSimulator:
         state.append(array("q", track).tobytes())
         return tuple(state)
 
-    def _replay(self, rec: _BlockReplay) -> None:
+    def _replay(self, rec: _BlockReplay, swapped: bool = False) -> None:
+        """Append a recorded block's rows and install its post-state; under
+        σ (``swapped``) every line the recording names is mapped first."""
         self.blocks_replayed += 1
+        self.blocks_swapped += swapped
+        swap = self._swap if swapped else None
         shift = {
             "clock": self._clock - rec.clock,
             "ordinal": self._clock - self._stalls - rec.ordinal,
@@ -533,37 +647,56 @@ class CacheSimulator:
         for (name, code, by), buf in zip(STREAMS, self._streams):
             start, end = rec.req if name.startswith("req_") else rec.res
             part = buf[start:end]  # a copy, so no view outlives the append
-            if by is not None:
+            if by == "line":
+                if swap:
+                    part = swap(np.frombuffer(part, dtype=code), LINE_BITS)
+            elif by is not None:
                 part = np.frombuffer(part, dtype=code) + shift[by]
             buf.frombytes(memoryview(part).cast("B"))
         track = self._track
         fill_time = self._res[1]
         at = len(fill_time) - (rec.res[1] - rec.res[0])
-        for j, line in rec.pending:
+        pending = rec.pending
+        if swap and pending:
+            rows, lines = zip(*pending)
+            pending = zip(rows, swap(np.array(lines)).tolist())
+        for j, line in pending:
             fill_time[at + j] = track[line][0]
         start = self._clock
         self._clock += rec.d_clock
         self._stalls += rec.stalls
-        # Install the recorded post-state at the new clock.
+        # Install the recorded post-state at the new clock; the changed
+        # sets' dicts wait for ``_rebuild`` (module doc).
         c2 = self._clock << 1
         for level, (ids, forms, hot) in zip(self._levels, rec.levels):
-            sets, level_forms = level["sets"], level["forms"]
-            for s, form in zip(ids, forms):
-                words = memoryview(form).cast("q").tolist()
-                st = sets[s]
-                st.clear()
-                for j in range(0, len(words), 2):
-                    v = words[j + 1]
-                    st[words[j]] = v + c2 if v > 1 else v
+            level_forms, deferred = level["forms"], level["deferred"]
+            for s, form in zip(ids, swap.forms(forms) if swap else forms):
+                deferred[s] = (form, c2)
                 level_forms[s] = form
             level["hot"] = hot
         # Stored sorted, so the list is already a valid heap.
         self._heap = [t + self._clock for t in memoryview(rec.heap).cast("q")]
-        words = rec.track.tolist()
+        words = (swap.records(rec.track, 4) if swap else rec.track).tolist()
         self._track = {
             ln: [track[ln][0] if rel <= self._req_lat else start + rel, res, over]
             for ln, res, over, rel in zip(*[iter(words)] * 4)
         }
+
+    def _rebuild(self, level: dict, ids) -> None:
+        """Rebuild the dicts of the deferred sets ``ids`` from their forms."""
+        sets, deferred = level["sets"], level["deferred"]
+        for s in ids:
+            form, c2 = deferred.pop(s)
+            words = memoryview(form).cast("q").tolist()
+            st = sets[s]
+            st.clear()
+            for j in range(0, len(words), 2):
+                v = words[j + 1]
+                st[words[j]] = v + c2 if v > 1 else v
+
+    def _rebuild_deferred(self) -> None:
+        for level in self._levels:
+            self._rebuild(level, list(level["deferred"]))
 
     # -- core loop --------------------------------------------------------------
 
@@ -697,8 +830,9 @@ class CacheSimulator:
     def finish(self) -> SimResult:
         if self._result is not None:
             return self._result
-        for memo in (self._seen, self._blocks, self._memo, self._misses):
+        for memo in (self._seen, self._blocks, self._memo, self._misses, self._twins):
             memo.clear()
+        self._rebuild_deferred()
         n_accesses = self._clock + 1 - self._stalls
         flush_time = self._clock + self._req_lat if n_accesses else 0
         # Resolve every outstanding fill, then write back dirty lines once

@@ -39,6 +39,7 @@ import numpy as np
 from .trace import (
     KIND_LOAD,
     KIND_STORE,
+    SWAPPED_BUFFERS,
     TRACKED_STRUCTURES,
     StructureMap,
     StructureRegion,
@@ -208,8 +209,9 @@ def default_structure_map(A: CsrMatrix) -> StructureMap:
 
 def _role(name, parity: int):
     """The buffer playing role ``name`` at this parity; d and dp swap."""
-    if parity and name in ("d", "dp"):
-        return "dp" if name == "d" else "d"
+    if parity and name in SWAPPED_BUFFERS:
+        first, second = SWAPPED_BUFFERS
+        return second if name == first else first
     return name
 
 

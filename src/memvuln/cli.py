@@ -137,7 +137,8 @@ def _campaign_log(scratch: str, args, structure: str, seed: int) -> str:
 
 def _memo_summary(sim: CacheSimulator) -> str:
     n, k = sim.blocks_simulated, sim.blocks_replayed
-    return f"simulated {n} of {n + k} blocks, replayed {k}"
+    return (f"simulated {n} of {n + k} blocks, replayed {k} "
+            f"({sim.blocks_swapped} under the d/dp swap)")
 
 
 def replay_trace(path: str, cfg: CacheConfig):

@@ -30,6 +30,9 @@ KIND_STORE = 1
 #: direction buffer (the two direction vectors swap roles every iteration).
 TRACKED_STRUCTURES = ("Ar", "Ac", "Av", "x", "b", "g", "d", "dp", "q")
 
+#: The two direction buffers, which trade roles every iteration.
+SWAPPED_BUFFERS = ("d", "dp")
+
 #: On-disk event record: u8 kind, u64 word address.
 RECORD_DTYPE = np.dtype([("kind", "u1"), ("addr", "<u8")])
 RECORD_SIZE = RECORD_DTYPE.itemsize  # 9 bytes

@@ -672,6 +672,19 @@ def result_digest(res) -> str:
     return h.hexdigest()
 
 
+class _OneDigest:
+    """A stand-in for ``hashlib.sha256`` under which every block collides."""
+
+    def __init__(self, *_):
+        pass
+
+    def update(self, _):
+        pass
+
+    def digest(self):
+        return b"same"
+
+
 def unrepeated_feed(cfg, kinds, addrs):
     """Simulate a stream in blocks of strictly increasing length, so no
     block's contents ever repeat and the block memo never replays."""
@@ -693,10 +706,12 @@ class TestBlockMemo:
     #: side and hierarchy, as the simulator wrote it before the memo
     #: replayed under the full-size one, with the most blocks the memo
     #: simulates there and the blocks in all.  A change that moves one
-    #: row fails here.
+    #: row fails here.  Only side 16 under ``desk_scaled`` keeps every
+    #: level's set count a divisor of the d-to-dp distance, so only there
+    #: does the memo replay under the swap.
     PINNED = {
         (8, "desk"): ("42d6e437bd4a56b0b9e7dc47ebc7137993d9a3ee4b462a9d02ff3df8e3a59e22", 22, 50),
-        (16, "desk"): ("aa3405b69b0d078bd7d26fb7e8071b9baac50076f977f9c608d5b405810cd569", 19, 98),
+        (16, "desk"): ("aa3405b69b0d078bd7d26fb7e8071b9baac50076f977f9c608d5b405810cd569", 13, 98),
         (8, "full"): ("cd8d380325eb1e52588e5c231eb4bc5c88103df2167b2414bbd8012b3b039ed1", 22, 50),
         (16, "full"): ("02146d94c4c4e1be8103d19ded00a38fe980b3ba789ea9d8f622f4568d6700cb", 22, 98),
     }
@@ -723,33 +738,43 @@ class TestBlockMemo:
         assert result_digest(memo) == digest
         assert sim.blocks_simulated <= most_simulated
         assert sim.blocks_simulated + sim.blocks_replayed == blocks
+        swaps = (side, hierarchy) == (16, "desk")
+        assert (sim._swap is not None) == swaps
+        assert (sim.blocks_swapped > 0) == swaps
         coll = CollectingObserver()
         solve(A, b, tol=tol, observer=coll)
         kinds, addrs = coll.arrays()
         assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
 
-    @pytest.mark.parametrize("hierarchy", ["desk", "full"])
-    def test_trace_replays_the_solvers_blocks(self, tmp_path, capsys, hierarchy):
+    @pytest.mark.parametrize(
+        "side, hierarchy",
+        [pytest.param(8, "desk", id="desk"), pytest.param(8, "full", id="full"),
+         pytest.param(16, "desk", id="16-desk")],
+    )
+    def test_trace_replays_the_solvers_blocks(self, tmp_path, capsys, side, hierarchy):
+        # The trace's structure map gives the memo the d/dp swap where the
+        # solver's own would (side 16 under ``desk_scaled``).
         from memvuln.cg import solve
         from memvuln.cli import build_problem
         from memvuln.trace import TraceReader
 
-        A, b, tol = build_problem(8, 1e-8)
+        A, b, tol = build_problem(side, 1e-8)
         path = tmp_path / "cg.trace"
         with TraceWriter(path) as w:
             solve(A, b, tol=tol, observer=w)
-        cfg = self._hierarchy(8, hierarchy)
+        cfg = self._hierarchy(side, hierarchy)
         capsys.readouterr()
         memo, _ = replay_trace(path, cfg)
-        digest, most_simulated, blocks = self.PINNED[8, hierarchy]
+        digest, most_simulated, blocks = self.PINNED[side, hierarchy]
         assert result_digest(memo) == digest
         out, err = capsys.readouterr()
         assert out == ""
         (note,) = err.splitlines()
-        simulated = int(note.split()[1])
+        simulated, swapped = int(note.split()[1]), int(note.split("(")[1].split()[0])
         assert simulated <= most_simulated
+        assert (swapped > 0) == (side == 16)
         assert note == (f"simulated {simulated} of {blocks} blocks, "
-                        f"replayed {blocks - simulated}")
+                        f"replayed {blocks - simulated} ({swapped} under the d/dp swap)")
         with TraceReader(path) as r:
             events = np.concatenate(list(r.iter_blocks()))
         assert_same_result(memo, unrepeated_feed(cfg, events["kind"], events["addr"]))
@@ -853,6 +878,117 @@ class TestBlockMemo:
         kinds, addrs = (np.concatenate([blocks[name][j] for name in order])
                         for j in range(2))
         assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
+
+    #: d and dp in the swap tests: lines [0, 16) and [16, 32).  The tiny
+    #: hierarchy has 8, 16 and 16 sets, so each line keeps its sets.
+    SWAP_LINES = 16
+
+    @classmethod
+    def _swap_map(cls, d=None, dp=None):
+        """d and dp as ``SWAP_LINES`` apart; ``d`` or ``dp`` gives a
+        region's length in bytes, 0 leaves it out."""
+        n = 64 * cls.SWAP_LINES
+        regions = [StructureRegion(name, base, n if length is None else length)
+                   for name, base, length in (("d", 0, d), ("dp", n, dp))]
+        return StructureMap([r for r in regions if r.length])
+
+    @classmethod
+    def _sigma(cls, block):
+        """The block with lines [0, 16) and [16, 32) swapped, written
+        apart from the simulator's own σ."""
+        kinds, addrs = block
+        lines, n = addrs >> 6, cls.SWAP_LINES
+        step = np.where(lines < n, 1, np.where((lines >= n) & (lines < 2 * n), -1, 0))
+        return kinds, addrs + 64 * n * step
+
+    def _alternating(self, blocks, swap):
+        """The pending blocks in rounds, each round's blocks swapped when it
+        is odd and ``swap`` is set, ending in the replays ``a``, ``d300``
+        and ``b``, after which no line is in flight."""
+        order = []
+        for r in range(12):
+            order += [(name, r % 2) for name in ("a", ("d40", "d300")[r % 3 > 0], "b", "c")]
+        order += [("a", 0), ("d300", 0), ("b", 0)]
+        return [self._sigma(blocks[name]) if odd and swap else blocks[name]
+                for name, odd in order]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_swapped_blocks_replay_under_the_swap(self, seed, monkeypatch):
+        replays = []
+        real = CacheSimulator._replay
+        monkeypatch.setattr(
+            CacheSimulator, "_replay",
+            lambda self, rec, swapped=False: replays.append(
+                (swapped, len(rec.pending), len(rec.track))) or real(self, rec, swapped))
+        rng = random.Random(seed)
+        blocks = self._pending_blocks(rng)
+        stream = self._alternating(blocks, swap=True)
+        stream.append(self._sigma(blocks["fresh"]))  # reads what the swaps installed
+        cfg = tiny_config(mshrs=(1, 2, 2) if seed % 2 else (32, 32, 128))
+        sim = CacheSimulator(cfg)
+        sim.register_structures(self._swap_map())
+        for blk in stream:
+            sim.emit(*blk)
+        memo = sim.finish()
+        swapped = [r for r in replays if r[0]]
+        assert sim.blocks_swapped == len(swapped) > len(stream) // 4
+        assert any(pending for _, pending, _ in swapped)  # fills pending at the start
+        assert any(track for _, _, track in swapped)  # and at the end
+        kinds, addrs = (np.concatenate([blk[j] for blk in stream]) for j in range(2))
+        assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
+
+    @staticmethod
+    def _canonical_sets(sim):
+        """Every set's lines in LRU order, each with its ready time if in
+        flight and its dirty bit otherwise, as ``_state`` sees them."""
+        busy = (sim._clock << 1) + 1
+        return [[[(ln, v if v > busy else v & 1) for ln, v in st.items()]
+                 for st in level["sets"]] for level in sim._levels]
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["plain", "swapped"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_deferred_sets_match_an_unmemoized_run(self, seed, swap):
+        # A replay leaves its changed sets' dicts to be rebuilt later; after
+        # every block the snapshot, and after every simulated block the
+        # dicts, must be those of a run that simulates every block.
+        rng = random.Random(seed)
+        stream = self._alternating(self._pending_blocks(rng), swap)
+        cfg = tiny_config(mshrs=(1, 2, 2) if seed % 2 else (32, 32, 128))
+        sim, ref = CacheSimulator(cfg), CacheSimulator(cfg)
+        sim.register_structures(self._swap_map())
+        for blk in stream:
+            simulated = sim.blocks_simulated
+            sim.emit(*blk)
+            ref._simulate(*blk)
+            assert sim._state() == ref._state()
+            assert (sim._clock, sim._stalls, sim._track) == (
+                ref._clock, ref._stalls, ref._track)
+            if sim.blocks_simulated > simulated:
+                assert self._canonical_sets(sim) == self._canonical_sets(ref)
+        # The stream ends in replays, so the flush reads rebuilt sets.
+        assert sim.blocks_simulated == simulated
+        assert any(level["deferred"] for level in sim._levels)
+        assert (sim.blocks_swapped > 0) == swap
+        assert_same_result(sim.finish(), ref.finish())
+
+    @pytest.mark.parametrize(
+        "hierarchy, drop, shorter, on",
+        [("desk", None, False, True), ("full", None, False, False),
+         ("desk", "d", False, False), ("desk", "dp", False, False),
+         ("desk", None, True, False)],
+        ids=["desk", "full", "no d", "no dp", "dp shorter"],
+    )
+    def test_swap_is_taken_only_where_it_is_exact(self, hierarchy, drop, shorter, on):
+        # Under the full-size hierarchy the L3's 20,480 sets do not divide
+        # the 512 lines from d to dp at side 16.
+        from memvuln.cg import default_structure_map
+
+        A, _, _ = build_problem(16, 1e-8)
+        regions = [StructureRegion(r.name, r.base, r.length - 64 * (shorter and r.name == "dp"))
+                   for r in default_structure_map(A) if r.name != drop]
+        sim = CacheSimulator(self._hierarchy(16, hierarchy))
+        sim.register_structures(StructureMap(regions))
+        assert (sim._swap is not None) == on
 
     @staticmethod
     def _replay_then_fresh(cfg, rounds, last):
@@ -967,17 +1103,25 @@ class TestBlockMemo:
                                 for i in range(len(per_a))])
         assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
 
+    def test_twin_digest_is_checked_in_full(self, monkeypatch):
+        import memvuln.cachesim as cachesim
+
+        monkeypatch.setattr(cachesim.hashlib, "sha256", _OneDigest)
+        x = self._loads([0, 1, 40])
+        for twin, want in (([16, 17, 40], b"same"), ([16, 18, 40], None)):
+            sim = CacheSimulator(tiny_config())
+            sim.register_structures(self._swap_map())
+            sim.emit(*x)
+            sim.emit(*x)  # now the memo holds it
+            assert sim._twin(b"same", *self._loads(twin)) == want
+
     def test_digest_collisions_never_replay_a_different_block(self, monkeypatch):
-        class _OneDigest:
-            def __init__(self, *_):
-                pass
+        self._collide(monkeypatch, swap=False)
 
-            def update(self, _):
-                pass
+    def test_digest_collisions_never_replay_a_swapped_block(self, monkeypatch):
+        self._collide(monkeypatch, swap=True)
 
-            def digest(self):
-                return b"same"
-
+    def _collide(self, monkeypatch, swap):
         import memvuln.cachesim as cachesim
 
         monkeypatch.setattr(cachesim.hashlib, "sha256", _OneDigest)
@@ -986,6 +1130,8 @@ class TestBlockMemo:
         order = [rng.randrange(len(blocks)) for _ in range(30)]
         cfg = tiny_config(mshrs=(1, 2, 2))
         sim = CacheSimulator(cfg)
+        if swap:  # every block's twin digest collides too
+            sim.register_structures(self._swap_map())
         for i in order:
             sim.emit(*blocks[i])
         memo = sim.finish()

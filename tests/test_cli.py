@@ -122,9 +122,10 @@ class TestTraceAndMetrics:
         assert out.startswith("# schema")
         assert "structure" in out
         # How the block memo fared goes to stderr, as in ``pipeline``.
-        n, m, k = map(int, re.fullmatch(
-            r"simulated (\d+) of (\d+) blocks, replayed (\d+)\n", err).groups())
-        assert n + k == m
+        n, m, k, swapped = map(int, re.fullmatch(
+            r"simulated (\d+) of (\d+) blocks, replayed (\d+) "
+            r"\((\d+) under the d/dp swap\)\n", err).groups())
+        assert n + k == m and swapped <= k
 
     def test_missing_trace_is_reported(self, tmp_path, capsys):
         code = main(["metrics", "--trace", str(tmp_path / "absent.bin")])

@@ -409,13 +409,37 @@ def decode_addr(ctx, addr):
     raise AssertionError(f"address {addr} outside every region")
 
 
+def pairwise_sum(a):
+    """numpy's pairwise sum of float64 terms: a loop below 8 terms, eight
+    accumulators up to 128, halves at a multiple of 8 above."""
+    n = len(a)
+    if n < 8:
+        res = np.float64(-0.0)
+        for v in a:
+            res = res + v
+        return res
+    if n <= 128:
+        r, i = list(a[:8]), 8
+        while i < n - n % 8:
+            r = [r[j] + a[i + j] for j in range(8)]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in a[i:]:
+            res = res + v
+        return res
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(a[:half]) + pairwise_sum(a[half:])
+
+
 def scalar_sweep_oracle(ctx, template, src_name, values, flip, e_off):
     """Interpret a sparse-sweep event template one access at a time.
 
     ``values`` maps structure name to its pristine array; ``flip`` is
     (structure, word, new_value) switching that word's readout for every
-    access ordinal >= e_off.  Returns the per-row products in C order.
-    Row-pointer corruption is outside this oracle's scope.
+    access ordinal >= e_off.  Returns the per-row products in C order,
+    each row summed as ``np.add.reduceat`` sums it: its first product
+    plus the pairwise sum of the rest.  Row-pointer corruption is outside
+    this oracle's scope.
     """
     kinds, addrs = template
     f_name, f_word, f_new = flip
@@ -427,7 +451,7 @@ def scalar_sweep_oracle(ctx, template, src_name, values, flip, e_off):
 
     n = ctx.n
     out = np.zeros(n)
-    acc = 0.0
+    terms = []
     row = 0
     cur_col = None
     cur_av = None
@@ -440,10 +464,10 @@ def scalar_sweep_oracle(ctx, template, src_name, values, flip, e_off):
         elif name == "Av":
             cur_av = val("Av", idx, pos)
         elif name == src_name and kinds[pos] == KIND_LOAD:
-            acc += cur_av * val(src_name, cur_col, pos)
+            terms.append(cur_av * val(src_name, cur_col, pos))
         elif kinds[pos] == KIND_STORE:
-            out[row] = acc
-            acc = 0.0
+            out[row] = terms[0] + pairwise_sum(terms[1:])
+            terms = []
             row += 1
     assert row == n
     return out
@@ -501,9 +525,8 @@ class TestMidPhaseSplits:
             want = scalar_sweep_oracle(
                 ctx, template, phase.source(parity), values, flip, e
             )
-        # The oracle sums a row left to right, reduceat pairwise.
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0,
-                                   err_msg=f"{phase.name} {parity} {e}")
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64),
+                                      err_msg=f"{phase.name} {parity} {e}")
         assert runner.applied
         stored = runner.arr[name][word : word + 1]
         assert stored.tobytes() == np.array([new], stored.dtype).tobytes()
