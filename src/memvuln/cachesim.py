@@ -268,6 +268,32 @@ class CacheConfig:
         return cfg
 
 
+class LineEvents(NamedTuple):
+    """A request stream's rows in (line, time) order (``SimResult.by_line``).
+
+    ``lines`` holds each distinct line number (address >> ``LINE_BITS``)
+    once, ascending; the rows of ``lines[i]`` are ``ptr[i]:ptr[i + 1]``.
+    The pointer runs over distinct lines, never over the address range,
+    as an address may be anywhere in [0, 2**63).  A fill's ``mask`` is
+    its resolution mask (``res_mask``), a write-back's is 0.
+    """
+
+    lines: np.ndarray
+    ptr: np.ndarray
+    time: np.ndarray
+    kind: np.ndarray
+    ordinal: np.ndarray  # ``req_ord``
+    mask: np.ndarray
+    t_start: int
+    T: int
+
+    def rows(self, line: int) -> slice:
+        """The rows of line number ``line``, in time order; empty if none."""
+        i = int(np.searchsorted(self.lines, line))
+        end = i + 1 if i < len(self.lines) and self.lines[i] == line else i
+        return slice(int(self.ptr[i]), int(self.ptr[end]))
+
+
 @dataclass
 class SimResult:
     """Closed main-memory request and resolution streams for one solve."""
@@ -299,11 +325,34 @@ class SimResult:
     def n_writebacks(self) -> int:
         return int(np.sum(self.req_kind == REQ_WRITEBACK))
 
-    def by_line(self) -> np.ndarray:
-        """The request rows in (line, time) order: the requests are in time
-        order (``load`` refuses a stream that is not), so a stable sort by
-        line."""
-        return np.argsort(self.req_line, kind="stable")
+    def by_line(self) -> LineEvents:
+        """The request rows' line index.  The requests are in time order
+        (``load`` refuses a stream that is not), so a stable sort by line
+        orders them by (line, time).  A line is fetched again only after
+        its previous fill has resolved, so its resolutions are appended in
+        fill order (memo replays included), and a stable sort by line alone
+        joins them to the fills; a stream where that fails is refused."""
+        order = np.argsort(self.req_line, kind="stable")
+        line = self.req_line[order] >> LINE_BITS
+        # Each line's first row, then the end: the rows before the first and
+        # past the last differ from every line and from each other.
+        ptr = np.flatnonzero(np.diff(line, prepend=-1, append=-2))
+        lines = line[ptr[:-1]]
+        del line
+        time, kind = self.req_time[order], self.req_kind[order]
+        ordinal = self.req_ord[order]
+        del order
+        fill = kind == REQ_FILL
+        n_fills = np.add.reduceat(fill, ptr[:-1], dtype=np.int64)
+        r_order = np.argsort(self.res_line, kind="stable")
+        # One sorted copy at a time: the lines, then the fill times.
+        if not (np.array_equal(self.res_line[r_order],
+                               np.repeat(lines << LINE_BITS, n_fills))
+                and np.array_equal(self.res_fill_time[r_order], time[fill])):
+            raise ValueError("resolution stream does not match the fill stream")
+        mask = np.zeros(len(kind), dtype=np.uint16)
+        mask[fill] = self.res_mask[r_order]
+        return LineEvents(lines, ptr, time, kind, ordinal, mask, self.t_start, self.T)
 
     def save(self, path) -> None:
         """Write the arrays as ``.npy`` members of a zip, with ``np.savez``.
@@ -329,6 +378,9 @@ class SimResult:
                 raise ValueError("unsupported result file version")
             arrays = (z[name] for name, _, _ in STREAMS)
             result = cls(*arrays, *(int(v) for v in z["scalars"]))
+        lengths = [len(getattr(result, name)) for name, _, _ in STREAMS]
+        if len(set(lengths[:5])) > 1 or len(set(lengths[5:])) > 1:
+            raise ValueError("the req_* or the res_* streams differ in length")
         if np.any(result.req_time[1:] < result.req_time[:-1]):
             raise ValueError("request stream is not in time order")
         return result

@@ -428,7 +428,7 @@ def cmd_trace(args) -> int:
 def cmd_metrics(args) -> int:
     cfg = CacheConfig.load(args.config) if args.config else CacheConfig()
     result, smap = replay_trace(args.trace, cfg)
-    report = analyze(result, smap, fit_rate=args.fit_rate)
+    report = analyze(result.by_line(), smap, fit_rate=args.fit_rate)
     report.write_csv(args.csv)
     if args.json:
         report.write_json(args.json)
@@ -451,7 +451,9 @@ def cmd_inject(args) -> int:
         args.side, args.tol_factor, cfg, scratch,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
-    ctx = build_context(A, b, tol, result)
+    events = result.by_line()
+    del result  # the campaign holds only the index
+    ctx = build_context(A, b, tol, events)
     log_path = args.log or _campaign_log(scratch, args, args.structure, args.seed)
     res = run_campaign(
         ctx,
@@ -540,7 +542,9 @@ def cmd_pipeline(args) -> int:
         raise StageError("simulation", exc) from exc
 
     try:
-        analysis = analyze(result, default_structure_map(A))
+        events = result.by_line()
+        del result  # the campaigns hold only the index
+        analysis = analyze(events, default_structure_map(A))
     except Exception as exc:
         raise StageError("metrics", exc) from exc
     note(f"metrics ready: T={analysis.T} cycles")
@@ -549,7 +553,7 @@ def cmd_pipeline(args) -> int:
     baseline_iterations = None
     if args.runs > 0:
         try:
-            ctx = build_context(A, b, tol, result)
+            ctx = build_context(A, b, tol, events)
             baseline_iterations = ctx.baseline.iterations
             names = [r.name for r in analysis.structures]
             for i, name in enumerate(names):

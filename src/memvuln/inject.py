@@ -6,9 +6,10 @@ replays the solve once per plan.  The flip strikes the main-memory copy
 of the word: it becomes visible to the program only when memory next
 serves that word's line, and it is silently erased when the next traffic
 for the line is a write-back (the cached copy was newer) or when the
-line never travels again.  The reference request stream recorded by the
-cache simulator, read in its line order (``SimResult.by_line``), decides
-which of these happens and pins the exact program access ordinal at
+line never travels again.  The line index of the reference request
+stream recorded by the cache simulator (``SimResult.by_line``: each
+line's fills and write-backs in time order) decides which of these
+happens, and its fill row gives the exact program access ordinal at
 which the flipped value first reaches the hierarchy; the instrumented
 solver below applies the flip at precisely that point, splitting a
 phase's vectorized work when the ordinal lands inside it.  Each run
@@ -109,7 +110,7 @@ from .cg import (
     spmv,
     verify,
 )
-from .cachesim import LINE_SIZE, REQ_FILL, SimResult
+from .cachesim import LINE_BITS, REQ_FILL, LineEvents
 from .stats import wilson_ci
 from .trace import KIND_LOAD, KIND_STORE
 
@@ -230,16 +231,15 @@ class _SegFault(RuntimeError):
 
 @dataclass
 class InjectionContext:
-    """Pristine problem, its fault-free baseline, reference traffic index,
-    and campaign settings."""
+    """Pristine problem, its fault-free baseline, campaign settings, and
+    of the reference run only its line index: ``resolve_visibility`` reads
+    a line's rows, ``draw_plans`` and the log header the window ``T``."""
 
     A: CsrMatrix
     b: np.ndarray
     tol: float
     regions: dict  # name -> (base, length); includes the pad control region
-    ref: SimResult  # the reference request stream
-    ref_order: np.ndarray  # its rows in (line, time) order (``by_line``)
-    ref_line: np.ndarray  # its lines in that order
+    events: LineEvents  # ``SimResult.by_line`` of the reference run
     baseline: Baseline
     image: dict  # the pristine memory image (``cg.memory_image``)
 
@@ -259,24 +259,21 @@ def build_context(
     A: CsrMatrix,
     b: np.ndarray,
     tol: float,
-    result: SimResult,
+    events: LineEvents,
 ) -> InjectionContext:
-    """Index the reference run so individual plans resolve in O(log N),
-    and measure the fault-free baseline (``measure_baseline``)."""
+    """Take the reference run's line index, so individual plans resolve in
+    O(log N), and measure the fault-free baseline (``measure_baseline``)."""
     regions = {r.name: (r.base, r.length) for r in default_structure_map(A)}
     pad_base = max(-(-(base + length) // PAGE) * PAGE
                    for base, length in regions.values())
     regions[PAD_STRUCTURE] = (pad_base, 8 * PAD_WORDS)
     b, tol = np.asarray(b, dtype=np.float64), float(tol)
-    order = result.by_line()
     return InjectionContext(
         A=A,
         b=b,
         tol=tol,
         regions=regions,
-        ref=result,
-        ref_order=order,
-        ref_line=result.req_line[order],
+        events=events,
         baseline=measure_baseline(A, b, tol),
         image=memory_image(A, b),
     )
@@ -325,31 +322,28 @@ def resolve_visibility(ctx: InjectionContext, plan: InjectionPlan):
     base, length = ctx.regions[plan.structure_id]
     if not 0 <= plan.bit_index < 8 * length:
         raise ValueError("bit index outside the structure")
-    line_addr = (base + 8 * plan.word_index) & -LINE_SIZE
-    u_abs = ctx.ref.t_start + plan.inject_time
-    lo = np.searchsorted(ctx.ref_line, line_addr, side="left")
-    hi = np.searchsorted(ctx.ref_line, line_addr, side="right")
-    rows = ctx.ref_order[lo:hi]  # the line's requests, in time order
-    pos = np.searchsorted(ctx.ref.req_time[rows], u_abs, side="left")
-    if pos == len(rows):
+    ev = ctx.events
+    rows = ev.rows((base + 8 * plan.word_index) >> LINE_BITS)  # in time order
+    pos = rows.start + np.searchsorted(ev.time[rows], ev.t_start + plan.inject_time)
+    if pos == rows.stop:
         return None, "silent"
-    if ctx.ref.req_kind[rows[pos]] != REQ_FILL:
+    if ev.kind[pos] != REQ_FILL:
         return None, "writeback"
-    return int(ctx.ref.req_ord[rows[pos]]), "fill"
+    return int(ev.ordinal[pos]), "fill"
 
 
 def draw_plans(ctx: InjectionContext, structure_id: str, n_runs: int, seed: int):
     """Deterministic plan sequence for a campaign."""
     if structure_id not in ctx.regions:
         raise ValueError(f"unknown structure: {structure_id}")
-    if ctx.ref.T < 2:
+    if ctx.events.T < 2:
         raise ValueError("window too short to inject strictly inside it")
     bits = ctx.structure_bits(structure_id)
     rng = np.random.Generator(np.random.Philox(seed))
     plans = []
     for i in range(n_runs):
         bit = int(rng.integers(0, bits))
-        at = int(rng.integers(1, ctx.ref.T))  # strictly inside the window
+        at = int(rng.integers(1, ctx.events.T))  # strictly inside the window
         plans.append(InjectionPlan(structure_id, bit, at, seed, i))
     return plans
 
@@ -782,7 +776,7 @@ def _log_header(ctx: InjectionContext, structure_id: str, seed: int) -> dict:
         "structure": structure_id,
         "seed": seed,
         "baseline": ctx.baseline.iterations,
-        "T": ctx.ref.T,
+        "T": ctx.events.T,
         "hang_iters": HANG_ITERS,
     }
 

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cachesim import LINE_BITS, LINE_SIZE, REQ_FILL, REQ_WRITEBACK, SimResult
+from .cachesim import LINE_BITS, LINE_SIZE, REQ_FILL, LineEvents
 from .trace import StructureMap
 
 #: Default raw fault rate, per 64-bit word and cycle.  The absolute value
@@ -124,96 +124,48 @@ class AnalysisReport:
             fh.write("\n")
 
 
-def _aligned_fill_stream(result: SimResult):
-    """Sorted fills, their leading-interval durations, and resolution masks.
-
-    Returns (line, duration, mask) for every fill, plus the sorted
-    write-back lines, with every array ordered by (line, time).  Each
-    sorted copy is dropped as soon as it has been used: the request
-    stream is the largest thing ``analyze`` holds.
-    """
-    order = result.by_line()
-    lines = result.req_line[order]
-    lines >>= LINE_BITS
-    times = result.req_time[order]
-    kinds = result.req_kind[order]
-    del order
-
-    # A request's leading interval runs from the line's previous request,
-    # or from the window's start for its first one.
-    durations = np.empty_like(times)
-    if len(times):
-        np.subtract(times[1:], times[:-1], out=durations[1:])
-        starts = np.empty(len(lines), dtype=bool)
-        starts[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=starts[1:])
-        durations[starts] = times[starts] - result.t_start
-
-    fill_sel = kinds == REQ_FILL
-    line_f = lines[fill_sel]
-    time_f = times[fill_sel]
-    del times
-    dur_f = durations[fill_sel]
-    del durations, fill_sel
-    line_w = lines[kinds == REQ_WRITEBACK]
-    del lines, kinds
-
-    # A line is fetched again only after its previous fill has resolved,
-    # so a line's resolutions are appended in fill order (memo replays
-    # included), and a stable sort by line alone orders them by (line,
-    # fill time).  The check below refuses any stream where that fails.
-    res_lines = result.res_line >> LINE_BITS
-    r_order = np.argsort(res_lines, kind="stable")
-    if not (
-        np.array_equal(res_lines[r_order], line_f)
-        and np.array_equal(result.res_fill_time[r_order], time_f)
-    ):
-        raise ValueError("resolution stream does not match the fill stream")
-    return line_f, dur_f, result.res_mask[r_order], line_w
-
-
-def accumulate(result: SimResult, smap: StructureMap) -> dict:
-    """Build exact per-word ledgers for every mapped structure.
+def accumulate(events: LineEvents, smap: StructureMap) -> dict:
+    """Build exact per-word ledgers for every mapped structure from the
+    line index (``SimResult.by_line``).
 
     Every word of a line shares the line's intervals, so each ledger is
-    counted per line and repeated to the line's words; only the kept time
+    summed per line and repeated to the line's words; only the kept time
     depends on the word, through its bit of the resolution mask.
     Requests to lines outside every labeled region are ignored (they
-    still shape the accounting window).  Raises if any fill lacks a
-    matching resolution record.
+    still shape the accounting window).
     """
-    line_f, dur_f, mask_f, line_w = _aligned_fill_stream(result)
+    # A row's leading interval runs from its line's previous row, or from
+    # the window's start for the line's first one; only fills count it.
+    time, starts = events.time, events.ptr[:-1]
+    dur = np.empty_like(time)
+    np.subtract(time[1:], time[:-1], out=dur[1:])
+    dur[starts] = time[starts] - events.t_start
+    fill = events.kind == REQ_FILL
+    dur *= fill
+    # Per line: vulnerable time, fills, write-backs, then each word's kept
+    # time.
     per_line = LINE_SIZE // 8
+    sums = np.empty((3 + per_line, len(starts)), dtype=np.int64)
+    sums[0] = np.add.reduceat(dur, starts)
+    sums[1] = np.add.reduceat(fill, starts, dtype=np.int64)
+    sums[2] = np.diff(events.ptr) - sums[1]
+    for w in range(per_line):
+        sums[3 + w] = np.add.reduceat(np.where(events.mask & 1 << w, 0, dur), starts)
+    del dur, fill  # not held while the ledgers grow
     ledgers = {}
     for reg in smap:
         n_words = reg.length // 8
         lo_line = reg.base >> LINE_BITS
         hi_line = (reg.base + reg.length + LINE_SIZE - 1) >> LINE_BITS
-        n_lines = hi_line - lo_line
-        f0, f1 = np.searchsorted(line_f, (lo_line, hi_line))
-        w0, w1 = np.searchsorted(line_w, (lo_line, hi_line))
-        fill, dur, mask = line_f[f0:f1] - lo_line, dur_f[f0:f1], mask_f[f0:f1]
-        # Integer weights below 2**53 survive the float64 round trip
-        # exactly, so bincount keeps the accumulators exact.
-        kept = np.empty((n_lines, per_line))
-        for w in range(per_line):
-            k = ((mask >> w) & 1) == 0
-            kept[:, w] = np.bincount(fill[k], weights=dur[k], minlength=n_lines)
+        d0, d1 = np.searchsorted(events.lines, (lo_line, hi_line))
+        counts = np.zeros((len(sums), hi_line - lo_line), dtype=np.int64)
+        counts[:, events.lines[d0:d1] - lo_line] = sums[:, d0:d1]
         # The region's first word is word ``first`` of its first line.
         first = (reg.base >> 3) % per_line
         words = slice(first, first + n_words)
-
-        def to_words(line_counts):
-            return np.repeat(line_counts, per_line)[words].astype(np.int64)
-
-        ledgers[reg.name] = WordLedger(
-            reg.name,
-            n_words,
-            to_words(np.bincount(fill, weights=dur, minlength=n_lines)),
-            kept.ravel()[words].astype(np.int64),
-            to_words(np.bincount(fill, minlength=n_lines)),
-            to_words(np.bincount(line_w[w0:w1] - lo_line, minlength=n_lines)),
-        )
+        vuln, loads, stores = (np.repeat(c, per_line)[words] for c in counts[:3])
+        kept = counts[3:].T.ravel()[words]
+        ledgers[reg.name] = WordLedger(reg.name, n_words, vuln, kept, loads, stores)
     return ledgers
 
 
@@ -237,14 +189,11 @@ def structure_report(
 
 
 def analyze(
-    result: SimResult,
+    events: LineEvents,
     smap: StructureMap,
     fit_rate: float = DEFAULT_FIT_RATE,
 ) -> AnalysisReport:
-    ledgers = accumulate(result, smap)
-    report = AnalysisReport(result.T, result.t_start, result.t_end, fit_rate)
-    for reg in smap:
-        report.structures.append(
-            structure_report(ledgers[reg.name], result.T, fit_rate)
-        )
-    return report
+    ledgers = accumulate(events, smap)
+    T = events.T
+    structures = [structure_report(ledgers[reg.name], T, fit_rate) for reg in smap]
+    return AnalysisReport(T, events.t_start, events.t_start + T, fit_rate, structures)

@@ -111,7 +111,7 @@ def _desk_problem(side, note):
     cfg = CacheConfig.desk_scaled(side)
     A, b, tol, result = simulate_problem(side, TOL_FACTOR, cfg, SCRATCH, progress=note)
     smap = default_structure_map(A)
-    analysis = analyze(result, smap)
+    analysis = analyze(result.by_line(), smap)
     rows = {r.name: r for r in analysis.structures}
     rec = solve(A, b, tol=tol)
     assert rec.converged and rec.verified
@@ -133,7 +133,7 @@ def small(live_note):
 
 @pytest.fixture(scope="session")
 def ctx(desk):
-    return build_context(desk.A, desk.b, desk.tol, desk.result)
+    return build_context(desk.A, desk.b, desk.tol, desk.result.by_line())
 
 
 @pytest.fixture(scope="session")
@@ -251,7 +251,7 @@ def test_criterion_6_accounting_identities():
             n_lines = rng.randrange(1, 9)
             res = random_result(rng, n_lines=n_lines, max_events=rng.randrange(2, 15))
             smap = single_region_map(n_lines)
-            led = accumulate(res, smap)["x"]
+            led = accumulate(res.by_line(), smap)["x"]
             ref = brute_force_ledgers(res, smap)["x"]
             assert np.array_equal(led.vuln_time, ref[0]), trial
             assert np.array_equal(led.kept_time, ref[1]), trial

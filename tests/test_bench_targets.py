@@ -80,7 +80,7 @@ def test_build_context_measures_the_baseline_through_the_module_global(
     A, b, tol = build_problem(3, 1e-8)
     sim = CacheSimulator()
     solve(A, b, tol=tol, observer=sim)
-    ctx = inject.build_context(A, b, tol, sim.finish())
+    ctx = inject.build_context(A, b, tol, sim.finish().by_line())
     assert len(seen) == 1 and ctx.baseline is seen[0]
     assert attrs((), {}, seen[0])["wall_time"] == ctx.baseline.wall_time > 0
 

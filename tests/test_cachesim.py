@@ -21,6 +21,7 @@ import pytest
 from memvuln.cachesim import (
     CAUSE_LOAD_MISS,
     CAUSE_STORE_MISS,
+    LINE_BITS,
     LINE_SIZE,
     MEMO_MISSES,
     REQ_FILL,
@@ -446,27 +447,38 @@ class TestTiming:
 
 
 class TestLineOrder:
-    """``by_line`` is the (line, time) order of the request rows."""
+    """``by_line`` is the request rows in (line, time) order, each fill
+    with its resolution mask."""
 
     @staticmethod
     def assert_line_order(res):
         assert np.all(np.diff(res.req_time) >= 0)
-        want = np.lexsort((res.req_time, res.req_line))
-        assert np.array_equal(res.by_line(), want)
+        ev = res.by_line()
+        order = np.lexsort((res.req_time, res.req_line))
+        line = res.req_line[order] >> LINE_BITS
+        assert np.array_equal(ev.lines, np.unique(line))
+        assert ev.ptr[0] == 0
+        assert np.array_equal(np.repeat(ev.lines, np.diff(ev.ptr)), line)
+        for got, column in ((ev.time, res.req_time), (ev.kind, res.req_kind),
+                            (ev.ordinal, res.req_ord)):
+            assert np.array_equal(got, column[order])
+        assert (ev.t_start, ev.T) == (res.t_start, res.T)
+        return ev
 
     @staticmethod
-    def assert_resolution_order(res):
-        """A line's resolutions come in fill order, so a stable sort by
-        line is their (line, fill time) order (``_aligned_fill_stream``)."""
-        want = np.lexsort((res.res_fill_time, res.res_line))
-        assert np.array_equal(np.argsort(res.res_line, kind="stable"), want)
+    def assert_resolution_order(res, ev):
+        """The mask is ``res_mask`` joined in (line, fill time) order."""
+        want = res.res_mask[np.lexsort((res.res_fill_time, res.res_line))]
+        fills = ev.kind == REQ_FILL
+        assert ev.mask.dtype == np.uint16
+        assert np.array_equal(ev.mask[fills], want)
+        assert not ev.mask[~fills].any()
 
     @pytest.mark.parametrize("mshrs", [(2, 2, 4), (8, 8, 3)])
     @pytest.mark.parametrize("seed, lines", list(TestTiming.TIMED))
     def test_few_mshr_random_traces(self, seed, lines, mshrs):
         res = run_sim(tiny_config(mshrs=mshrs), *timed_trace(seed, lines))
-        self.assert_line_order(res)
-        self.assert_resolution_order(res)
+        self.assert_resolution_order(res, self.assert_line_order(res))
 
     def test_side_16_solve(self):
         A, b, tol = build_problem(16, 1e-8)
@@ -474,8 +486,7 @@ class TestLineOrder:
         solve(A, b, tol=tol, observer=sim)
         res = sim.finish()
         assert len(res.req_line) > 500_000
-        self.assert_line_order(res)
-        self.assert_resolution_order(res)
+        self.assert_resolution_order(res, self.assert_line_order(res))
 
 
 class TestVictim:

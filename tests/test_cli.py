@@ -102,7 +102,7 @@ class TestTraceAndMetrics:
         A, b, tol = build_problem(4, 1e-8)
         sim = CacheSimulator(cfg)
         solve(A, b, tol=tol, observer=sim)
-        direct = analyze(sim.finish(), default_structure_map(A))
+        direct = analyze(sim.finish().by_line(), default_structure_map(A))
         doc = json.loads(json_path.read_text())
         by_name = {s["name"]: s for s in doc["structures"]}
         assert len(by_name) == 9
@@ -307,8 +307,20 @@ class TestPipeline:
             result.req_time[[0, -1]] = result.req_time[[-1, 0]]
             result.save(cache)
 
+        def lengthened(name):
+            def spoil():
+                result = SimResult.load(cache)
+                column = getattr(result, name)
+                setattr(result, name, np.append(column, column[-1:]))
+                result.save(cache)
+            return spoil
+
+        # The index's gathers would silently cut a longer req_ord or
+        # res_mask short.
         for spoil, why in ((truncate, ""),
-                           (out_of_time_order, "not in time order")):
+                           (out_of_time_order, "not in time order"),
+                           (lengthened("req_ord"), "streams differ in length"),
+                           (lengthened("res_mask"), "streams differ in length")):
             spoil()
             caplog.clear()
             capfd.readouterr()
@@ -352,7 +364,7 @@ class TestReportJoin:
         A, b, tol = build_problem(4, 1e-8)
         sim = CacheSimulator(cfg)
         solve(A, b, tol=tol, observer=sim)
-        analysis = analyze(sim.finish(), default_structure_map(A))
+        analysis = analyze(sim.finish().by_line(), default_structure_map(A))
 
         class FakeCampaign:
             def __init__(self, p, lo, hi):
@@ -381,7 +393,7 @@ class TestReportJoin:
         A, b, tol = build_problem(4, 1e-8)
         sim = CacheSimulator(cfg)
         solve(A, b, tol=tol, observer=sim)
-        analysis = analyze(sim.finish(), default_structure_map(A))
+        analysis = analyze(sim.finish().by_line(), default_structure_map(A))
         report = build_validation_report(
             analysis, {},
             side=4, tol_factor=1e-8, seed=0, runs=0,

@@ -287,7 +287,7 @@ class TestWordBridge:
         }
         result = make_result(events, coverage)
         smap = StructureMap([StructureRegion("v", 0, 64)])
-        led = accumulate(result, smap)["v"]
+        led = accumulate(result.by_line(), smap)["v"]
         word_mvf = led.mvf_words(T)
         timeline = AccessTimeline(
             [100.0, 250.0, 400.0, 900.0], [UNSAFE, SAFE, UNSAFE, SAFE]

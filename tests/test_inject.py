@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from memvuln.cachesim import (
+    LINE_BITS,
     REQ_FILL,
     REQ_WRITEBACK,
     CacheConfig,
@@ -40,6 +41,7 @@ from memvuln.cg import (
     CsrMatrix,
     LoopState,
     _AccessEmitter,
+    default_structure_map,
     default_tol,
     generate_poisson27,
     solve,
@@ -47,6 +49,7 @@ from memvuln.cg import (
     verify,
 )
 from memvuln import inject
+from memvuln.faultmodel import AccessTimeline
 from memvuln.cli import build_problem as build_pipeline_problem
 from memvuln.trace import KIND_LOAD, KIND_STORE, TRACKED_STRUCTURES
 from memvuln.inject import (
@@ -70,6 +73,7 @@ from memvuln.inject import (
     run_one,
     wilson_ci,
 )
+from memvuln.vulnmetrics import accumulate
 
 from observers import in_region
 
@@ -108,7 +112,7 @@ def build_problem(side=6, cfg=None):
     rec = solve(A, b, tol=tol, observer=sim)
     assert rec.converged
     res = sim.finish()
-    ctx = build_context(A, b, tol, res)
+    ctx = build_context(A, b, tol, res.by_line())
     return A, b, tol, res, ctx
 
 
@@ -124,8 +128,8 @@ def fill_plans(ctx, res, structure, word, bit, count=3):
     sel = (res.req_line == line_addr) & (res.req_kind == REQ_FILL)
     plans = []
     for t_f in res.req_time[sel]:
-        u = int(t_f) - ctx.ref.t_start
-        if 0 < u < ctx.ref.T:
+        u = int(t_f) - ctx.events.t_start
+        if 0 < u < ctx.events.T:
             plans.append(InjectionPlan(structure, 64 * word + bit, u, 0, 0))
     step = max(1, len(plans) // count)
     return plans[::step][:count]
@@ -177,7 +181,7 @@ class TestPlans:
         bits = ctx.structure_bits("Av")
         for plan in draw_plans(ctx, "Av", 300, seed=3):
             assert 0 <= plan.bit_index < bits
-            assert 0 < plan.inject_time < ctx.ref.T
+            assert 0 < plan.inject_time < ctx.events.T
             assert plan.word_index == plan.bit_index // 64
             assert plan.bit == plan.bit_index % 64
 
@@ -197,7 +201,7 @@ class TestVisibility:
     def brute_force(self, ctx, res, plan):
         base, _ = ctx.regions[plan.structure_id]
         line_addr = (base + 8 * plan.word_index) & ~63
-        u_abs = ctx.ref.t_start + plan.inject_time
+        u_abs = ctx.events.t_start + plan.inject_time
         sel = np.nonzero(res.req_line == line_addr)[0]
         if len(sel) == 0:
             return None, "silent"
@@ -219,7 +223,7 @@ class TestVisibility:
             sid = rng.choice(names)
             bits = ctx.structure_bits(sid)
             plan = InjectionPlan(
-                sid, rng.randrange(bits), rng.randrange(1, ctx.ref.T), 0, 0
+                sid, rng.randrange(bits), rng.randrange(1, ctx.events.T), 0, 0
             )
             got = resolve_visibility(ctx, plan)
             want = self.brute_force(ctx, res, plan)
@@ -237,6 +241,33 @@ class TestVisibility:
         bad = InjectionPlan("b", ctx.structure_bits("b"), 5, 0, 0)
         with pytest.raises(ValueError):
             resolve_visibility(ctx, bad)
+
+
+class TestTimelineIdentity:
+    """A word's fault-model timeline, built from its line's rows in the
+    index, is vulnerable exactly as long as its ledger says: with mvf's
+    tags for ``vuln_time``, with fea's for ``kept_time``."""
+
+    def test_every_word_of_every_structure(self, small_problem):
+        A, *_, ctx = small_problem
+        ev = ctx.events
+        # One event opens the window, and it closes an empty period.
+        assert np.count_nonzero(ev.time == ev.t_start) == 1
+        smap = default_structure_map(A)
+        ledgers = accumulate(ev, smap)
+        for reg in smap:
+            led = ledgers[reg.name]
+            for w in range(led.n_words):
+                addr = reg.base + 8 * w
+                rows = ev.rows(addr >> LINE_BITS)
+                t = ev.time[rows] - ev.t_start
+                keep = t > 0  # ``AccessTimeline`` refuses times at or below 0
+                fill = ev.kind[rows] == REQ_FILL
+                overwritten = (ev.mask[rows] >> ((addr >> 3) % 8)) & 1 == 1
+                for unsafe, want in ((fill, led.vuln_time[w]),
+                                     (fill & ~overwritten, led.kept_time[w])):
+                    timeline = AccessTimeline(t[keep], unsafe[keep])
+                    assert timeline.vulnerable_time() == want, (reg.name, w)
 
 
 class TestRunnerFidelity:
@@ -725,7 +756,7 @@ class TestClassification:
         rng = random.Random(2)
         for _ in range(12):
             bit = rng.randrange(ctx.structure_bits("b"))
-            u = rng.randrange(last + 1 - ctx.ref.t_start, ctx.ref.T)
+            u = rng.randrange(last + 1 - ctx.events.t_start, ctx.events.T)
             oc = run_one(ctx, InjectionPlan("b", bit, u, 0, 0))
             assert oc.outcome == OUTCOME_ACE
 
@@ -770,7 +801,7 @@ class TestClassification:
             plan = InjectionPlan(
                 sid,
                 rng.randrange(ctx.structure_bits(sid)),
-                rng.randrange(1, ctx.ref.T),
+                rng.randrange(1, ctx.events.T),
                 0,
                 0,
             )
@@ -883,7 +914,7 @@ def side16_context():
     A, b, tol = build_pipeline_problem(16, 1e-8)
     sim = CacheSimulator(CacheConfig.desk_scaled(16))
     solve(A, b, tol=tol, observer=sim)
-    return build_context(A, b, tol, sim.finish())
+    return build_context(A, b, tol, sim.finish().by_line())
 
 
 class TestSettlements:
@@ -1111,7 +1142,7 @@ class TestCampaign:
             lines = path.read_text().splitlines()
             assert lines[0] == (
                 f"# campaign schema={LOG_SCHEMA} structure={sid} seed=0 "
-                f"baseline={ctx.baseline.iterations} T={ctx.ref.T} "
+                f"baseline={ctx.baseline.iterations} T={ctx.events.T} "
                 f"hang_iters={HANG_ITERS}"
             )
             assert lines[1] == (
@@ -1152,7 +1183,7 @@ class TestCampaign:
         path = tmp_path / "campaign.csv"
         path.write_text(
             f"# campaign structure=Av seed=21 baseline={ctx.baseline.iterations} "
-            f"T={ctx.ref.T}\n"
+            f"T={ctx.events.T}\n"
             "run,structure,bit_index,inject_time,outcome,iterations,wall_time,"
             "detail\n"
             "0,Av,100,200,ACE,6,0.000101,silent\n"

@@ -147,9 +147,11 @@ class TestPipelineOutputBytes:
     def outputs(monkeypatch, tmp_path, capsys, case, runs):
         analysis, campaigns = hand_made_inputs(*case)
         ctx = SimpleNamespace(baseline=SimpleNamespace(iterations=17))
-        monkeypatch.setattr(cli, "simulate_problem", lambda *a, **k: (None,) * 4)
+        result = SimpleNamespace(by_line=lambda: None)
+        monkeypatch.setattr(cli, "simulate_problem",
+                            lambda *a, **k: (None, None, None, result))
         monkeypatch.setattr(cli, "default_structure_map", lambda A: None)
-        monkeypatch.setattr(cli, "analyze", lambda result, smap: analysis)
+        monkeypatch.setattr(cli, "analyze", lambda events, smap: analysis)
         monkeypatch.setattr(cli, "build_context", lambda *a: ctx)
         monkeypatch.setattr(cli, "run_campaign",
                             lambda c, name, *a, **k: campaigns[name])

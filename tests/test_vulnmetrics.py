@@ -30,7 +30,6 @@ from memvuln.trace import TRACKED_STRUCTURES, StructureMap, StructureRegion
 from memvuln.vulnmetrics import (
     AnalysisReport,
     StructureReport,
-    _aligned_fill_stream,
     accumulate,
     analyze,
     structure_report,
@@ -112,9 +111,15 @@ def brute_force_ledgers(result, smap):
 
 
 def per_word_ledgers(result, smap):
-    """Reference accumulator: the vectorized per-word loop, one bincount
-    per word of a line and ledger, for regions that start on a line."""
-    line_f, dur_f, mask_f, line_w = _aligned_fill_stream(result)
+    """Reference accumulator: the vectorized per-word loop over the line
+    index's rows, one bincount per word of a line and ledger, for regions
+    that start on a line."""
+    ev = result.by_line()
+    line = np.repeat(ev.lines, np.diff(ev.ptr))
+    dur = np.diff(ev.time, prepend=ev.t_start)
+    dur[ev.ptr[:-1]] = ev.time[ev.ptr[:-1]] - ev.t_start  # a line's first row
+    fill = ev.kind == REQ_FILL
+    line_f, dur_f, mask_f, line_w = line[fill], dur[fill], ev.mask[fill], line[~fill]
     out = {}
     for reg in smap:
         n_words = reg.length // 8
@@ -177,7 +182,7 @@ class TestHandWorked:
         ]
         res = make_result(reqs, {(0, 100): 0x00, (0, 700): 0xFF})
         smap = single_region_map(1)
-        led = accumulate(res, smap)["x"]
+        led = accumulate(res.by_line(), smap)["x"]
         assert res.T == 900
         # Leading fill at the window start contributes nothing; the
         # second fill ends a 300-cycle memory residency.
@@ -196,28 +201,28 @@ class TestHandWorked:
         # Line 1 sits in memory from the window start until its fill.
         reqs = [(0, REQ_FILL, 0), (500, REQ_FILL, 64), (800, REQ_FILL, 0)]
         res = make_result(reqs, {(0, 0): 0, (64, 500): 0, (0, 800): 0})
-        led = accumulate(res, single_region_map(2))["x"]
+        led = accumulate(res.by_line(), single_region_map(2))["x"]
         assert np.all(led.vuln_time[8:16] == 500)
         assert np.all(led.vuln_time[:8] == 800)
 
     def test_leading_writeback_is_safe(self):
         reqs = [(0, REQ_FILL, 0), (300, REQ_WRITEBACK, 64), (600, REQ_FILL, 64)]
         res = make_result(reqs, {(0, 0): 0, (64, 600): 0})
-        led = accumulate(res, single_region_map(2))["x"]
+        led = accumulate(res.by_line(), single_region_map(2))["x"]
         # Only the post-write-back residency (300 cycles) is vulnerable.
         assert np.all(led.vuln_time[8:16] == 300)
 
     def test_trailing_interval_safe(self):
         reqs = [(0, REQ_FILL, 0), (100, REQ_FILL, 64), (900, REQ_FILL, 64)]
         res = make_result(reqs, {(0, 0): 0, (64, 100): 0, (64, 900): 0})
-        led = accumulate(res, single_region_map(1))["x"]
+        led = accumulate(res.by_line(), single_region_map(1))["x"]
         # Line 0 never reappears: [0, 900] contributes nothing after its fill.
         assert np.all(led.vuln_time == 0)
 
     def test_partially_overwritten_fill(self):
         reqs = [(0, REQ_FILL, 0), (250, REQ_FILL, 64), (1000, REQ_FILL, 0)]
         res = make_result(reqs, {(0, 0): 0, (64, 250): 0, (0, 1000): 0b1010})
-        led = accumulate(res, single_region_map(1))["x"]
+        led = accumulate(res.by_line(), single_region_map(1))["x"]
         assert np.all(led.vuln_time == 1000)
         expect_kept = np.array([1000, 0, 1000, 0, 1000, 1000, 1000, 1000])
         assert np.array_equal(led.kept_time, expect_kept)
@@ -229,7 +234,7 @@ class TestBruteForceEquivalence:
         smap = single_region_map(6)
         for trial in range(1500):
             res = random_result(rng)
-            got = accumulate(res, smap)["x"]
+            got = accumulate(res.by_line(), smap)["x"]
             want = brute_force_ledgers(res, smap)["x"]
             assert np.array_equal(got.vuln_time, want[0]), trial
             assert np.array_equal(got.kept_time, want[1]), trial
@@ -263,7 +268,7 @@ class TestBruteForceEquivalence:
                         else:
                             requests.append((t, REQ_WRITEBACK, line))
             res = make_result(requests, resolutions)
-            got = accumulate(res, smap)
+            got = accumulate(res.by_line(), smap)
             want = brute_force_ledgers(res, smap)
             for name in ("a", "b", "c"):
                 for i, fieldname in enumerate(
@@ -290,7 +295,7 @@ class TestBruteForceEquivalence:
                     elif (line * 64, t) not in resolutions:
                         requests.append((t, REQ_WRITEBACK, line * 64))
             res = make_result(requests, resolutions)
-            got = accumulate(res, smap)
+            got = accumulate(res.by_line(), smap)
             want = brute_force_ledgers(res, smap)
             loop = per_word_ledgers(res, StructureMap([smap.region("a")]))
             for i, name in enumerate(("vuln_time", "kept_time", "loads", "stores")):
@@ -304,7 +309,7 @@ class TestBruteForceEquivalence:
         smap = single_region_map(6)
         for _ in range(200):
             res = random_result(rng)
-            led = accumulate(res, smap)["x"]
+            led = accumulate(res.by_line(), smap)["x"]
             T = res.T
             if T == 0:
                 continue
@@ -323,7 +328,7 @@ class TestReports:
     def test_ld_ratio_one_without_stores(self):
         reqs = [(0, REQ_FILL, 0), (10, REQ_FILL, 64), (500, REQ_FILL, 0)]
         res = make_result(reqs, {(0, 0): 0, (64, 10): 0, (0, 500): 0})
-        rep = analyze(res, single_region_map(2)).by_name("x")
+        rep = analyze(res.by_line(), single_region_map(2)).by_name("x")
         assert rep.stores == 0
         assert rep.ld_ratio == 1.0
 
@@ -333,7 +338,7 @@ class TestReports:
         smap = StructureMap(
             [StructureRegion("x", 0, 64), StructureRegion("y", 4096, 64)]
         )
-        rep = analyze(res, smap).by_name("y")
+        rep = analyze(res.by_line(), smap).by_name("y")
         assert rep.mvf == 0.0 and rep.fea == 0.0
         assert rep.touched_words == 0
         assert rep.ld_ratio == 1.0
@@ -347,22 +352,22 @@ class TestReports:
             (400, REQ_FILL, 64),
         ]
         res = make_result(reqs, {(0, 0): 0, (0, 300): 0, (64, 400): 0})
-        rep = analyze(res, single_region_map(2), fit_rate=2e-9).by_name("x")
+        rep = analyze(res.by_line(), single_region_map(2), fit_rate=2e-9).by_name("x")
         n_ha = rep.loads + rep.stores
         assert rep.dvf == pytest.approx(2e-9 * res.T * 16 * n_ha)
         assert n_ha == 3 * 8 + 1 * 8
 
     def test_empty_window(self):
         res = make_result([(5, REQ_FILL, 0)], {(0, 5): 0})
-        rep = analyze(res, single_region_map(1)).by_name("x")
+        rep = analyze(res.by_line(), single_region_map(1)).by_name("x")
         assert res.T == 0
         assert rep.mvf == 0.0 and rep.safe_ratio == 1.0
 
     def test_resolution_mismatch_rejected(self):
         reqs = [(0, REQ_FILL, 0), (10, REQ_FILL, 64)]
         res = make_result(reqs, {(0, 0): 0})  # second fill unresolved
-        with pytest.raises(ValueError):
-            accumulate(res, single_region_map(2))
+        with pytest.raises(ValueError, match="does not match the fill stream"):
+            res.by_line()
 
     def test_resolutions_out_of_fill_order_rejected(self):
         # A line is fetched again only after its previous fill resolved, so
@@ -372,12 +377,12 @@ class TestReports:
         flipped = {name: getattr(res, name)[::-1].copy()
                    for name in ("res_line", "res_fill_time", "res_mask", "res_time")}
         with pytest.raises(ValueError, match="does not match the fill stream"):
-            accumulate(dataclasses.replace(res, **flipped), single_region_map(1))
+            dataclasses.replace(res, **flipped).by_line()
 
     def test_csv_and_json_roundtrip(self, tmp_path):
         rng = random.Random(3)
         res = random_result(rng)
-        report = analyze(res, single_region_map(6))
+        report = analyze(res.by_line(), single_region_map(6))
         jpath = tmp_path / "report.json"
         report.write_json(jpath)
         assert json.loads(jpath.read_text()) == report.to_dict()
@@ -396,6 +401,35 @@ class TestReports:
             assert list(row) == names
 
 
+class TestSparseAddresses:
+    """The index points into distinct lines only, so a stream may hit both
+    ends of the address space."""
+
+    def test_lines_at_both_ends(self):
+        far = (1 << 62) - LINE_SIZE
+        reqs = [(0, REQ_FILL, far), (10, REQ_FILL, 0), (20, REQ_WRITEBACK, far),
+                (40, REQ_FILL, far), (50, REQ_WRITEBACK, 0), (70, REQ_WRITEBACK, far)]
+        res = make_result(reqs, {(far, 0): 0, (0, 10): 0b1, (far, 40): 0b100})
+        events = res.by_line()
+        assert list(events.lines) == [0, far >> LINE_BITS]
+        assert list(events.ptr) == [0, 2, 6]
+        middle = 1 << 61
+        between = events.rows(middle >> LINE_BITS)
+        assert between.start == between.stop
+        smap = StructureMap([StructureRegion(name, base, LINE_SIZE) for name, base
+                             in (("low", 0), ("middle", middle), ("high", far))])
+        got = accumulate(events, smap)
+        want = brute_force_ledgers(res, smap)
+        for name in ("low", "middle", "high"):
+            led = got[name]
+            for column, ref in zip((led.vuln_time, led.kept_time, led.loads, led.stores),
+                                   want[name]):
+                assert np.array_equal(column, ref), name
+        assert list(got["low"].kept_time) == [0] + [10] * 7
+        assert list(got["high"].kept_time) == [20, 20, 0, 20, 20, 20, 20, 20]
+        assert got["middle"].touched_words == 0
+
+
 class TestEndToEnd:
     def test_small_solver_run_metrics(self):
         side = 4
@@ -409,7 +443,7 @@ class TestEndToEnd:
         result = sim.finish()
         from memvuln.cg import default_structure_map
 
-        report = analyze(result, default_structure_map(A))
+        report = analyze(result.by_line(), default_structure_map(A))
         names = [r.name for r in report.structures]
         assert names == list(TRACKED_STRUCTURES)
         for rep in report.structures:
