@@ -18,12 +18,13 @@ toolkit's central claim (the metrics upper-bound the measured failure
 probability) directly scriptable.
 
 Every output and check of the validation report takes its columns from
-``REPORT_COLUMNS``.  A negative run count or a ``--parallel`` below 1 is
+``REPORT_COLUMNS``.  A negative run count, a ``--parallel`` below 1, an
+unknown ``--structure`` and a negative or non-finite ``--fit-rate`` are
 refused before any work.
 
 Scratch artifacts (cached simulations, campaign logs) live under the
-directory named by ``--scratch`` or the ``MEMVULN_SCRATCH`` environment
-variable; campaign logs are append-only and safely resumable.
+directory named by ``--scratch`` or ``MEMVULN_SCRATCH``, each named after
+the simulation it holds or reads; logs are append-only and resumable.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .inject import (
     run_campaign,
 )
 from .stats import pearson, spearman
-from .trace import TraceReader, TraceWriter
+from .trace import TRACKED_STRUCTURES, TraceReader, TraceWriter
 from .vulnmetrics import StructureReport, analyze
 
 log = logging.getLogger(__name__)
@@ -127,14 +128,6 @@ def _problem_config(args) -> CacheConfig:
     return CacheConfig.desk_scaled(args.side)
 
 
-def _campaign_log(scratch: str, args, structure: str, seed: int) -> str:
-    return os.path.join(
-        scratch,
-        f"campaign-side{args.side}-tf{args.tol_factor:.3e}-"
-        f"{structure}-seed{seed}.csv",
-    )
-
-
 def _memo_summary(sim: CacheSimulator) -> str:
     n, k = sim.blocks_simulated, sim.blocks_replayed
     return (f"simulated {n} of {n + k} blocks, replayed {k} "
@@ -164,6 +157,17 @@ def _config_digest(cfg: CacheConfig) -> str:
     return hashlib.sha256(raw.encode()).hexdigest()[:12]
 
 
+def _simulation_key(side: int, tol_factor: float, cfg: CacheConfig) -> str:
+    """What a simulation depends on; it names its cache file and logs."""
+    return f"side{side}-tf{tol_factor:.3e}-{_config_digest(cfg)}"
+
+
+def _campaign_log(scratch: str, args, cfg, structure: str, seed: int) -> str:
+    """A campaign's default log, named after the simulation it reads."""
+    key = _simulation_key(args.side, args.tol_factor, cfg)
+    return os.path.join(scratch, f"campaign-{key}-{structure}-seed{seed}.csv")
+
+
 def simulate_problem(
     side: int,
     tol_factor: float,
@@ -177,8 +181,8 @@ def simulate_problem(
     is byte-identical to a fresh run.
     """
     A, b, tol = build_problem(side, tol_factor)
-    key = f"sim-side{side}-tf{tol_factor:.3e}-{_config_digest(cfg)}.npz"
-    cache_path = os.path.join(_ensure_dir(scratch), key)
+    key = _simulation_key(side, tol_factor, cfg)
+    cache_path = os.path.join(_ensure_dir(scratch), f"sim-{key}.npz")
     if os.path.exists(cache_path):
         try:
             return A, b, tol, SimResult.load(cache_path)
@@ -426,6 +430,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if not (args.fit_rate >= 0.0 and np.isfinite(args.fit_rate)):
+        raise ValueError("fit rate must be finite and non-negative")
     cfg = CacheConfig.load(args.config) if args.config else CacheConfig()
     result, smap = replay_trace(args.trace, cfg)
     report = analyze(result.by_line(), smap, fit_rate=args.fit_rate)
@@ -445,6 +451,8 @@ def _check_counts(args, runs_flag: str) -> None:
 
 def cmd_inject(args) -> int:
     _check_counts(args, "--runs")
+    if args.structure not in (*TRACKED_STRUCTURES, PAD_STRUCTURE):
+        raise ValueError(f"unknown structure: {args.structure}")
     cfg = _problem_config(args)
     scratch = _ensure_dir(args.scratch)
     A, b, tol, result = simulate_problem(
@@ -454,7 +462,7 @@ def cmd_inject(args) -> int:
     events = result.by_line()
     del result  # the campaign holds only the index
     ctx = build_context(A, b, tol, events)
-    log_path = args.log or _campaign_log(scratch, args, args.structure, args.seed)
+    log_path = args.log or _campaign_log(scratch, args, cfg, args.structure, args.seed)
     res = run_campaign(
         ctx,
         args.structure,
@@ -562,7 +570,7 @@ def cmd_pipeline(args) -> int:
                     name,
                     args.runs,
                     args.seed + i,
-                    log_path=_campaign_log(scratch, args, name, args.seed + i),
+                    log_path=_campaign_log(scratch, args, cfg, name, args.seed + i),
                     parallel=args.parallel,
                 )
                 note(

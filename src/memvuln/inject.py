@@ -13,20 +13,20 @@ happens, and its fill row gives the exact program access ordinal at
 which the flipped value first reaches the hierarchy; the instrumented
 solver below applies the flip at precisely that point, splitting a
 phase's vectorized work when the ordinal lands inside it.  Each run
-works on a copy of the solver's memory image (``cg.memory_image``) that
-shares every input with the problem except the one its flip targets.
+works on the solver's memory image (``cg.memory_image``) with its own
+copies of the state vectors and of the input its flip targets.
 
 No run repeats the fault-free work it shares with the baseline, which
 ``build_context`` measures, so a context is whole from the start.  The
-baseline keeps a checkpoint as each of its iterations opens: the
-vectors x, g, d, dp and q (``cg.STATE_VECTORS``), the loop's scalars,
-and the iteration's first access ordinal.  An injected run restarts
-from the last checkpoint at or before its flip's ordinal, since up to
-there it is the baseline bit for bit.  A flip that never surfaces
-(``silent``, ``writeback``) leaves the memory image the baseline's for
-the whole run, so the plan gets the baseline's row without a solve; an
-``erased`` flip does the same from the moment the store overwrites it,
-so its run ends there.
+baseline keeps a checkpoint as each of its iterations opens: the vectors
+x, g, d, dp and q (``cg.STATE_VECTORS``), the loop's scalars, and the
+iteration's first access ordinal; checkpoint 0 is the fresh start.  An
+injected run restarts from the last checkpoint at or before its flip's
+ordinal, since up to there it is the baseline bit for bit.  A flip that
+never surfaces (``silent``, ``writeback``) leaves the memory image the
+baseline's for the whole run, so the plan gets the baseline's row
+without a solve; an ``erased`` flip does the same from the moment the
+store overwrites it, so its run ends there.
 
 Four more rules decide a surfaced run's row before its last iteration,
 each exactly: the row equals the full replay's.
@@ -394,10 +394,10 @@ class _InjectedSolve:
 
     The run goes through the clean solver's own loop (``cg.iterate``), so
     an unapplied or erased flip reproduces the baseline bit for bit.  It
-    therefore starts from the baseline's last checkpoint at or before the
-    flip ordinal, with the cursor at that iteration's first access, and
-    stops at the next phase once the flip is erased: the rest is the
-    baseline's.  As each phase opens, the cursor advances by the phase's
+    therefore starts from a copy of the baseline's last checkpoint at or
+    before the flip ordinal, with the cursor at that iteration's first
+    access, and stops at the next phase once the flip is erased: the rest
+    is the baseline's.  As each phase opens, the cursor advances by the phase's
     length; when the flip ordinal falls inside the phase, the phase table
     (see the ``cg`` module) gives the flipped word's own accesses, and the
     first of them at or after the ordinal decides: a load sees the flip,
@@ -425,7 +425,7 @@ class _InjectedSolve:
         self.word = plan.word_index
         self.bit = plan.bit
         self.pending = apply_ord is not None
-        self.e = apply_ord if apply_ord is not None else -1
+        self.e = 0 if apply_ord is None else apply_ord  # None: from checkpoint 0
         self.applied = False
         self.erased = False
         self.cum = 0
@@ -435,13 +435,13 @@ class _InjectedSolve:
         self.ar_rows = ()  # rows whose bounds an applied Ar flip moved
         self.empty_rows = ()  # those of them it emptied in bounds
 
-        # Copies of the pristine state vectors and of the flip's target, in
-        # structure order, so a copied input precedes them on the heap.
-        # Copied after fresh state vectors, its pages were handed back and
-        # faulted in again between runs (a loop of side-16 Ac runs took
-        # twice as long).
-        self.arr = {k: v.copy() if k == target or k in STATE_VECTORS else v
-                    for k, v in ctx.image.items()}
+        # The inputs, with a copy of the flip's target made before
+        # ``_restart`` copies the state vectors in.  Copied after fresh
+        # state vectors, its pages were once handed back and faulted in
+        # again between runs (100 side-16 Ac runs took twice as long); with
+        # checkpoint copies both orders take about 0.07 s for them.
+        self.arr = {k: v.copy() if k == target else v
+                    for k, v in ctx.image.items() if k not in STATE_VECTORS}
         self.rp_w, self.ci_w, self.av_w = (self.arr[k] for k in ("Ar", "Ac", "Av"))
 
     # -- flip plumbing -------------------------------------------------------
@@ -566,14 +566,11 @@ class _InjectedSolve:
     # -- main loop ----------------------------------------------------------------
 
     def _restart(self) -> LoopState:
-        """Load the last checkpoint at or before the flip ordinal, if any."""
+        """Load copies of the last checkpoint at or before the flip ordinal;
+        checkpoint 0 is the fresh start."""
         checkpoints = self.ctx.baseline.checkpoints
-        i = _last_checkpoint(checkpoints, self.e)
-        if i < 0:
-            return LoopState()
-        cp = checkpoints[i]
-        for name, vector in cp.vectors.items():
-            self.arr[name][:] = vector
+        cp = checkpoints[_last_checkpoint(checkpoints, self.e)]
+        self.arr.update((k, v.copy()) for k, v in cp.vectors.items())
         self.cum = cp.ordinal
         return cp.state
 
@@ -782,7 +779,7 @@ def _log_header(ctx: InjectionContext, structure_id: str, seed: int) -> dict:
 
 
 def _read_log(path, want_header: dict):
-    """Finished runs of a campaign log, and the byte offset they end at.
+    """A campaign log's finished runs and the byte offset they end at (0 if none).
 
     The log's header must match ``want_header`` field for field.  An
     unterminated final line is a run interrupted mid-write, not a
@@ -818,7 +815,7 @@ def _read_log(path, want_header: dict):
                 outcomes.append(_parse_row(cells, want_header["seed"]))
             except ValueError as exc:
                 raise ValueError(f"{path}: logged run {i}: {exc}") from None
-    return outcomes, end
+    return outcomes, end if outcomes else 0
 
 
 def run_campaign(
@@ -835,18 +832,18 @@ def run_campaign(
     With a log path every finished run is appended immediately, so an
     interrupted campaign resumes from the completed prefix; the plan
     sequence is a pure function of the seed, making the resumed tail
-    exactly the runs the interrupted campaign would have done.
+    exactly the runs the interrupted campaign would have done.  An
+    unfinished log is cut after its last finished row, which drops a torn
+    final line, and only an empty log gets the header and column names.
     """
     plans = draw_plans(ctx, structure_id, n_runs, seed)
     header = _log_header(ctx, structure_id, seed)
-    outcomes = []
-    log_fh = None
-    writer = None
+    outcomes, end = [], 0
+    log_fh = writer = None
     if log_path is not None:
-        if os.path.exists(log_path) and os.path.getsize(log_path) > 0:
+        if os.path.exists(log_path):
             outcomes, end = _read_log(log_path, header)
-            if len(outcomes) > n_runs:
-                outcomes = outcomes[:n_runs]
+            outcomes = outcomes[:n_runs]
             for oc, plan in zip(outcomes, plans):
                 if oc.plan != plan:
                     raise ValueError(
@@ -854,17 +851,12 @@ def run_campaign(
                         f"match the plan sequence for seed {seed}"
                     )
         if len(outcomes) < n_runs:
-            fresh = not outcomes
-            if not fresh:
-                os.truncate(log_path, end)  # drop a torn final line
-            # A log without a finished run (e.g. torn inside its header) is
-            # rewritten, so it never carries a second header.
-            log_fh = open(log_path, "w" if fresh else "a", newline="")
-            if fresh:
+            log_fh = open(log_path, "a", newline="")
+            log_fh.truncate(end)
+            writer = csv.writer(log_fh)
+            if end == 0:
                 fields = " ".join(f"{k}={v}" for k, v in header.items())
                 log_fh.write(f"# campaign {fields}\n")
-            writer = csv.writer(log_fh)
-            if fresh:
                 writer.writerow(_LOG_NAMES)
     pending = plans[len(outcomes) :]
     pool = None

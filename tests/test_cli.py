@@ -18,9 +18,10 @@ from memvuln.cli import (
     default_scratch,
     main,
     replay_trace,
+    simulate_problem,
 )
 from memvuln.faultmodel import SAFE, UNSAFE, AccessTimeline
-from memvuln.trace import RECORD_SIZE, TraceWriter
+from memvuln.trace import RECORD_SIZE, TRACKED_STRUCTURES, TraceWriter
 from memvuln.vulnmetrics import analyze
 
 
@@ -55,8 +56,9 @@ class TestParsing:
          "--runs must be at least 0, got -3"),
         (["inject", "campaign", "--structure", "b", "--parallel", "0"],
          "--parallel must be at least 1, got 0"),
+        (["inject", "campaign", "--structure", "Arr"], "unknown structure: Arr"),
     ], ids=["pipeline-runs", "pipeline-parallel", "inject-runs",
-            "inject-parallel"])
+            "inject-parallel", "inject-structure"])
     def test_bad_run_counts_are_refused(self, tmp_path, capsys, argv, message):
         if argv[0] == "pipeline":
             argv = argv + ["--out", str(tmp_path / "out")]
@@ -126,6 +128,19 @@ class TestTraceAndMetrics:
             r"simulated (\d+) of (\d+) blocks, replayed (\d+) "
             r"\((\d+) under the d/dp swap\)\n", err).groups())
         assert n + k == m and swapped <= k
+
+    @pytest.mark.parametrize("rate", ["-1", "inf", "nan"])
+    def test_bad_fit_rate_is_refused(self, tmp_path, capfd, rate):
+        trace_path = tmp_path / "t.bin"
+        assert main(["trace", "--side", "3", "--out", str(trace_path)]) == 0
+        capfd.readouterr()
+        csv_path = tmp_path / "m.csv"
+        code = main(["metrics", "--trace", str(trace_path), "--fit-rate", rate,
+                     "--csv", str(csv_path)])
+        assert code == 1
+        assert capfd.readouterr().err == (
+            "error: fit rate must be finite and non-negative\n")
+        assert not csv_path.exists()  # refused before the replay
 
     def test_missing_trace_is_reported(self, tmp_path, capsys):
         code = main(["metrics", "--trace", str(tmp_path / "absent.bin")])
@@ -342,6 +357,34 @@ class TestPipeline:
     ])
     def test_config_digest_is_pinned(self, cfg, digest):
         assert _config_digest(cfg) == digest
+
+    def test_logs_of_another_hierarchy_are_not_resumed(self, tmp_path, capfd):
+        cfg_path = tmp_path / "full.cfg"
+        CacheConfig().save(cfg_path)
+
+        def pipeline(scratch, out, *extra):
+            return main(["pipeline", "--side", "8", "--runs-per-structure", "3",
+                         "--out", str(tmp_path / out),
+                         "--scratch", str(tmp_path / scratch), *extra])
+
+        pipeline("shared", "scaled")
+        code = pipeline("shared", "full", "--config", str(cfg_path))
+        fresh = pipeline("fresh", "want", "--config", str(cfg_path))
+        assert code == fresh
+        assert (tmp_path / "full" / "report.json").read_bytes() == (
+            tmp_path / "want" / "report.json").read_bytes()
+        assert len(list((tmp_path / "shared").glob("campaign-*.csv"))) == 18
+
+    def test_scratch_names_carry_the_simulation_key(self, tmp_path, capfd):
+        key = "side16-tf1.000e-08-b873643c6dc6"
+        scratch = tmp_path / "s"
+        simulate_problem(16, 1e-8, CacheConfig.desk_scaled(16), str(scratch))
+        assert [p.name for p in scratch.iterdir()] == [f"sim-{key}.npz"]
+        main(["pipeline", "--side", "16", "--runs-per-structure", "1",
+              "--out", str(tmp_path / "o"), "--scratch", str(scratch)])
+        logs = {p.name for p in scratch.glob("campaign-*.csv")}
+        assert logs == {f"campaign-{key}-{name}-seed{seed}.csv"
+                        for seed, name in enumerate(TRACKED_STRUCTURES)}
 
     def test_stage_failure_names_the_stage(self, tmp_path, capsys):
         code = main(

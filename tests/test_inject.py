@@ -76,6 +76,7 @@ from memvuln.inject import (
 from memvuln.vulnmetrics import accumulate
 
 from observers import in_region
+from test_vulnmetrics import random_result, single_region_map
 
 
 class _FullSolve(_InjectedSolve):
@@ -248,12 +249,8 @@ class TestTimelineIdentity:
     index, is vulnerable exactly as long as its ledger says: with mvf's
     tags for ``vuln_time``, with fea's for ``kept_time``."""
 
-    def test_every_word_of_every_structure(self, small_problem):
-        A, *_, ctx = small_problem
-        ev = ctx.events
-        # One event opens the window, and it closes an empty period.
-        assert np.count_nonzero(ev.time == ev.t_start) == 1
-        smap = default_structure_map(A)
+    @staticmethod
+    def check_every_word(ev, smap):
         ledgers = accumulate(ev, smap)
         for reg in smap:
             led = ledgers[reg.name]
@@ -268,6 +265,22 @@ class TestTimelineIdentity:
                                      (fill & ~overwritten, led.kept_time[w])):
                     timeline = AccessTimeline(t[keep], unsafe[keep])
                     assert timeline.vulnerable_time() == want, (reg.name, w)
+
+    def test_every_word_of_every_structure(self, small_problem):
+        A, *_, ctx = small_problem
+        ev = ctx.events
+        # One event opens the window, and it closes an empty period.
+        assert np.count_nonzero(ev.time == ev.t_start) == 1
+        self.check_every_word(ev, default_structure_map(A))
+
+    def test_partial_masks(self):
+        # The solve above resolves whole lines only (masks 0 and 0xff), so
+        # only masks like these show a word-order error inside a mask.
+        rng = random.Random(4)
+        for _ in range(40):
+            res = random_result(rng)
+            assert np.any((res.res_mask != 0) & (res.res_mask != 0xFF))
+            self.check_every_word(res.by_line(), single_region_map(6))
 
 
 class TestRunnerFidelity:
@@ -322,8 +335,10 @@ class TestRunnerFidelity:
 
 
 def without_checkpoints(ctx):
-    """The context with a baseline that makes every run start at iteration 0."""
-    baseline = dataclasses.replace(ctx.baseline, checkpoints=())
+    """The context with a baseline that makes every run start at iteration 0:
+    it keeps only checkpoint 0, the fresh start."""
+    first = ctx.baseline.checkpoints[:1]
+    baseline = dataclasses.replace(ctx.baseline, checkpoints=first)
     return dataclasses.replace(ctx, baseline=baseline)
 
 
@@ -526,6 +541,7 @@ class TestMidPhaseSplits:
 
     def make_runner(self, ctx, plan, e, d0, phase, parity):
         runner = _FullSolve(ctx, plan, apply_ord=e)
+        runner._restart()  # copies iteration 0's state vectors
         runner.arr[phase.source(parity)][:] = d0
         return runner
 
@@ -694,6 +710,7 @@ class TestMidPhaseSplits:
         ):
             plan = InjectionPlan("x", 64 * w + bit, 1, 0, 0)
             runner = _FullSolve(ctx, plan, apply_ord=e)
+            runner._restart()  # copies iteration 0's state vectors
             runner.arr["x"][:] = x0
             runner.arr["d"][:] = d0
             runner.open_phase(X_UPDATE, 0, 0)
@@ -997,6 +1014,7 @@ class TestSettlements:
         *_, ctx = small_problem
         plan = InjectionPlan("g", 64 * 3 + 62, 1, 0, 0)
         runner = _InjectedSolve(ctx, plan, 0)
+        runner._restart()  # copies iteration 0's state vectors
         runner._apply()
         runner.arr["x"][:] = ctx.baseline.checkpoints[-1].vectors["x"]
         runner.arr["g"][3] = np.inf
