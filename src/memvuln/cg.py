@@ -20,13 +20,14 @@ the arithmetic that places an access in the stream.  The access emitter
 builds its blocks from it, and the injector (``inject._InjectedSolve``)
 finds from it where a flipped word is read or written.  Both run the
 recurrence through the one loop, ``iterate``, with their own hooks; the
-loop can resume from a saved state (``LoopState`` and the vectors),
-which is how injected runs skip the fault-free prefix.
+loop is the one access cursor, and can resume from a ``Checkpoint``
+(which ``solve`` keeps on request), which is how injected runs skip the
+fault-free prefix.  ``next_recompute`` says which iterations recompute.
 
 ``memory_image`` is the one statement of what a solve works on: the
 nine tracked structures by name, the inputs shared with the problem and
-the ``STATE_VECTORS`` zeroed.  ``solve``, the injector's baseline and
-its injected runs all start from it.
+the ``STATE_VECTORS`` zeroed.  ``solve`` starts from it, and so do the
+injector's runs, from the inputs and a checkpoint's vectors.
 """
 
 from __future__ import annotations
@@ -283,18 +284,32 @@ PHASES = (G_RECOMPUTE, G_AXPY, EPS, D_UPDATE, Q_SPMV, ALPHA_DOT, X_UPDATE)
 RECOMPUTE_EVERY = 50
 
 
+def next_recompute(t: int) -> int:
+    """The first iteration at or after ``t`` that recomputes the residual."""
+    return -(-t // RECOMPUTE_EVERY) * RECOMPUTE_EVERY
+
+
 class LoopState(NamedTuple):
     """The solver loop's scalars as iteration ``t`` opens.
 
     Together with the vectors they are the whole state of a solve:
     ``eps_old`` and ``alpha`` are the previous iteration's residual norm
-    and step, and ``parity`` says which buffer plays ``d``.
+    and step, ``parity`` says which buffer plays ``d``, and ``ordinal``
+    is the iteration's first access ordinal.
     """
 
     t: int = 0
     eps_old: float = float("inf")
     alpha: float = 0.0
     parity: int = 0
+    ordinal: int = 0
+
+
+class Checkpoint(NamedTuple):
+    """A solve as one iteration opens."""
+
+    state: LoopState
+    vectors: dict  # STATE_VECTORS by buffer name; d and dp are not roles
 
 
 def _no_hook(*_args) -> None:
@@ -313,42 +328,48 @@ def iterate(
 ):
     """The solver loop over the memory image ``arr`` (see ``memory_image``).
 
-    ``open_phase(phase, t, parity)`` runs as each phase opens and
-    ``product(phase, parity, out)`` writes a sweep's sparse product to
-    ``out``.  The loop resumes at ``start``, with ``arr`` holding the
-    vectors as they stood then, and passes its state to
-    ``boundary(state)`` as each iteration opens.  Returns (converged,
-    iterations, eps), where iterations is the loop index at which the
-    convergence test fired.  A zero <q, d> raises CgBreakdownError
-    unless ``native``, which keeps the float semantics of the compiled
-    program: the run goes on with inf or nan.
+    ``open_phase(phase, parity, at)`` runs as each phase opens, ``at``
+    being the access ordinal it opens at, and ``product(phase, parity,
+    out)`` writes a sweep's sparse product to ``out``.  The loop resumes
+    at ``start``, with ``arr`` holding the vectors as they stood then,
+    and passes its state to ``boundary(state)`` as each iteration opens.
+    Returns (converged, iterations, eps), where iterations is the loop
+    index at which the convergence test fired.  A zero <q, d> raises
+    CgBreakdownError unless ``native``, which keeps the float semantics
+    of the compiled program: the run goes on with inf or nan.
     """
     b, x, g, q = arr["b"], arr["x"], arr["g"], arr["q"]
-    t0, eps_old, alpha, parity = start
+    t0, eps_old, alpha, parity, at = start
     d, dp = arr[_role("d", parity)], arr[_role("dp", parity)]
     scratch = np.empty(len(x))
     eps = float("inf")
+
+    def opens(phase):
+        nonlocal at
+        open_phase(phase, parity, at)
+        at += phase.length(len(x), len(arr["Ac"]))
+
     for t in range(t0, t_max):
-        boundary(LoopState(t, eps_old, alpha, parity))
-        if t % RECOMPUTE_EVERY == 0:
-            open_phase(G_RECOMPUTE, t, parity)
+        boundary(LoopState(t, eps_old, alpha, parity, at))
+        if next_recompute(t) == t:
+            opens(G_RECOMPUTE)
             product(G_RECOMPUTE, parity, g)
             np.subtract(b, g, out=g)
         else:
-            open_phase(G_AXPY, t, parity)
+            opens(G_AXPY)
             np.multiply(q, alpha, out=scratch)
             np.subtract(g, scratch, out=g)
-        open_phase(EPS, t, parity)
+        opens(EPS)
         eps = norm2_blocked(g)
         if eps < tol:
             return True, t, eps
         beta = eps / eps_old  # eps_old failed the test, so it is not 0
-        open_phase(D_UPDATE, t, parity)
+        opens(D_UPDATE)
         np.multiply(dp, beta, out=d)
         d += g
-        open_phase(Q_SPMV, t, parity)
+        opens(Q_SPMV)
         product(Q_SPMV, parity, q)
-        open_phase(ALPHA_DOT, t, parity)
+        opens(ALPHA_DOT)
         denom = dot_blocked(q, d)
         if denom != 0.0:
             alpha = eps / denom
@@ -356,7 +377,7 @@ def iterate(
             alpha = float(np.float64(eps) / denom)  # inf or nan
         else:
             raise CgBreakdownError(f"<q,d> = 0 at iteration {t}")
-        open_phase(X_UPDATE, t, parity)
+        opens(X_UPDATE)
         np.multiply(d, alpha, out=scratch)
         x += scratch
         eps_old = eps
@@ -372,11 +393,14 @@ def solve(
     tol: float,
     t_max: int = T_MAX,
     observer=None,
+    checkpoints=None,
 ) -> SolveRecord:
     """Run the solver loop (``iterate``) and verify against (A, b).
 
     A NaN residual never satisfies the convergence test, so poisoned runs
-    fall through to t_max and fail verification.
+    fall through to t_max and fail verification.  Given a ``checkpoints``
+    list, the solve appends a ``Checkpoint`` to it as each iteration
+    opens, the first being the fresh start.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -389,15 +413,21 @@ def solve(
     def product(phase, parity, out):
         spmv(A, arr[phase.source(parity)], out=out)
 
-    open_phase = _no_hook
+    open_phase = boundary = _no_hook
     if observer is not None:
         emitter = _AccessEmitter(A, observer)
         observer.register_structures(emitter.smap)
+        open_phase = emitter.emit
 
-        def open_phase(phase, t, parity):
-            emitter.emit(phase, parity)
+    if checkpoints is not None:
 
-    converged, iterations, eps = iterate(arr, tol, t_max, open_phase, product)
+        def boundary(state):
+            vectors = {k: arr[k].copy() for k in STATE_VECTORS}
+            checkpoints.append(Checkpoint(state, vectors))
+
+    converged, iterations, eps = iterate(
+        arr, tol, t_max, open_phase, product, boundary=boundary
+    )
 
     verified = converged and verify(A, b, arr["x"], tol)
     return SolveRecord(iterations, converged, float(eps), verified, arr["x"])
@@ -422,7 +452,8 @@ class _AccessEmitter:
         self._base = {r.name: r.base for r in self.smap.regions}
         self._cache: dict = {}
 
-    def emit(self, phase: Phase, parity: int) -> None:
+    def emit(self, phase: Phase, parity: int, _at=None) -> None:
+        """Stream the phase's block (an ``iterate`` phase hook)."""
         kinds, addrs = self._template(phase, parity)
         for i in range(0, len(kinds), self.CHUNK):
             self.obs.emit(kinds[i : i + self.CHUNK], addrs[i : i + self.CHUNK])

@@ -18,9 +18,10 @@ toolkit's central claim (the metrics upper-bound the measured failure
 probability) directly scriptable.
 
 Every output and check of the validation report takes its columns from
-``REPORT_COLUMNS``.  A negative run count, a ``--parallel`` below 1, an
-unknown ``--structure`` and a negative or non-finite ``--fit-rate`` are
-refused before any work.
+``REPORT_COLUMNS``.  A negative run count or ``--seed``, a ``--parallel``
+below 1, a ``--tol-factor`` that is not finite and positive, an unknown
+``--structure`` and a negative or non-finite ``--fit-rate`` are refused
+before any work.
 
 Scratch artifacts (cached simulations, campaign logs) live under the
 directory named by ``--scratch`` or ``MEMVULN_SCRATCH``, each named after
@@ -33,6 +34,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -441,16 +443,21 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _check_counts(args, runs_flag: str) -> None:
-    """Refuse a negative run count and a pool of fewer than one worker."""
-    for flag, value, low in ((runs_flag, args.runs, 0),
-                             ("--parallel", args.parallel, 1)):
+def _check_flags(args) -> None:
+    """Refuse a negative run count or seed, a pool of fewer than one worker
+    and a tolerance factor that is not finite and positive."""
+    runs_flag = "--runs-per-structure" if args.command == "pipeline" else "--runs"
+    for flag, attr, low in ((runs_flag, "runs", 0), ("--parallel", "parallel", 1),
+                            ("--seed", "seed", 0)):
+        value = getattr(args, attr, low)
         if value < low:
             raise ValueError(f"{flag} must be at least {low}, got {value}")
+    tol_factor = getattr(args, "tol_factor", 1.0)
+    if not 0.0 < tol_factor < math.inf:
+        raise ValueError(f"--tol-factor must be finite and positive, got {tol_factor}")
 
 
 def cmd_inject(args) -> int:
-    _check_counts(args, "--runs")
     if args.structure not in (*TRACKED_STRUCTURES, PAD_STRUCTURE):
         raise ValueError(f"unknown structure: {args.structure}")
     cfg = _problem_config(args)
@@ -462,7 +469,7 @@ def cmd_inject(args) -> int:
     events = result.by_line()
     del result  # the campaign holds only the index
     ctx = build_context(A, b, tol, events)
-    log_path = args.log or _campaign_log(scratch, args, cfg, args.structure, args.seed)
+    log_path = _campaign_log(scratch, args, cfg, args.structure, args.seed)
     res = run_campaign(
         ctx,
         args.structure,
@@ -471,13 +478,7 @@ def cmd_inject(args) -> int:
         log_path=log_path,
         parallel=args.parallel,
     )
-    doc = res.to_dict()
-    doc["log"] = log_path
-    text = json.dumps(doc, indent=1)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(json.dumps(res.to_dict() | {"log": log_path}, indent=1))
     return 0
 
 
@@ -529,7 +530,6 @@ def cmd_faultmodel(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    _check_counts(args, "--runs-per-structure")
     out_dir = _ensure_dir(args.out)
     scratch = _ensure_dir(args.scratch)
     t0 = _time.perf_counter()
@@ -661,9 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     ic.add_argument("--runs", type=int, default=1000)
     ic.add_argument("--seed", type=int, default=0)
     ic.add_argument("--parallel", type=int, default=1)
-    ic.add_argument("--log", default=None,
-                    help="campaign log (default: derived, in scratch)")
-    ic.add_argument("--json", default=None, help="write the result here too")
     ic.add_argument("--scratch", default=default_scratch(),
                     help=f"scratch directory (or ${SCRATCH_ENV})")
     ic.set_defaults(func=cmd_inject)
@@ -704,6 +701,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,20 +13,21 @@ happens, and its fill row gives the exact program access ordinal at
 which the flipped value first reaches the hierarchy; the instrumented
 solver below applies the flip at precisely that point, splitting a
 phase's vectorized work when the ordinal lands inside it.  Each run
-works on the solver's memory image (``cg.memory_image``) with its own
-copies of the state vectors and of the input its flip targets.
+works on the solver's inputs with its own copies of the state vectors
+and of the input its flip targets.
 
 No run repeats the fault-free work it shares with the baseline, which
 ``build_context`` measures, so a context is whole from the start.  The
-baseline keeps a checkpoint as each of its iterations opens: the vectors
-x, g, d, dp and q (``cg.STATE_VECTORS``), the loop's scalars, and the
-iteration's first access ordinal; checkpoint 0 is the fresh start.  An
-injected run restarts from the last checkpoint at or before its flip's
-ordinal, since up to there it is the baseline bit for bit.  A flip that
-never surfaces (``silent``, ``writeback``) leaves the memory image the
-baseline's for the whole run, so the plan gets the baseline's row
-without a solve; an ``erased`` flip does the same from the moment the
-store overwrites it, so its run ends there.
+baseline is the clean solve (``cg.solve``), which keeps a checkpoint as
+each of its iterations opens (``cg.Checkpoint``): the vectors x, g, d,
+dp and q (``cg.STATE_VECTORS``) and the loop's state, whose ``ordinal``
+is the iteration's first access ordinal; checkpoint 0 is the fresh
+start.  An injected run restarts from the last checkpoint at or before
+its flip's ordinal, since up to there it is the baseline bit for bit.
+A flip that never surfaces (``silent``, ``writeback``) leaves the
+memory image the baseline's for the whole run, so the plan gets the
+baseline's row without a solve; an ``erased`` flip does the same from
+the moment the store overwrites it, so its run ends there.
 
 Four more rules decide a surfaced run's row before its last iteration,
 each exactly: the row equals the full replay's.
@@ -88,11 +89,9 @@ import os
 import time as _time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from . import cg  # RECOMPUTE_EVERY, read at call time as cg.iterate reads it
 from .cg import (
     G_RECOMPUTE,
     PAGE,
@@ -107,7 +106,8 @@ from .cg import (
     default_structure_map,
     iterate,
     memory_image,
-    spmv,
+    next_recompute,
+    solve,
     verify,
 )
 from .cachesim import LINE_BITS, REQ_FILL, LineEvents
@@ -172,21 +172,13 @@ class Outcome:
     reason: str = ""  # fill, silent, writeback or erased
 
 
-class _Checkpoint(NamedTuple):
-    """The fault-free solve as one iteration opens."""
-
-    ordinal: int  # the iteration's first access ordinal
-    state: LoopState
-    vectors: dict  # STATE_VECTORS by buffer name; d and dp are not roles
-
-
 @dataclass(frozen=True)
 class Baseline:
     """Fault-free reference run used to classify injected runs."""
 
     iterations: int
     wall_time: float  # a diagnostic: no classification reads it
-    checkpoints: tuple = field(repr=False, compare=False)
+    checkpoints: tuple = field(repr=False, compare=False)  # cg.Checkpoint
 
 
 @dataclass
@@ -241,7 +233,7 @@ class InjectionContext:
     regions: dict  # name -> (base, length); includes the pad control region
     events: LineEvents  # ``SimResult.by_line`` of the reference run
     baseline: Baseline
-    image: dict  # the pristine memory image (``cg.memory_image``)
+    inputs: dict  # the pristine Ar, Ac, Av and b by name
 
     @property
     def n(self) -> int:
@@ -275,40 +267,21 @@ def build_context(
         regions=regions,
         events=events,
         baseline=measure_baseline(A, b, tol),
-        image=memory_image(A, b),
+        inputs={k: v for k, v in memory_image(A, b).items()
+                if k not in STATE_VECTORS},
     )
 
 
 def measure_baseline(A: CsrMatrix, b: np.ndarray, tol: float) -> Baseline:
-    """Fault-free reference run, capped at ``T_MAX`` iterations.
-
-    One pass of the solver loop keeps a checkpoint as each iteration
-    opens.  An iteration's first access ordinal is the sum of the lengths
-    of every phase opened before it, the same cursor the injector keeps.
-    """
-    arr = memory_image(A, b)
-    cum = 0
-    kept = []
-
-    def open_phase(phase, t, parity):
-        nonlocal cum
-        cum += phase.length(A.n_rows, A.nnz)
-
-    def product(phase, parity, out):
-        spmv(A, arr[phase.source(parity)], out=out)
-
-    def boundary(state):
-        vectors = {k: arr[k].copy() for k in STATE_VECTORS}
-        kept.append(_Checkpoint(cum, state, vectors))
-
+    """Fault-free reference run: the clean solve (``cg.solve``), capped at
+    ``T_MAX`` iterations, with a checkpoint as each iteration opens."""
+    checkpoints = []
     t0 = _time.perf_counter()
-    converged, iterations, _ = iterate(
-        arr, tol, T_MAX, open_phase, product, boundary=boundary
-    )
+    rec = solve(A, b, tol=tol, checkpoints=checkpoints)
     wall = _time.perf_counter() - t0
-    if not (converged and verify(A, b, arr["x"], tol)):
+    if not rec.verified:
         raise RuntimeError("baseline run did not converge and verify")
-    return Baseline(iterations=iterations, wall_time=wall, checkpoints=tuple(kept))
+    return Baseline(rec.iterations, wall, tuple(checkpoints))
 
 
 def resolve_visibility(ctx: InjectionContext, plan: InjectionPlan):
@@ -386,7 +359,7 @@ def _flip_meets(phase: Phase, parity: int, target: str, word: int, row_ptr,
 
 def _last_checkpoint(checkpoints, ordinal: int) -> int:
     """Index of the last checkpoint at or before ``ordinal``, or -1."""
-    return bisect_right(checkpoints, ordinal, key=lambda c: c.ordinal) - 1
+    return bisect_right(checkpoints, ordinal, key=lambda c: c.state.ordinal) - 1
 
 
 class _InjectedSolve:
@@ -395,14 +368,14 @@ class _InjectedSolve:
     The run goes through the clean solver's own loop (``cg.iterate``), so
     an unapplied or erased flip reproduces the baseline bit for bit.  It
     therefore starts from a copy of the baseline's last checkpoint at or
-    before the flip ordinal, with the cursor at that iteration's first
-    access, and stops at the next phase once the flip is erased: the rest
-    is the baseline's.  As each phase opens, the cursor advances by the phase's
-    length; when the flip ordinal falls inside the phase, the phase table
-    (see the ``cg`` module) gives the flipped word's own accesses, and the
-    first of them at or after the ordinal decides: a load sees the flip,
-    a store erases it, and past them all the flip waits for the next
-    phase.  A sweep the flip lands in follows one rule: it gathers every
+    before the flip ordinal, whose state resumes the loop's cursor at that
+    iteration's first access, and stops at the next phase once the flip is
+    erased: the rest is the baseline's.  The loop hands each phase the
+    ordinal it opens at; when the flip ordinal falls inside the phase,
+    the phase table (see the ``cg`` module) gives the flipped word's own
+    accesses, and the first of them at or after the ordinal decides: a
+    load sees the flip, a store erases it, and past them all the flip
+    waits for the next phase.  A sweep the flip lands in follows one rule: it gathers every
     product from the image as the sweep opens, applies the flip, gathers
     again the products whose column, value or source load of the word
     comes at or after the ordinal, and sums the rows whose row-pointer
@@ -428,7 +401,7 @@ class _InjectedSolve:
         self.e = 0 if apply_ord is None else apply_ord  # None: from checkpoint 0
         self.applied = False
         self.erased = False
-        self.cum = 0
+        self.end = 0  # the ordinal at which the open phase ends
         self.e_off = None  # flip ordinal within the open phase, if inside it
         self.iter_done = 0
         self.t_cap = 0  # the run's iteration cap, set by ``run``
@@ -441,7 +414,7 @@ class _InjectedSolve:
         # again between runs (100 side-16 Ac runs took twice as long); with
         # checkpoint copies both orders take about 0.07 s for them.
         self.arr = {k: v.copy() if k == target else v
-                    for k, v in ctx.image.items() if k not in STATE_VECTORS}
+                    for k, v in ctx.inputs.items()}
         self.rp_w, self.ci_w, self.av_w = (self.arr[k] for k in ("Ar", "Ac", "Av"))
 
     # -- flip plumbing -------------------------------------------------------
@@ -485,25 +458,22 @@ class _InjectedSolve:
             g_r = float(arr["g"][r])
             if arr["q"][r] == 0.0 and g_r * g_r >= tol:
                 b_r = float(arr["b"][r])
-                every = cg.RECOMPUTE_EVERY
-                next_recompute = -(-state.t // every) * every
-                if b_r * b_r >= tol or next_recompute >= self.t_cap:
+                if b_r * b_r >= tol or next_recompute(state.t) >= self.t_cap:
                     return True
         return False
 
-    def open_phase(self, phase: Phase, t: int, parity: int) -> None:
-        """Advance the cursor over the phase; settle a flip landing in it."""
+    def open_phase(self, phase: Phase, parity: int, at: int) -> None:
+        """Note where the phase ends; settle a flip landing in it."""
         if self.erased:
             raise _Stop  # the rest of the run is the baseline's
-        start = self.cum
-        self.cum += phase.length(self.n, self.nnz)
+        self.end = at + phase.length(self.n, self.nnz)
         self.e_off = None
-        if not self.pending or self.e >= self.cum:
+        if not self.pending or self.e >= self.end:
             return
-        if self.e <= start:
+        if self.e <= at:
             self._apply()
             return
-        e_off = self.e - start
+        e_off = self.e - at
         met = _flip_meets(phase, parity, self.target, self.word, self.rp, e_off)
         if met == KIND_LOAD:
             self._apply()
@@ -538,7 +508,7 @@ class _InjectedSolve:
     def _baseline_sweep(self, phase: Phase) -> bool:
         """A q_spmv that ends at or before a pending flip: it reads the
         baseline's image, so its product is the next checkpoint's q."""
-        return phase is Q_SPMV and self.pending and self.e >= self.cum
+        return phase is Q_SPMV and self.pending and self.e >= self.end
 
     # -- sparse products -------------------------------------------------------
 
@@ -571,7 +541,6 @@ class _InjectedSolve:
         checkpoints = self.ctx.baseline.checkpoints
         cp = checkpoints[_last_checkpoint(checkpoints, self.e)]
         self.arr.update((k, v.copy()) for k, v in cp.vectors.items())
-        self.cum = cp.ordinal
         return cp.state
 
     def run(self, t_cap: int):
@@ -605,14 +574,14 @@ def _x_row(ctx: InjectionContext, plan: InjectionPlan, e: int):
     cps = ctx.baseline.checkpoints
     last = len(cps) - 1
     t = _last_checkpoint(cps, e)  # the iteration the flip lands in
-    every = cg.RECOMPUTE_EVERY
-    if t // every < last // every:
+    if next_recompute(t + 1) <= last:
         return None  # a recompute opens after it
-    if t % every == 0 and e < cps[t].ordinal + G_RECOMPUTE.length(ctx.n, ctx.nnz):
+    recompute_end = cps[t].state.ordinal + G_RECOMPUTE.length(ctx.n, ctx.nnz)
+    if next_recompute(t) == t and e < recompute_end:
         return None  # it lands in this iteration's recompute
     s0 = t  # the first iteration whose x_update reads the flipped word
     if t < last:
-        x_start = cps[t + 1].ordinal - X_UPDATE.length(ctx.n, ctx.nnz)
+        x_start = cps[t + 1].state.ordinal - X_UPDATE.length(ctx.n, ctx.nnz)
         if e >= x_start:  # x_update closes the iteration
             met = _flip_meets(X_UPDATE, cps[t].state.parity, "x",
                               plan.word_index, ctx.A.row_ptr, e - x_start)

@@ -285,6 +285,56 @@ class TestPhaseTable:
                     assert want[phase.nz_ord(k, j, r)] == (KIND_LOAD, name, idx[k])
 
 
+class TestLoopCursor:
+    """The loop is the one access cursor: each phase opens at the offset of
+    its block in the emitted stream, and ``next_recompute`` agrees with
+    the loop's residual schedule."""
+
+    @pytest.mark.parametrize("every", (2, 3))
+    def test_open_phase_gets_its_block_offset(self, monkeypatch, every):
+        # Recomputes every 2 iterations make both residual phases occur;
+        # every 3, each phase opens at both parities.
+        monkeypatch.setattr(cg, "RECOMPUTE_EVERY", every)
+        A = cg.generate_poisson27(3)
+        b = cg.spmv(A, np.ones(A.n_rows))
+        obs = CollectingObserver()
+        opened, states = [], []
+        iterate = cg.iterate
+
+        def spy(arr, tol, t_max, open_phase, product, **kw):
+            def hook(phase, parity, at):
+                opened.append((phase.name, parity, at, obs.n_events))
+                open_phase(phase, parity, at)
+
+            def boundary(state):
+                states.append((state.ordinal, obs.n_events))
+                kw["boundary"](state)
+
+            return iterate(arr, tol, t_max, hook, product,
+                           **kw | {"boundary": boundary})
+
+        monkeypatch.setattr(cg, "iterate", spy)
+        checkpoints = []
+        rec = cg.solve(A, b, tol=cg.default_tol(b), observer=obs,
+                       checkpoints=checkpoints)
+        assert rec.converged and rec.iterations >= every
+        assert [at for *_, at, _ in opened] == [n for *_, n in opened]
+        assert [at for at, _ in states] == [n for _, n in states]
+        assert [c.state.ordinal for c in checkpoints] == [at for at, _ in states]
+        seen = {(name, parity) for name, parity, *_ in opened}
+        assert {"g_recompute", "g_axpy"} <= {name for name, _ in seen}
+        if every == 3:
+            assert seen == {(p.name, parity) for p in cg.PHASES for parity in (0, 1)}
+
+    @pytest.mark.parametrize("every", (50, 4))
+    def test_next_recompute(self, monkeypatch, every):
+        monkeypatch.setattr(cg, "RECOMPUTE_EVERY", every)
+        for t in range(201):
+            nxt = cg.next_recompute(t)
+            assert (nxt == t) == (t % every == 0)
+            assert t <= nxt < t + every and nxt % every == 0
+
+
 class TestObservedAccesses:
     def run_observed(self, side):
         A = cg.generate_poisson27(side)

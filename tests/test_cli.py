@@ -38,10 +38,15 @@ def churn_config_file(tmp_path):
 
 class TestParsing:
     def test_unknown_flag_exits_with_usage(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["pipeline", "--definitely-not-a-flag"])
-        assert exc.value.code != 0
-        assert "usage" in capsys.readouterr().err.lower()
+        # A campaign's log is named after the simulation it reads, and its
+        # JSON goes to standard output: it takes neither --log nor --json.
+        for argv in (["pipeline", "--definitely-not-a-flag"],
+                     ["inject", "campaign", "--structure", "b", "--log", "x"],
+                     ["inject", "campaign", "--structure", "b", "--json", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage" in capsys.readouterr().err.lower()
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit) as exc:
@@ -49,23 +54,42 @@ class TestParsing:
         assert exc.value.code != 0
 
     @pytest.mark.parametrize("argv, message", [
-        (["pipeline", "--runs-per-structure", "-2"],
-         "--runs-per-structure must be at least 0, got -2"),
-        (["pipeline", "--parallel", "0"], "--parallel must be at least 1, got 0"),
-        (["inject", "campaign", "--structure", "b", "--runs", "-3"],
-         "--runs must be at least 0, got -3"),
-        (["inject", "campaign", "--structure", "b", "--parallel", "0"],
-         "--parallel must be at least 1, got 0"),
-        (["inject", "campaign", "--structure", "Arr"], "unknown structure: Arr"),
-    ], ids=["pipeline-runs", "pipeline-parallel", "inject-runs",
-            "inject-parallel", "inject-structure"])
+        pytest.param(["pipeline", "--runs-per-structure", "-2"],
+                     "--runs-per-structure must be at least 0, got -2",
+                     id="pipeline-runs"),
+        pytest.param(["pipeline", "--parallel", "0"],
+                     "--parallel must be at least 1, got 0", id="pipeline-parallel"),
+        pytest.param(["inject", "campaign", "--structure", "b", "--runs", "-3"],
+                     "--runs must be at least 0, got -3", id="inject-runs"),
+        pytest.param(["inject", "campaign", "--structure", "b", "--parallel", "0"],
+                     "--parallel must be at least 1, got 0", id="inject-parallel"),
+        pytest.param(["inject", "campaign", "--structure", "Arr"],
+                     "unknown structure: Arr", id="inject-structure"),
+        *[pytest.param(argv + [f"--tol-factor={tf}"],
+                       f"--tol-factor must be finite and positive, got {float(tf)}",
+                       id=f"{argv[0]}-tol-factor-{tf}")
+          for argv in (["pipeline"], ["inject", "campaign", "--structure", "b"],
+                       ["trace"])
+          for tf in ("nan", "inf", "0", "-1e-8")],
+        *[pytest.param(argv + ["--seed", "-3"], "--seed must be at least 0, got -3",
+                       id=f"{argv[0]}-seed")
+          for argv in (["pipeline"], ["inject", "campaign", "--structure", "b"],
+                       ["faultmodel", "check"])],
+    ])
     def test_bad_run_counts_are_refused(self, tmp_path, capsys, argv, message):
-        if argv[0] == "pipeline":
-            argv = argv + ["--out", str(tmp_path / "out")]
-        code = main(argv + ["--side", "4", "--scratch", str(tmp_path / "s")])
+        side = ["--side", "4"]
+        argv = argv + {
+            "pipeline": side + ["--out", str(tmp_path / "out"),
+                                "--scratch", str(tmp_path / "s")],
+            "inject": side + ["--scratch", str(tmp_path / "s")],
+            "trace": side + ["--out", str(tmp_path / "t.bin")],
+            "faultmodel": ["--lambda", "1e-3", "--window", "9",
+                           "--timeline", str(tmp_path / "tl.json")],
+        }[argv[0]]
+        code = main(argv)
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not any(tmp_path.iterdir())  # refused before any work
+        assert not any(tmp_path.iterdir())  # refused before any work or file
 
     def test_scratch_env_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv(SCRATCH_ENV, str(tmp_path / "sc"))

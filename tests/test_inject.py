@@ -292,7 +292,7 @@ class TestRunnerFidelity:
         converged, iterations = runner.run(T_MAX)
         assert converged and iterations == rec.iterations
         assert np.array_equal(runner.arr["x"], rec.x)
-        assert runner.cum == res.n_accesses
+        assert runner.end == res.n_accesses
 
     def test_flip_before_first_event_equals_flipped_problem(self, small_problem):
         A, b, tol, _res, ctx = small_problem
@@ -345,9 +345,9 @@ def without_checkpoints(ctx):
 class _RunPastErasure(_FullSolve):
     """A runner that replays the whole solve even after an erasure."""
 
-    def open_phase(self, phase, t, parity):
+    def open_phase(self, phase, parity, at):
         erased, self.erased = self.erased, False
-        super().open_phase(phase, t, parity)
+        super().open_phase(phase, parity, at)
         self.erased = erased or self.erased
 
 
@@ -382,12 +382,12 @@ class TestCheckpoints:
             cum += len(kinds)
         assert cum == res.n_accesses
         checkpoints = ctx.baseline.checkpoints
-        assert [c.ordinal for c in checkpoints] == starts
+        assert [c.state.ordinal for c in checkpoints] == starts
         assert [c.state.t for c in checkpoints] == list(
             range(ctx.baseline.iterations + 1)
         )
-        last = checkpoints[-1]
-        residual = G_RECOMPUTE if last.state.t % RECOMPUTE_EVERY == 0 else G_AXPY
+        last = checkpoints[-1].state
+        residual = G_RECOMPUTE if last.t % RECOMPUTE_EVERY == 0 else G_AXPY
         assert (
             last.ordinal + residual.length(ctx.n, ctx.nnz) + EPS.length(ctx.n, ctx.nnz)
             == res.n_accesses
@@ -396,7 +396,7 @@ class TestCheckpoints:
     def test_restart_equals_run_from_iteration_zero(self, small_problem):
         *_, ctx = small_problem
         scratch = without_checkpoints(ctx)
-        ords = [c.ordinal for c in ctx.baseline.checkpoints]
+        ords = [c.state.ordinal for c in ctx.baseline.checkpoints]
         last = len(ords) - 1
         # (apply ordinal, iteration it restarts at): iteration 0, and the
         # boundaries of iteration 1 and of the converging iteration.
@@ -410,7 +410,8 @@ class TestCheckpoints:
             for sid, word, bit in targets:
                 plan = InjectionPlan(sid, 64 * word + bit, 1, 0, 0)
                 probe = _InjectedSolve(ctx, plan, e)
-                assert probe._restart().t == t and probe.cum == ords[t]
+                start = probe._restart()
+                assert (start.t, start.ordinal) == (t, ords[t])
                 got = _FullSolve(ctx, plan, e)
                 want = _FullSolve(scratch, plan, e)
                 with np.errstate(all="ignore"):
@@ -546,8 +547,9 @@ class TestMidPhaseSplits:
         return runner
 
     def sweep(self, runner, phase, parity):
-        """Open the phase at the runner's cursor and return its product."""
-        runner.open_phase(phase, 0, parity)
+        """Open the phase at ordinal 0, where iteration 0 opens, and return
+        its product."""
+        runner.open_phase(phase, parity, 0)
         out = np.empty(runner.n)
         runner.product(phase, parity, out)
         return out
@@ -719,7 +721,7 @@ class TestMidPhaseSplits:
                 # Past the word's last access: the flip lands in memory
                 # only once the next phase opens.
                 assert runner.pending
-                runner.open_phase(EPS, 0, 0)
+                runner.open_phase(EPS, 0, X_UPDATE.length(n, ctx.nnz))
             results[label] = runner.arr["x"].copy()
         clean = x0 + alpha * d0
         flipped_then = x0.copy()
@@ -978,11 +980,11 @@ class TestSettlements:
         assert compared > 50
         # Iteration 4's recompute reads x flips landing in iterations 1
         # to 3, so those are solved.
-        cps = ctx.baseline.checkpoints
+        ords = [c.state.ordinal for c in ctx.baseline.checkpoints]
         landed = {i: resolve_visibility(ctx, plan)[0]
                   for i, plan in enumerate(plans) if plan.structure_id == "x"}
         guarded = {i for i, e in landed.items()
-                   if e is not None and cps[1].ordinal <= e < cps[4].ordinal}
+                   if e is not None and ords[1] <= e < ords[4]}
         assert len(guarded) > 20 and not guarded & decided["x"]
 
     def test_x_flips_at_the_edges_of_its_update(self, small_problem, monkeypatch):
@@ -992,12 +994,12 @@ class TestSettlements:
         cps = ctx.baseline.checkpoints
         last = len(cps) - 1
         x_len = X_UPDATE.length(ctx.n, ctx.nnz)
-        ordinals = {0: [cps[last].ordinal + 1]}
+        ordinals = {0: [cps[last].state.ordinal + 1]}
         for t in (1, 3, last - 1):
-            x_start = cps[t + 1].ordinal - x_len
+            x_start = cps[t + 1].state.ordinal - x_len
             for w in (0, 9, ctx.n - 1):
                 ordinals.setdefault(w, []).extend(
-                    [cps[t].ordinal] + [x_start + 3 * w + k for k in range(-1, 4)]
+                    [cps[t].state.ordinal] + [x_start + 3 * w + k for k in range(-1, 4)]
                 )
         # Here a plan's instant is its flip's apply ordinal.
         plans = [InjectionPlan("x", 64 * w + bit, e, 0, 0)

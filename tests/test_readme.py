@@ -1,9 +1,12 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its commands parse."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from memvuln.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +22,14 @@ def test_library_example_runs():
     assert [r[0] for r in rows] == ["Ar", "Ac", "Av", "x", "b", "g", "d", "dp", "q"]
     for _, mvf, fea in rows:
         assert 0.0 <= float(fea) <= float(mvf) <= 1.0
+
+
+def test_every_command_parses():
+    # Parsed, not run: a flag the parser no longer takes fails here.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    commands = [shlex.split(line, comments=True)
+                for block in blocks for line in block.splitlines()
+                if line.startswith("memvuln ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
