@@ -22,7 +22,9 @@ finds from it where a flipped word is read or written.  Both run the
 recurrence through the one loop, ``iterate``, with their own hooks; the
 loop is the one access cursor, and can resume from a ``Checkpoint``
 (which ``solve`` keeps on request), which is how injected runs skip the
-fault-free prefix.  ``next_recompute`` says which iterations recompute.
+fault-free prefix.  ``next_recompute`` says which iterations recompute
+and ``t & 1`` which buffer plays ``d`` in iteration ``t``; ``locate``
+inverts the cursor, placing any access of a solve from its checkpoints.
 
 ``memory_image`` is the one statement of what a solve works on: the
 nine tracked structures by name, the inputs shared with the problem and
@@ -32,6 +34,7 @@ injector's runs, from the inputs and a checkpoint's vectors.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -97,50 +100,23 @@ def generate_poisson27(side: int) -> CsrMatrix:
     n = side**3
     if n > MAX_ROWS:
         raise CapacityError(f"side={side} yields {n} rows; limit is {MAX_ROWS}")
-    idx = np.arange(n, dtype=np.int64)
-    z, rem = np.divmod(idx, side * side)
-    y, x = np.divmod(rem, side)
-    rows_parts = []
-    cols_parts = []
-    vals_parts = []
-    for dz in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                nz, ny, nx = z + dz, y + dy, x + dx
-                ok = (
-                    (0 <= nz)
-                    & (nz < side)
-                    & (0 <= ny)
-                    & (ny < side)
-                    & (0 <= nx)
-                    & (nx < side)
-                )
-                rows_parts.append(idx[ok])
-                cols_parts.append(((nz * side + ny) * side + nx)[ok])
-                weight = 26.0 if (dz, dy, dx) == (0, 0, 0) else -1.0
-                vals_parts.append(np.full(int(ok.sum()), weight))
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    vals = np.concatenate(vals_parts)
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    vals = vals[order]
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=row_ptr[1:])
-    return CsrMatrix(n, row_ptr, cols.astype(np.int64), vals)
-
-
-def norm2_blocked(v: np.ndarray) -> float:
-    """Sum of squares in a fixed blocked order (bit-reproducible)."""
-    total = 0.0
-    for i in range(0, len(v), REDUCE_BLOCK):
-        seg = v[i : i + REDUCE_BLOCK]
-        total += float(np.add.reduce(seg * seg))
-    return total
+    step = np.array([-1, 0, 1], dtype=np.int64)
+    pos = np.add.outer(np.arange(side), step)
+    on = (0 <= pos) & (pos < side)  # on[c, k]: c + step[k] is on the grid
+    # ok[z, y, x, dz, dy, dx]: the neighbour lies on the grid.
+    ok = (on[:, None, None, :, None, None] & on[None, :, None, None, :, None]
+          & on[None, None, :, None, None, :]).reshape(n, 27)
+    shift = np.add.outer(np.add.outer(step * side * side, step * side), step).ravel()
+    # A row's neighbours in (dz, dy, dx) order are in ascending column
+    # order, so each row comes out sorted.
+    cols = np.add.outer(np.arange(n, dtype=np.int64), shift)[ok]
+    vals = np.broadcast_to(np.where(shift == 0, 26.0, -1.0), ok.shape)[ok]
+    row_ptr = np.concatenate(([0], np.cumsum(ok.sum(axis=1))))
+    return CsrMatrix(n, row_ptr, cols, vals)
 
 
 def dot_blocked(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product in a fixed blocked order (bit-reproducible)."""
     total = 0.0
     for i in range(0, len(a), REDUCE_BLOCK):
         j = i + REDUCE_BLOCK
@@ -185,11 +161,11 @@ class SolveRecord:
 def verify(A: CsrMatrix, b: np.ndarray, x: np.ndarray, tol: float) -> bool:
     """Recompute ||b - A x||^2 against the supplied (pristine) inputs."""
     r = b - spmv(A, x)
-    return norm2_blocked(r) < tol
+    return dot_blocked(r, r) < tol
 
 
 def default_tol(b: np.ndarray, factor: float = 1e-8) -> float:
-    return factor * norm2_blocked(b)
+    return factor * dot_blocked(b, b)
 
 
 def default_structure_map(A: CsrMatrix) -> StructureMap:
@@ -294,14 +270,13 @@ class LoopState(NamedTuple):
 
     Together with the vectors they are the whole state of a solve:
     ``eps_old`` and ``alpha`` are the previous iteration's residual norm
-    and step, ``parity`` says which buffer plays ``d``, and ``ordinal``
-    is the iteration's first access ordinal.
+    and step, and ``ordinal`` is the iteration's first access ordinal;
+    ``t & 1`` says which buffer plays ``d``.
     """
 
     t: int = 0
     eps_old: float = float("inf")
     alpha: float = 0.0
-    parity: int = 0
     ordinal: int = 0
 
 
@@ -310,6 +285,31 @@ class Checkpoint(NamedTuple):
 
     state: LoopState
     vectors: dict  # STATE_VECTORS by buffer name; d and dp are not roles
+
+
+def last_checkpoint(checkpoints, ordinal: int) -> int:
+    """Index of the last checkpoint at or before access ``ordinal``, or -1."""
+    return bisect_right(checkpoints, ordinal, key=lambda c: c.state.ordinal) - 1
+
+
+def locate(checkpoints, ordinal: int, n: int, nnz: int):
+    """Access ``ordinal`` of a solve on an ``n``-row matrix of ``nnz``
+    entries, as (iteration, phase, offset into the phase's block).
+
+    Walks from the last of the solve's ``checkpoints`` (0 must be kept) at
+    or before it on through later iterations: iteration ``t`` opens
+    ``G_RECOMPUTE`` or ``G_AXPY`` (as ``next_recompute`` says), then the
+    rest of ``PHASES``.
+    """
+    t, _eps_old, _alpha, at = checkpoints[last_checkpoint(checkpoints, ordinal)].state
+    while True:
+        residual = G_RECOMPUTE if next_recompute(t) == t else G_AXPY
+        for phase in (residual, *PHASES[2:]):
+            end = at + phase.length(n, nnz)
+            if ordinal < end:
+                return t, phase, ordinal - at
+            at = end
+        t += 1
 
 
 def _no_hook(*_args) -> None:
@@ -330,17 +330,17 @@ def iterate(
 
     ``open_phase(phase, parity, at)`` runs as each phase opens, ``at``
     being the access ordinal it opens at, and ``product(phase, parity,
-    out)`` writes a sweep's sparse product to ``out``.  The loop resumes
-    at ``start``, with ``arr`` holding the vectors as they stood then,
-    and passes its state to ``boundary(state)`` as each iteration opens.
+    out)`` writes a sweep's sparse product to ``out``, at parity
+    ``t & 1``.  The loop resumes at ``start``, with ``arr`` holding the
+    vectors as they stood then, and passes its state to
+    ``boundary(state)`` as each iteration opens.
     Returns (converged, iterations, eps), where iterations is the loop
     index at which the convergence test fired.  A zero <q, d> raises
     CgBreakdownError unless ``native``, which keeps the float semantics
     of the compiled program: the run goes on with inf or nan.
     """
     b, x, g, q = arr["b"], arr["x"], arr["g"], arr["q"]
-    t0, eps_old, alpha, parity, at = start
-    d, dp = arr[_role("d", parity)], arr[_role("dp", parity)]
+    t0, eps_old, alpha, at = start
     scratch = np.empty(len(x))
     eps = float("inf")
 
@@ -350,7 +350,9 @@ def iterate(
         at += phase.length(len(x), len(arr["Ac"]))
 
     for t in range(t0, t_max):
-        boundary(LoopState(t, eps_old, alpha, parity, at))
+        boundary(LoopState(t, eps_old, alpha, at))
+        parity = t & 1
+        d, dp = arr[_role("d", parity)], arr[_role("dp", parity)]
         if next_recompute(t) == t:
             opens(G_RECOMPUTE)
             product(G_RECOMPUTE, parity, g)
@@ -360,7 +362,7 @@ def iterate(
             np.multiply(q, alpha, out=scratch)
             np.subtract(g, scratch, out=g)
         opens(EPS)
-        eps = norm2_blocked(g)
+        eps = dot_blocked(g, g)
         if eps < tol:
             return True, t, eps
         beta = eps / eps_old  # eps_old failed the test, so it is not 0
@@ -381,8 +383,6 @@ def iterate(
         np.multiply(d, alpha, out=scratch)
         x += scratch
         eps_old = eps
-        d, dp = dp, d
-        parity ^= 1
     return False, t_max, eps
 
 

@@ -18,10 +18,11 @@ toolkit's central claim (the metrics upper-bound the measured failure
 probability) directly scriptable.
 
 Every output and check of the validation report takes its columns from
-``REPORT_COLUMNS``.  A negative run count or ``--seed``, a ``--parallel``
-below 1, a ``--tol-factor`` that is not finite and positive, an unknown
-``--structure`` and a negative or non-finite ``--fit-rate`` are refused
-before any work.
+``REPORT_COLUMNS``.  ``_check_flags`` refuses, before any work or file,
+a negative run count or ``--seed``, a ``--parallel`` below 1, a ``--side``
+below 2 or past ``cg.MAX_ROWS`` rows, a ``--tol-factor`` that is not
+finite and positive, an unknown ``--structure`` and a negative or
+non-finite ``--fit-rate``.
 
 Scratch artifacts (cached simulations, campaign logs) live under the
 directory named by ``--scratch`` or ``MEMVULN_SCRATCH``, each named after
@@ -44,7 +45,9 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .cachesim import LINE_SIZE, CacheConfig, CacheSimulator, SimResult
-from .cg import default_structure_map, default_tol, generate_poisson27, solve, spmv
+from .cg import (
+    MAX_ROWS, default_structure_map, default_tol, generate_poisson27, solve, spmv,
+)
 from .faultmodel import (
     AccessTimeline,
     FaultModelParams,
@@ -432,8 +435,6 @@ def cmd_trace(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    if not (args.fit_rate >= 0.0 and np.isfinite(args.fit_rate)):
-        raise ValueError("fit rate must be finite and non-negative")
     cfg = CacheConfig.load(args.config) if args.config else CacheConfig()
     result, smap = replay_trace(args.trace, cfg)
     report = analyze(result.by_line(), smap, fit_rate=args.fit_rate)
@@ -444,22 +445,27 @@ def cmd_metrics(args) -> int:
 
 
 def _check_flags(args) -> None:
-    """Refuse a negative run count or seed, a pool of fewer than one worker
-    and a tolerance factor that is not finite and positive."""
+    """Refuse, before any work or file, the flag values that the module
+    docstring lists."""
     runs_flag = "--runs-per-structure" if args.command == "pipeline" else "--runs"
     for flag, attr, low in ((runs_flag, "runs", 0), ("--parallel", "parallel", 1),
-                            ("--seed", "seed", 0)):
+                            ("--seed", "seed", 0), ("--side", "side", 2)):
         value = getattr(args, attr, low)
         if value < low:
             raise ValueError(f"{flag} must be at least {low}, got {value}")
+    if getattr(args, "side", 2) ** 3 > MAX_ROWS:
+        raise ValueError(f"--side {args.side} gives {args.side**3} rows, over {MAX_ROWS}")
     tol_factor = getattr(args, "tol_factor", 1.0)
     if not 0.0 < tol_factor < math.inf:
         raise ValueError(f"--tol-factor must be finite and positive, got {tol_factor}")
+    structure = getattr(args, "structure", PAD_STRUCTURE)
+    if structure not in (*TRACKED_STRUCTURES, PAD_STRUCTURE):
+        raise ValueError(f"unknown structure: {structure}")
+    if not 0.0 <= getattr(args, "fit_rate", 0.0) < math.inf:
+        raise ValueError("fit rate must be finite and non-negative")
 
 
 def cmd_inject(args) -> int:
-    if args.structure not in (*TRACKED_STRUCTURES, PAD_STRUCTURE):
-        raise ValueError(f"unknown structure: {args.structure}")
     cfg = _problem_config(args)
     scratch = _ensure_dir(args.scratch)
     A, b, tol, result = simulate_problem(

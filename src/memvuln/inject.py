@@ -23,7 +23,8 @@ each of its iterations opens (``cg.Checkpoint``): the vectors x, g, d,
 dp and q (``cg.STATE_VECTORS``) and the loop's state, whose ``ordinal``
 is the iteration's first access ordinal; checkpoint 0 is the fresh
 start.  An injected run restarts from the last checkpoint at or before
-its flip's ordinal, since up to there it is the baseline bit for bit.
+its flip's ordinal (``cg.last_checkpoint``), since up to there it is the
+baseline bit for bit.
 A flip that never surfaces (``silent``, ``writeback``) leaves the
 memory image the baseline's for the whole run, so the plan gets the
 baseline's row without a solve; an ``erased`` flip does the same from
@@ -39,8 +40,9 @@ each exactly: the row equals the full replay's.
   baseline and its final ``x`` differs from the baseline's in that word
   alone.  ``run_one`` replays the word's updates ``v + d[w] * alpha``
   from the checkpoints and verifies the patched final ``x``, without a
-  solve.  The word's first ``x_update`` access at or after the flip
-  decides, as in a replay: a load sees the flip, a store erases it.
+  solve.  ``cg.locate`` places the flip; the word's first ``x_update``
+  access at or after it decides, as in a replay: a load sees the flip,
+  a store erases it.
 * **Non-finite ``x`` and ``g``.**  As an iteration opens after the flip
   has applied, both vectors hold a non-finite entry.  Every column is
   still read by some row under a single flip, so a recompute of ``g``
@@ -87,7 +89,6 @@ import io
 import multiprocessing
 import os
 import time as _time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,8 @@ from .cg import (
     _role,
     default_structure_map,
     iterate,
+    last_checkpoint,
+    locate,
     memory_image,
     next_recompute,
     solve,
@@ -357,11 +360,6 @@ def _flip_meets(phase: Phase, parity: int, target: str, word: int, row_ptr,
     return met
 
 
-def _last_checkpoint(checkpoints, ordinal: int) -> int:
-    """Index of the last checkpoint at or before ``ordinal``, or -1."""
-    return bisect_right(checkpoints, ordinal, key=lambda c: c.state.ordinal) - 1
-
-
 class _InjectedSolve:
     """Replays the solver with one flip applied at an exact access ordinal.
 
@@ -539,7 +537,7 @@ class _InjectedSolve:
         """Load copies of the last checkpoint at or before the flip ordinal;
         checkpoint 0 is the fresh start."""
         checkpoints = self.ctx.baseline.checkpoints
-        cp = checkpoints[_last_checkpoint(checkpoints, self.e)]
+        cp = checkpoints[last_checkpoint(checkpoints, self.e)]
         self.arr.update((k, v.copy()) for k, v in cp.vectors.items())
         return cp.state
 
@@ -569,27 +567,22 @@ def _x_row(ctx: InjectionContext, plan: InjectionPlan, e: int):
 
     Returns (outcome, detail, reason) at the baseline's iteration count,
     or None when the flip applies in a residual recompute or one opens
-    after it before the baseline converges: then the run is solved.
+    after it before the baseline converges: then the run is solved.  The
+    flip's iteration and phase come from ``cg.locate``.
     """
     cps = ctx.baseline.checkpoints
     last = len(cps) - 1
-    t = _last_checkpoint(cps, e)  # the iteration the flip lands in
-    if next_recompute(t + 1) <= last:
-        return None  # a recompute opens after it
-    recompute_end = cps[t].state.ordinal + G_RECOMPUTE.length(ctx.n, ctx.nnz)
-    if next_recompute(t) == t and e < recompute_end:
-        return None  # it lands in this iteration's recompute
-    s0 = t  # the first iteration whose x_update reads the flipped word
-    if t < last:
-        x_start = cps[t + 1].state.ordinal - X_UPDATE.length(ctx.n, ctx.nnz)
-        if e >= x_start:  # x_update closes the iteration
-            met = _flip_meets(X_UPDATE, cps[t].state.parity, "x",
-                              plan.word_index, ctx.A.row_ptr, e - x_start)
-            if met == KIND_STORE:
-                return OUTCOME_ACE, "erased", "erased"
-            if met == _LATER:
-                s0 = t + 1
+    t, phase, offset = locate(cps, e, ctx.n, ctx.nnz)
+    if phase is G_RECOMPUTE or next_recompute(t + 1) <= last:
+        return None  # a recompute reads the flipped word
     w = plan.word_index
+    s0 = t  # the first iteration whose x_update reads the flipped word
+    if phase is X_UPDATE:
+        met = _flip_meets(X_UPDATE, t & 1, "x", w, ctx.A.row_ptr, offset)
+        if met == KIND_STORE:
+            return OUTCOME_ACE, "erased", "erased"
+        if met == _LATER:
+            s0 = t + 1
     word = cps[s0].vectors["x"][w : w + 1].copy()
     word.view(np.uint64)[0] ^= np.uint64(1 << plan.bit)
     v = word[0]
@@ -598,7 +591,7 @@ def _x_row(ctx: InjectionContext, plan: InjectionPlan, e: int):
             # x_update of iteration s, as the next checkpoint holds its
             # direction buffer and step.
             nxt = cps[s + 1]
-            v = v + nxt.vectors[_role("d", cps[s].state.parity)][w] * nxt.state.alpha
+            v = v + nxt.vectors[_role("d", s & 1)][w] * nxt.state.alpha
         x = cps[last].vectors["x"].copy()
         x[w] = v
         ok = verify(ctx.A, ctx.b, x, ctx.tol)

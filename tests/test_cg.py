@@ -75,6 +75,27 @@ class TestGenerate:
         off = A.values[A.values != 26.0]
         assert np.all(off == -1.0)
 
+    @pytest.mark.parametrize("side", (2, 3, 4, 5))
+    def test_matches_plain_loop_in_column_order(self, side):
+        # Every sweep sums a row in column order, so the order is part of
+        # the matrix: rows in order, each row's columns ascending.
+        def coords(i):
+            z, rem = divmod(i, side * side)
+            return (z, *divmod(rem, side))
+
+        n = side**3
+        row_of, cols, vals = [], [], []
+        for row in range(n):
+            for col in range(n):
+                if max(abs(a - c) for a, c in zip(coords(row), coords(col))) <= 1:
+                    row_of.append(row)
+                    cols.append(col)
+                    vals.append(26.0 if col == row else -1.0)
+        A = cg.generate_poisson27(side)
+        assert A.nz_rows().tolist() == row_of
+        assert A.col_idx.tolist() == cols
+        assert A.values.tolist() == vals
+
     def test_side_too_small(self):
         with pytest.raises(ValueError):
             cg.generate_poisson27(1)
@@ -108,12 +129,12 @@ class TestSpmv:
 class TestReductions:
     def test_norm2_blocked_value(self):
         v = np.arange(10000, dtype=float)
-        assert cg.norm2_blocked(v) == pytest.approx(float(np.sum(v * v)), rel=1e-12)
+        assert cg.dot_blocked(v, v) == pytest.approx(float(np.sum(v * v)), rel=1e-12)
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(100000)
-        assert cg.norm2_blocked(v) == cg.norm2_blocked(v.copy())
+        assert cg.dot_blocked(v, v) == cg.dot_blocked(v.copy(), v.copy())
 
 
 class TestSolve:
@@ -325,6 +346,41 @@ class TestLoopCursor:
         assert {"g_recompute", "g_axpy"} <= {name for name, _ in seen}
         if every == 3:
             assert seen == {(p.name, parity) for p in cg.PHASES for parity in (0, 1)}
+
+    @pytest.mark.parametrize("kept", ("all", "first"))
+    @pytest.mark.parametrize("every", (2, 3))
+    def test_locate_places_every_access(self, monkeypatch, every, kept):
+        # Every access of the solve, located from its checkpoints (all of
+        # them, or checkpoint 0 alone), lies in the phase the loop opened
+        # around it, at its offset there.
+        monkeypatch.setattr(cg, "RECOMPUTE_EVERY", every)
+        A = cg.generate_poisson27(3)
+        b = cg.spmv(A, np.ones(A.n_rows))
+        tol = cg.default_tol(b)
+        checkpoints = []
+        cg.solve(A, b, tol=tol, checkpoints=checkpoints)
+        if kept == "first":
+            checkpoints = checkpoints[:1]
+        opened, t = [], None
+
+        def boundary(state):
+            nonlocal t
+            t = state.t
+
+        def open_phase(phase, parity, at):
+            opened.append((t, phase, at))
+
+        arr = cg.memory_image(A, b)
+
+        def product(phase, parity, out):
+            cg.spmv(A, arr[phase.source(parity)], out=out)
+
+        cg.iterate(arr, tol, cg.T_MAX, open_phase, product, boundary=boundary)
+        assert {"g_recompute", "g_axpy"} <= {phase.name for _, phase, _ in opened}
+        for it, phase, at in opened:
+            for offset in range(phase.length(A.n_rows, A.nnz)):
+                got = cg.locate(checkpoints, at + offset, A.n_rows, A.nnz)
+                assert got == (it, phase, offset)
 
     @pytest.mark.parametrize("every", (50, 4))
     def test_next_recompute(self, monkeypatch, every):

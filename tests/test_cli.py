@@ -75,9 +75,15 @@ class TestParsing:
                        id=f"{argv[0]}-seed")
           for argv in (["pipeline"], ["inject", "campaign", "--structure", "b"],
                        ["faultmodel", "check"])],
+        *[pytest.param(argv + ["--side", side], message, id=f"{argv[0]}-side-{side}")
+          for argv in (["pipeline", "--runs-per-structure", "0"],
+                       ["inject", "campaign", "--structure", "b"], ["trace"])
+          for side, message in (
+              ("1", "--side must be at least 2, got 1"),
+              ("513", f"--side 513 gives {513**3} rows, over {1 << 27}"))],
     ])
     def test_bad_run_counts_are_refused(self, tmp_path, capsys, argv, message):
-        side = ["--side", "4"]
+        side = [] if "--side" in argv else ["--side", "4"]
         argv = argv + {
             "pipeline": side + ["--out", str(tmp_path / "out"),
                                 "--scratch", str(tmp_path / "s")],

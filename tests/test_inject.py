@@ -32,7 +32,6 @@ from memvuln.cachesim import (
 from memvuln import cg
 from memvuln.cg import (
     EPS,
-    G_AXPY,
     G_RECOMPUTE,
     Q_SPMV,
     RECOMPUTE_EVERY,
@@ -386,11 +385,9 @@ class TestCheckpoints:
         assert [c.state.t for c in checkpoints] == list(
             range(ctx.baseline.iterations + 1)
         )
-        last = checkpoints[-1].state
-        residual = G_RECOMPUTE if last.t % RECOMPUTE_EVERY == 0 else G_AXPY
-        assert (
-            last.ordinal + residual.length(ctx.n, ctx.nnz) + EPS.length(ctx.n, ctx.nnz)
-            == res.n_accesses
+        # The solve's last access closes the converging iteration's EPS.
+        assert cg.locate(checkpoints, res.n_accesses - 1, ctx.n, ctx.nnz) == (
+            checkpoints[-1].state.t, EPS, EPS.length(ctx.n, ctx.nnz) - 1
         )
 
     def test_restart_equals_run_from_iteration_zero(self, small_problem):
@@ -936,6 +933,18 @@ def side16_context():
     return build_context(A, b, tol, sim.finish().by_line())
 
 
+def test_only_recompute_and_x_update_touch_x():
+    # The proof of the x rule (``_x_row``) rests on this: across the phase
+    # table and both parities, x is a sweep's source only in g_recompute
+    # and an own operand only in x_update.
+    as_source = {phase.name for phase in cg.PHASES for parity in (0, 1)
+                 if phase.src is not None and phase.source(parity) == "x"}
+    as_operand = {phase.name for phase in cg.PHASES for parity in (0, 1)
+                  if any(name == "x" for name, _ in phase.operands(parity))}
+    assert as_source == {G_RECOMPUTE.name}
+    assert as_operand == {X_UPDATE.name}
+
+
 class TestSettlements:
     """Rows settled before a run's end equal full solves, plan for plan."""
 
@@ -1021,7 +1030,7 @@ class TestSettlements:
         runner.arr["x"][:] = ctx.baseline.checkpoints[-1].vectors["x"]
         runner.arr["g"][3] = np.inf
         runner.t_cap = HANG_ITERS * ctx.baseline.iterations
-        state = LoopState(t=RECOMPUTE_EVERY, eps_old=np.inf, alpha=0.5, parity=0)
+        state = LoopState(t=RECOMPUTE_EVERY, eps_old=np.inf, alpha=0.5)
         assert not runner._non_finite(state)
         runner.boundary(state)  # does not end the run
         runner.arr["x"][7] = np.nan

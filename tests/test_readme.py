@@ -1,4 +1,5 @@
-"""The README's library example runs as written, and its commands parse."""
+"""The README's library example runs as written, its commands parse, and
+its module table names the package's modules."""
 
 import contextlib
 import io
@@ -8,7 +9,8 @@ from pathlib import Path
 
 from memvuln.cli import build_parser
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_library_example_runs():
@@ -33,3 +35,10 @@ def test_every_command_parses():
     assert len(commands) >= 6
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def test_module_table_names_every_module():
+    rows = re.findall(r"^\| `(\w+)` +\|", README.read_text(), flags=re.M)
+    modules = sorted(p.stem for p in (ROOT / "src" / "memvuln").glob("*.py")
+                     if not p.stem.startswith("_"))
+    assert sorted(rows) == modules
