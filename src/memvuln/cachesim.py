@@ -38,7 +38,8 @@ time.  ``emit`` therefore memoizes whole blocks, in the manner of
 SimPoint's phase fast-forwarding (Sherwood et al., ASPLOS 2002) but
 without sampling: the key is (canonical state, block contents), and a
 hit re-appends, shifted, the rows the recorded block wrote instead of
-simulating the block.
+simulating the block.  A block is looked up by its digest: its length
+and the CRC-32 of its kinds and of its addresses.
 
 A set's dict keeps its lines in LRU order, least recent first (a hit
 moves the line to the end), each as the int ``ready << 1 | dirty``.  LRU
@@ -63,7 +64,8 @@ eviction marked below, and those in flight.  An unchanged form keeps its
 object, so comparing two snapshots is mostly identity checks.
 
 A hit is confirmed by comparing the full state and the block's kinds
-and addresses, never by a digest alone.  A recording is the span of
+and addresses, never by a digest alone, so a collision can only cost a
+simulation.  A recording is the span of
 rows the block appended to each output stream (the streams only grow
 until ``finish``, so a span stays valid) and the forms of the sets it
 changed.  A hit appends those rows again, shifted as ``STREAMS`` says by
@@ -74,14 +76,43 @@ new clock.  A changed set's form is already the one a snapshot compares,
 so its dict is rebuilt from the form only when a block is next
 simulated, at ``finish``, or when a snapshot finds the set in flight and
 must read its ready times against the clock.  Blocks are recorded, and
-the state snapshotted, only once the stream has repeated a block's
-content digest: a stream that never repeats pays only the digest, and a
-solver's stream (or its trace, read in the blocks it was written in) is
-recorded from its second iteration on, so the first state that recurs is
-already in the memo.  A block recorded ``MEMO_MISSES`` times in a row
-without a replay is simulated directly from then on and its recordings
-are freed: where the state never settles, the memo holds at most that
-many recordings per distinct block and stops taking snapshots.
+the state snapshotted at their start, only once the stream has repeated
+a block's digest: a stream that never repeats pays only the digest, and
+one snapshot per stride inside blocks at least two strides long
+(below).  A solver's stream (or its trace, read in the blocks it was
+written in) is recorded from its second iteration on, so the first
+state that recurs is already in the memo.  A block recorded
+``MEMO_MISSES`` times in a row without a replay (a resume counts as
+one) is simulated directly from then on, without snapshots, and its
+recordings are freed: where the state never settles, the memo holds at
+most that many recordings per distinct block and stops taking
+snapshots.
+
+Resume points.  The argument above holds at any access boundary, not
+only at a block's start: two runs in equal canonical states, fed the
+same remaining accesses, write the same rows, shifted, and end in the
+same state.  So a block being simulated also takes a snapshot every
+stride accesses, at each offset that leaves at least a stride to run.
+The stride is the least whole number of slices (``SLICE``) that covers
+16 accesses per line the three levels hold, so a snapshot costs little
+next to what it may skip; under the full-size hierarchy no block of a
+side-16 or side-32 solve is long enough for one.  A point looks up
+(digest, offset) as a block's start looks up (digest, 0), σ included
+(below).  A hit replays the recording's suffix and ends the block
+(``blocks_resumed``); a solver's first sweeps stream the cold lines out
+of the caches and then meet the state of the sweep before them, the
+warm-up that sampled simulators exploit (Haskins and Skadron, ISPASS
+2003), here used exactly.  A miss stores the point, and when the block
+ends each stored point, its start included, becomes a recording from
+there to the end: the rows appended since, the resolutions of fills
+requested before it, the sets that a later snapshot or the replayed
+suffix found changed, with their end forms, and the end heap and
+``_track``.  A snapshot reports changes since the one before, so the
+union over the later ones is what a replay must install.  Points are
+taken before the stream repeats too, since a solver's second iteration
+resumes from its first; until it repeats, only the last ``MEMO_MISSES``
+blocks long enough keep their points and a copy of their content, so a
+resume is confirmed against the whole block as a replay is.
 
 The d/dp swap.  The solver's two direction buffers ``d`` and ``dp``
 trade roles every iteration, so a block's content comes back only every
@@ -101,14 +132,15 @@ the plain lookup misses, the memo looks up σ(block) (its digest is kept
 once its content has been compared in full) in state σ(state), again
 compared in full.  A hit replays that recording through σ: the line
 streams (``STREAMS``), the lines of fills pending at the start, the
-``_track`` lines and the installed set forms.  ``finish`` sorts lines,
-so it never runs under σ.
+``_track`` lines and the installed set forms.  A resume under σ is
+the same argument applied to a suffix: σ(state) at the point, σ of the
+remaining accesses.  ``finish`` sorts lines, so it never runs under σ.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
+import zlib
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
@@ -128,6 +160,10 @@ CAUSE_STORE_MISS = 2
 #: block up (see the module docstring).  A solver's stream under
 #: ``desk_scaled`` needs at most three before its first replay.
 MEMO_MISSES = 4
+
+#: Accesses the core loop converts to Python ints at a time; resume
+#: points fall on slice boundaries.
+SLICE = 1 << 14
 
 #: log2 of the cache line size in bytes, the one place it is stated.
 LINE_BITS = 6
@@ -386,12 +422,20 @@ class SimResult:
         return result
 
 
+def _block_key(kinds, addrs) -> tuple:
+    """A block's memo key: its length and the CRC-32 of its kinds and of
+    its addresses.  Every hit is compared in full, so a collision can only
+    cost a simulation."""
+    return len(addrs), zlib.crc32(kinds), zlib.crc32(addrs)
+
+
 class _BlockReplay(NamedTuple):
-    """One simulated block (see module doc): the rows it appended to the
-    request and resolution streams, the clock and the access ordinal
-    (clock minus stalls) it started at, and what it did to the clock, the
-    stalls and the state.  A hit appends the same rows again, shifted; no
-    row is copied until then."""
+    """One simulated block from its start or from a resume point (see
+    module doc): the rows it appended from there to the request and
+    resolution streams, the clock and the access ordinal (clock minus
+    stalls) there, and what it did to the clock, the stalls and the state
+    by its end.  A hit appends the same rows again, shifted; no row is
+    copied until then."""
 
     clock: int
     ordinal: int
@@ -403,6 +447,20 @@ class _BlockReplay(NamedTuple):
     levels: list  # per level: changed set ids, their forms, sets in flight
     heap: bytes  # live MSHR entries minus the clock, sorted
     track: array  # per ``_track`` entry: line, its words, fill time minus clock
+
+
+class _Point(NamedTuple):
+    """Where a block being simulated missed the memo: its offset, the
+    state there, the clock, stalls and stream lengths there, and how many
+    of the block's snapshots had been taken by then."""
+
+    at: int
+    state: tuple
+    clock: int
+    stalls: int
+    n_req: int
+    n_res: int
+    snapshots: int
 
 
 #: Which way σ moves a line, by how many of ``_Swap.bounds`` it reaches.
@@ -456,7 +514,9 @@ class CacheSimulator:
     solver drives) and call ``finish()`` to flush dirty lines, resolve
     pending fills, and obtain the SimResult.
     ``blocks_simulated`` and ``blocks_replayed`` count how each non-empty
-    block was handled, and ``blocks_swapped`` the replays made under σ.
+    block was handled, ``blocks_swapped`` the replays made under σ, and
+    ``blocks_resumed`` the simulated blocks that ended in a replay from a
+    resume point.
     """
 
     def __init__(self, config: CacheConfig | None = None):
@@ -492,16 +552,22 @@ class CacheSimulator:
         self._streams = tuple(array(code) for _, code, _ in STREAMS)
         self._req, self._res = self._streams[:5], self._streams[5:]
         self._result: SimResult | None = None
+        # Resume points (module doc): 16 accesses a line the hierarchy
+        # holds, in whole slices.
+        lines = sum(lv.size for lv in levels) >> LINE_BITS
+        self._stride = -(-16 * lines // SLICE) * SLICE
         self._seen: set = set()  # digests of every block emitted
         self._repeating = False  # has any block been emitted twice?
+        self._unrepeated: list = []  # digests of blocks kept before that
         self._blocks: dict = {}  # digest -> (kinds, addrs) copy
-        self._memo: dict = {}  # digest -> {canonical state: _BlockReplay}
+        self._memo: dict = {}  # digest -> {offset: {canonical state: _BlockReplay}}
         self._misses: dict = {}  # digest -> recordings since its last replay
         self._swap: _Swap | None = None  # σ, where the hierarchy keeps it exact
         self._twins: dict = {}  # digest -> digest of σ(block), checked
         self.blocks_simulated = 0
         self.blocks_replayed = 0
         self.blocks_swapped = 0
+        self.blocks_resumed = 0
 
     # -- observer protocol ----------------------------------------------------
 
@@ -543,19 +609,50 @@ class CacheSimulator:
         if low < 0 or low & 7:
             bad = given[(addrs < 0) | (addrs & 7 != 0)][0]
             raise ValueError(f"address {bad} is not a multiple of 8 in [0, 2**63)")
-        h = hashlib.sha256(kinds)
-        h.update(addrs)
-        digest = h.digest()
+        digest = _block_key(kinds, addrs)
         if digest in self._seen:
             self._repeating = True
         else:
             self._seen.add(digest)
             if not self._repeating:
-                self._simulate(kinds, addrs)
+                if len(kinds) < 2 * self._stride:
+                    self._simulate(kinds, addrs)
+                    return
+                # A later block may resume from its points (module doc):
+                # keep them, and its copy, for the last MEMO_MISSES such blocks.
+                self._keep(digest, kinds, addrs)
+                self._unrepeated.append(digest)
+                if len(self._unrepeated) > MEMO_MISSES:
+                    self._forget(self._unrepeated.pop(0))
+                self._simulate(kinds, addrs, digest, self._twin(digest, kinds, addrs))
                 return
         if self._misses.get(digest, 0) >= MEMO_MISSES:
             self._simulate(kinds, addrs)  # its state never recurred
             return
+        block = self._keep(digest, kinds, addrs)
+        if not (np.array_equal(block[0], kinds) and np.array_equal(block[1], addrs)):
+            self._simulate(kinds, addrs)  # digest collision
+            return
+        twin = self._twin(digest, kinds, addrs)
+        state = self._state()
+        rec, swapped = self._lookup(digest, 0, state, twin)
+        if rec is not None:
+            self._misses[digest] = 0
+            self.blocks_replayed += 1
+            self.blocks_swapped += swapped
+            self._replay(rec, swapped)
+            return
+        if self._simulate(kinds, addrs, digest, twin, state):
+            self._misses[digest] = 0  # a resume counts as a replay
+            return
+        misses = self._misses[digest] = self._misses.get(digest, 0) + 1
+        if misses == MEMO_MISSES:
+            self._forget(digest)  # never looked up again
+
+    # -- block memo ---------------------------------------------------------------
+
+    def _keep(self, digest, kinds, addrs) -> tuple:
+        """The memo's copy of the block under ``digest``, made if missing."""
         block = self._blocks.get(digest)
         if block is None:
             # The copy only has to compare equal; storing addresses that
@@ -565,46 +662,42 @@ class CacheSimulator:
                 kinds.copy(),
                 addrs.astype(np.uint32 if small else np.int64),
             )
-        if not (np.array_equal(block[0], kinds) and np.array_equal(block[1], addrs)):
-            self._simulate(kinds, addrs)  # digest collision
-            return
-        states = self._memo.setdefault(digest, {})
-        state = self._state()
-        rec = states.get(state)  # dict lookup compares the full state
-        swapped = False
-        if rec is None and self._swap is not None:
-            # The same block with d and dp swapped, met with them swapped.
-            twins = self._memo.get(self._twin(digest, kinds, addrs))
-            if twins:
-                rec = twins.get(self._swapped(state))
-                swapped = rec is not None
-        if rec is not None:
-            self._misses[digest] = 0
-            self._replay(rec, swapped)
-            return
-        states[state] = self._record(kinds, addrs)
-        misses = self._misses[digest] = self._misses.get(digest, 0) + 1
-        if misses == MEMO_MISSES:
-            # Never looked up again.
-            del self._memo[digest], self._blocks[digest]
-            self._twins.pop(digest, None)
+        return block
 
-    # -- block memo ---------------------------------------------------------------
+    def _forget(self, digest) -> None:
+        """Free a block's copy and every recording made from it."""
+        for memo in (self._memo, self._blocks, self._twins):
+            memo.pop(digest, None)
 
     def _twin(self, digest, kinds, addrs):
         """The digest of σ(block) once the memo holds that block, compared
-        in full; it is kept, so σ(block) is built only until it is found."""
+        in full; it is kept, so σ(block) is built only until it is found.
+        None without σ."""
+        if self._swap is None:
+            return None
         twin = self._twins.get(digest)
         if twin is None:
             swapped = self._swap(addrs, LINE_BITS)
-            h = hashlib.sha256(kinds)
-            h.update(swapped)
-            block = self._blocks.get(h.digest())
+            key = _block_key(kinds, swapped)
+            block = self._blocks.get(key)
             if block is None or not (np.array_equal(block[0], kinds)
                                      and np.array_equal(block[1], swapped)):
                 return None
-            twin = self._twins[digest] = h.digest()
+            twin = self._twins[digest] = key
         return twin
+
+    def _lookup(self, digest, at, state, twin):
+        """The recording from offset ``at`` of this block in ``state``, else
+        from that offset of σ(block), digest ``twin``, in σ(state); and
+        whether it came from σ(block).  Each compares the full state."""
+        rec = self._memo.get(digest, {}).get(at, {}).get(state)
+        if rec is None and twin is not None:
+            twins = self._memo.get(twin, {}).get(at)
+            if twins:
+                # The same block with d and dp swapped, met with them swapped.
+                rec = twins.get(self._swapped(state))
+                return rec, rec is not None
+        return rec, False
 
     def _swapped(self, state: tuple) -> tuple:
         """σ(state): every line of every set form and ``_track`` entry."""
@@ -613,39 +706,74 @@ class CacheSimulator:
         return (*(tuple(swap.forms(forms)) for forms in levels), heap,
                 swap.records(track, 3).tobytes())
 
-    def _record(self, kinds, addrs) -> _BlockReplay:
-        """Simulate one block and return what it did."""
-        clock, stalls = self._clock, self._stalls
-        n_req, n_res = len(self._req[0]), len(self._res[0])
-        self._simulate(kinds, addrs)
-        heap = self._state()[-2]  # the sets' forms land in ``level["forms"]``
-        levels = []
-        for level in self._levels:
-            ids = sorted(level["changed"])
-            levels.append((ids, [level["forms"][s] for s in ids], level["hot"]))
-        # A fill pending at the start was requested by then, one the block
-        # made was requested later.
-        lines = self._res[0][n_res:]
-        pending = [(j, lines[j] >> LINE_BITS)
-                   for j, t in enumerate(self._res[1][n_res:])
-                   if t <= clock + self._req_lat]
-        track = array("q", [w for ln, (fill_time, resolved, overwritten)
-                            in self._track.items()
-                            for w in (ln, resolved, overwritten, fill_time - clock)])
-        return _BlockReplay(
-            clock, clock - stalls, self._clock - clock, self._stalls - stalls,
-            (n_req, len(self._req[0])), (n_res, len(self._res[0])),
-            pending, levels, heap, track,
-        )
-
-    def _simulate(self, kinds, addrs) -> None:
+    def _simulate(self, kinds, addrs, digest=None, twin=None, state=None) -> bool:
+        """Simulate one block.  Given its ``digest`` (and its σ-twin's), take
+        a snapshot at each resume point and look it up; a hit ends the block
+        in a replay of the recording's suffix.  The recordings from the
+        points that missed are stored when the block ends, from its start
+        too when given the ``state`` there.  Returns whether it resumed."""
         self.blocks_simulated += 1
         self._rebuild_deferred()
+        stride, n = self._stride, len(kinds)
+        points = [] if state is None else [self._point(0, state, 0)]
+        changed = []  # per snapshot in the block: each level's changed sets
+        rec = None
         # The core loop wants Python ints; converting in slices bounds the
         # size of the temporary lists.
-        step = 1 << 14
-        for i in range(0, len(kinds), step):
-            self._run(kinds[i : i + step], addrs[i : i + step])
+        for at in range(0, n, SLICE):
+            if digest is not None and at and at % stride == 0 and at + stride <= n:
+                state = self._state()
+                changed.append([level["changed"] for level in self._levels])
+                rec, swapped = self._lookup(digest, at, state, twin)
+                if rec is not None:
+                    break
+                points.append(self._point(at, state, len(changed)))
+            self._run(kinds[at : at + SLICE], addrs[at : at + SLICE])
+        if rec is not None:
+            self.blocks_resumed += 1
+            self._replay(rec, swapped)
+            changed.append([ids for ids, _, _ in rec.levels])
+            heap = rec.heap
+        elif points:
+            heap = self._state()[-2]  # the sets' forms land in ``level["forms"]``
+            changed.append([level["changed"] for level in self._levels])
+        if points:
+            self._store(digest, points, changed, heap)
+        return rec is not None
+
+    def _point(self, at, state, snapshots) -> _Point:
+        return _Point(at, state, self._clock, self._stalls, len(self._req[0]),
+                      len(self._res[0]), snapshots)
+
+    def _store(self, digest, points, changed, heap) -> None:
+        """Store the recording from each point to the block's end, which is
+        now; ``changed`` gives the sets each snapshot after the block's
+        start found changed, then those the block's end changed."""
+        offsets = self._memo.setdefault(digest, {})
+        n_req, n_res = len(self._req[0]), len(self._res[0])
+        since = [set() for _ in self._levels]  # changed after the point
+        for p in reversed(points):
+            while len(changed) > p.snapshots:
+                for ids, more in zip(since, changed.pop()):
+                    ids.update(more)
+            levels = []
+            for level, ids in zip(self._levels, since):
+                ids = sorted(ids)
+                levels.append((ids, [level["forms"][s] for s in ids], level["hot"]))
+            # A fill pending at the point was requested by then, one made
+            # after it was requested later.
+            fill_time = np.frombuffer(self._res[1][p.n_res:], dtype=np.int64)
+            rows = np.flatnonzero(fill_time <= p.clock + self._req_lat)
+            lines = np.frombuffer(self._res[0][p.n_res:], dtype=np.int64)[rows]
+            pending = list(zip(rows.tolist(), (lines >> LINE_BITS).tolist()))
+            track = array("q", [w for ln, (fill, resolved, overwritten)
+                                in self._track.items()
+                                for w in (ln, resolved, overwritten, fill - p.clock)])
+            offsets.setdefault(p.at, {})[p.state] = _BlockReplay(
+                p.clock, p.clock - p.stalls, self._clock - p.clock,
+                self._stalls - p.stalls, (p.n_req, n_req), (p.n_res, n_res),
+                pending, levels, heap, track,
+            )
 
     def _state(self) -> tuple:
         """Canonical state (see module docstring): per level its set forms,
@@ -689,8 +817,6 @@ class CacheSimulator:
     def _replay(self, rec: _BlockReplay, swapped: bool = False) -> None:
         """Append a recorded block's rows and install its post-state; under
         σ (``swapped``) every line the recording names is mapped first."""
-        self.blocks_replayed += 1
-        self.blocks_swapped += swapped
         swap = self._swap if swapped else None
         shift = {
             "clock": self._clock - rec.clock,
@@ -882,7 +1008,8 @@ class CacheSimulator:
     def finish(self) -> SimResult:
         if self._result is not None:
             return self._result
-        for memo in (self._seen, self._blocks, self._memo, self._misses, self._twins):
+        for memo in (self._seen, self._unrepeated, self._blocks, self._memo,
+                     self._misses, self._twins):
             memo.clear()
         self._rebuild_deferred()
         n_accesses = self._clock + 1 - self._stalls

@@ -136,7 +136,8 @@ def _problem_config(args) -> CacheConfig:
 def _memo_summary(sim: CacheSimulator) -> str:
     n, k = sim.blocks_simulated, sim.blocks_replayed
     return (f"simulated {n} of {n + k} blocks, replayed {k} "
-            f"({sim.blocks_swapped} under the d/dp swap)")
+            f"({sim.blocks_swapped} under the d/dp swap), "
+            f"resumed {sim.blocks_resumed} mid-block")
 
 
 def replay_trace(path: str, cfg: CacheConfig):

@@ -683,17 +683,9 @@ def result_digest(res) -> str:
     return h.hexdigest()
 
 
-class _OneDigest:
-    """A stand-in for ``hashlib.sha256`` under which every block collides."""
-
-    def __init__(self, *_):
-        pass
-
-    def update(self, _):
-        pass
-
-    def digest(self):
-        return b"same"
+def _one_key(kinds, addrs):
+    """A stand-in for ``cachesim._block_key`` under which every block collides."""
+    return "same"
 
 
 def unrepeated_feed(cfg, kinds, addrs):
@@ -727,6 +719,11 @@ class TestBlockMemo:
         (16, "full"): ("02146d94c4c4e1be8103d19ded00a38fe980b3ba789ea9d8f622f4568d6700cb", 22, 98),
     }
 
+    #: Snapshots (``_state`` calls) of the solver's stream under the
+    #: full-size hierarchy, as the memo took them before resume points:
+    #: no block there is long enough for one.
+    FULL_SNAPSHOTS = {8: 58, 16: 106}
+
     @staticmethod
     def _hierarchy(side, hierarchy):
         return CacheConfig.desk_scaled(side) if hierarchy == "desk" else CacheConfig()
@@ -736,10 +733,14 @@ class TestBlockMemo:
         [pytest.param(8, "desk", id="8"), pytest.param(16, "desk", id="16"),
          pytest.param(8, "full", id="8-full"), pytest.param(16, "full", id="16-full")],
     )
-    def test_solver_stream_matches_unrepeated_feed(self, side, hierarchy):
+    def test_solver_stream_matches_unrepeated_feed(self, side, hierarchy, monkeypatch):
         from memvuln.cg import solve
         from memvuln.cli import build_problem
 
+        snapshots = []
+        real = CacheSimulator._state
+        monkeypatch.setattr(CacheSimulator, "_state",
+                            lambda self: snapshots.append(1) or real(self))
         A, b, tol = build_problem(side, 1e-8)
         cfg = self._hierarchy(side, hierarchy)
         sim = CacheSimulator(cfg)
@@ -752,6 +753,11 @@ class TestBlockMemo:
         swaps = (side, hierarchy) == (16, "desk")
         assert (sim._swap is not None) == swaps
         assert (sim.blocks_swapped > 0) == swaps
+        # Only side 16 under ``desk_scaled`` has blocks two strides long:
+        # iteration 1's ``q_spmv`` resumes from iteration 0's, swapped.
+        assert (sim.blocks_resumed >= 1) == swaps
+        if hierarchy == "full":
+            assert len(snapshots) == self.FULL_SNAPSHOTS[side]
         coll = CollectingObserver()
         solve(A, b, tol=tol, observer=coll)
         kinds, addrs = coll.arrays()
@@ -782,10 +788,12 @@ class TestBlockMemo:
         assert out == ""
         (note,) = err.splitlines()
         simulated, swapped = int(note.split()[1]), int(note.split("(")[1].split()[0])
+        resumed = int(note.split()[-2])
         assert simulated <= most_simulated
-        assert (swapped > 0) == (side == 16)
+        assert (swapped > 0) == (resumed > 0) == (side == 16)
         assert note == (f"simulated {simulated} of {blocks} blocks, "
-                        f"replayed {blocks - simulated} ({swapped} under the d/dp swap)")
+                        f"replayed {blocks - simulated} ({swapped} under the d/dp swap), "
+                        f"resumed {resumed} mid-block")
         with TraceReader(path) as r:
             events = np.concatenate(list(r.iter_blocks()))
         assert_same_result(memo, unrepeated_feed(cfg, events["kind"], events["addr"]))
@@ -1001,21 +1009,26 @@ class TestBlockMemo:
         sim.register_structures(StructureMap(regions))
         assert (sim._swap is not None) == on
 
-    @staticmethod
-    def _replay_then_fresh(cfg, rounds, last):
+    def _replay_then_fresh(self, cfg, rounds, last):
         """Emit ``rounds`` (lists of (kinds, addrs) blocks) one after the
         other, then ``last``, which is new, and check the result against
         the unrepeated feed; ``last`` is simulated from the state that
         the replays before it left."""
+        sim = self._feed(cfg, [blk for r in rounds for blk in r] + [last])
+        assert sim.blocks_replayed > 0
+
+    def _feed(self, cfg, stream, swap=False):
+        """Emit ``stream``, with σ when ``swap``, check the result against
+        the unrepeated feed and return the simulator."""
         sim = CacheSimulator(cfg)
-        stream = [blk for r in rounds for blk in r] + [last]
+        if swap:
+            sim.register_structures(self._swap_map())
         for blk in stream:
             sim.emit(*blk)
         memo = sim.finish()
-        assert sim.blocks_replayed > 0
-        kinds, addrs = (np.concatenate([np.asarray(blk[j]) for blk in stream])
-                        for j in range(2))
+        kinds, addrs = (np.concatenate([blk[j] for blk in stream]) for j in range(2))
         assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
+        return sim
 
     @staticmethod
     def _loads(lines, words=(0,)):
@@ -1117,14 +1130,14 @@ class TestBlockMemo:
     def test_twin_digest_is_checked_in_full(self, monkeypatch):
         import memvuln.cachesim as cachesim
 
-        monkeypatch.setattr(cachesim.hashlib, "sha256", _OneDigest)
+        monkeypatch.setattr(cachesim, "_block_key", _one_key)
         x = self._loads([0, 1, 40])
-        for twin, want in (([16, 17, 40], b"same"), ([16, 18, 40], None)):
+        for twin, want in (([16, 17, 40], "same"), ([16, 18, 40], None)):
             sim = CacheSimulator(tiny_config())
             sim.register_structures(self._swap_map())
             sim.emit(*x)
             sim.emit(*x)  # now the memo holds it
-            assert sim._twin(b"same", *self._loads(twin)) == want
+            assert sim._twin("same", *self._loads(twin)) == want
 
     def test_digest_collisions_never_replay_a_different_block(self, monkeypatch):
         self._collide(monkeypatch, swap=False)
@@ -1135,7 +1148,7 @@ class TestBlockMemo:
     def _collide(self, monkeypatch, swap):
         import memvuln.cachesim as cachesim
 
-        monkeypatch.setattr(cachesim.hashlib, "sha256", _OneDigest)
+        monkeypatch.setattr(cachesim, "_block_key", _one_key)
         rng = random.Random(7)
         blocks = self._phase_blocks(rng)
         order = [rng.randrange(len(blocks)) for _ in range(30)]
@@ -1150,3 +1163,137 @@ class TestBlockMemo:
         kinds, addrs = (np.concatenate([blocks[i][j] for i in order])
                         for j in range(2))
         assert_same_result(memo, unrepeated_feed(cfg, kinds, addrs))
+
+    # -- resume points ----------------------------------------------------------
+    #
+    # The tiny hierarchy holds 112 lines, so its stride is one slice
+    # (16,384 accesses) and a block of 40,000 has one resume point.
+
+    #: A line the long block keeps in L1 set 5 with one word resolved,
+    #: and two lines of that set that evict it when loaded.
+    KEEPER = 5
+    EVICT_KEEPER = (5 + 16 * 100, 5 + 16 * 101)
+
+    @classmethod
+    def _long_block(cls, keeper=KEEPER, tail=()):
+        """40,000 accesses: every fourth loads word 0 of ``keeper``, which
+        keeps it in L1, the rest stream over 300 lines no other block
+        touches, every fifth a store; then loads of the ``tail`` lines.
+        After its first 3,000 stream accesses the stream leaves L1 set 7
+        (and so sets 7 and 15 of L2 and L3) alone."""
+        i = np.arange(40_000)
+        j = i - i // 4  # the stream's own count
+        stream = i % 4 != 3
+        kinds = np.where(stream & (j % 5 == 0), KIND_STORE, KIND_LOAD)
+        quiet = np.array([ln for ln in range(1000, 1400) if ln % 8 != 7][:300])
+        lines = np.where(j < 3000, 1000 + j % 300, quiet[j % 300])
+        addrs = np.where(stream, 64 * lines + 8 * (j % 8), 64 * keeper)
+        end = cls._loads(tail)
+        return (np.concatenate([kinds.astype(np.uint8), end[0]]),
+                np.concatenate([addrs, end[1]]))
+
+    @classmethod
+    def _prefix(cls, wait, keeper=KEEPER):
+        """Dirty lines 40 to 47, fill set 7 of every level, fetch
+        ``keeper``'s word 0, then ``wait`` loads of line 48: ``keeper`` is
+        still in flight after 40 of them, landed after 300.  Two waits
+        leave two different states."""
+        stores = cls._loads(range(40, 48))
+        return tuple(np.concatenate(p) for p in zip(
+            (np.ones(8, dtype=np.uint8), stores[1]), cls._loads([23, 39, 55, 71]),
+            cls._loads([keeper]), cls._loads([48] * wait)))
+
+    @staticmethod
+    def _resumes(monkeypatch):
+        """Spy on ``_replay``: whether each was under σ, and the lines of
+        the fills pending at the recording's start."""
+        calls = []
+        real = CacheSimulator._replay
+        monkeypatch.setattr(
+            CacheSimulator, "_replay",
+            lambda self, rec, swapped=False: calls.append(
+                (swapped, {line for _, line in rec.pending})) or real(self, rec, swapped))
+        return calls
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["plain", "swapped"])
+    def test_block_resumes_once_its_state_converges(self, swap, monkeypatch):
+        # After two different prefixes the long block reaches the same state
+        # by its resume point; the second resumes from the first's.  Under
+        # the swap the second is σ of the first (keeper 21 for 5) and is met
+        # before the stream repeats, so its copy is what the lookup checks.
+        calls = self._resumes(monkeypatch)
+        long, wait = self._long_block(), self._prefix(300)
+        if swap:
+            long2, wait = self._sigma(long), self._sigma(wait)
+        else:
+            long2 = long
+        stream = [self._prefix(40), long, wait, long2, self._loads([5, 21, 1000])]
+        sim = self._feed(tiny_config(mshrs=(1, 2, 2)), stream, swap)
+        assert sim.blocks_resumed == 1 and sim.blocks_replayed == 0
+        assert [swapped for swapped, _ in calls] == [swap]
+
+    @pytest.mark.parametrize("mshrs", [(1, 2, 2), (2, 2, 2)])
+    def test_fills_pending_at_a_resume_point_keep_their_times(self, mshrs, monkeypatch):
+        # The keeper is fetched in each prefix, at a different time before
+        # the resume point, and evicted after it: its resolution row must
+        # carry the live fill time, not the recording's shifted.
+        calls = self._resumes(monkeypatch)
+        long = self._long_block(tail=self.EVICT_KEEPER)
+        stream = [self._prefix(40), long, self._prefix(300), long]
+        sim = self._feed(tiny_config(mshrs=mshrs), stream)
+        assert sim.blocks_resumed == 1
+        ((_, pending),) = calls
+        assert self.KEEPER in pending
+
+    def test_block_recorded_after_it_resumed_replays_exactly(self, monkeypatch):
+        # The second ``long`` resumes and is recorded whole: the rows it
+        # simulated, then those it replayed, and the sets either changed.
+        # The third meets the second's start state and replays that; it
+        # must install the set 7s, which only the simulated part changed.
+        calls = self._resumes(monkeypatch)
+        long = self._long_block(tail=self.EVICT_KEEPER)
+        stream = [self._prefix(40), long, self._prefix(300), long,
+                  self._prefix(300), long, self._loads([5, 1000, 1001])]
+        sim = self._feed(tiny_config(mshrs=(1, 2, 2)), stream)
+        assert (sim.blocks_resumed, sim.blocks_replayed) == (1, 1)
+        assert len(calls) == 2 and all(self.KEEPER in pending for _, pending in calls)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["plain", "swapped"])
+    def test_digest_collisions_never_resume_a_different_block(self, swap, monkeypatch):
+        # Both long blocks reach the same state at the resume point but end
+        # differently.  Under one key for every block the first keeps its
+        # points, and the second must still be simulated to its own end.
+        import memvuln.cachesim as cachesim
+
+        monkeypatch.setattr(cachesim, "_block_key", _one_key)
+        calls = self._resumes(monkeypatch)
+        first = self._long_block(tail=self.EVICT_KEEPER)
+        other = self._long_block(tail=[1000, 1001])
+        if swap:
+            other = self._sigma(other)
+        stream = [first, self._prefix(300), other]
+        sim = CacheSimulator(tiny_config(mshrs=(1, 2, 2)))
+        if swap:
+            sim.register_structures(self._swap_map())
+        for blk in stream:
+            sim.emit(*blk)
+        memo = sim.finish()
+        assert calls == [] and sim.blocks_resumed == 0
+        monkeypatch.undo()
+        kinds, addrs = (np.concatenate([blk[j] for blk in stream]) for j in range(2))
+        assert_same_result(memo, unrepeated_feed(tiny_config(mshrs=(1, 2, 2)), kinds, addrs))
+
+    def test_distinct_long_blocks_hold_bounded_points(self):
+        # A stream that never repeats keeps the points, and the copies, of
+        # its last MEMO_MISSES long blocks only.
+        kinds, addrs = self._long_block()
+        stream = [(kinds, addrs + 64 * 10_000 * k) for k in range(MEMO_MISSES + 3)]
+        sim = CacheSimulator(tiny_config())
+        held = []
+        for blk in stream:
+            sim.emit(*blk)
+            held.append((len(sim._memo), len(sim._blocks)))
+        assert held == [(min(k + 1, MEMO_MISSES),) * 2 for k in range(len(stream))]
+        assert not sim._repeating and sim.blocks_resumed == 0
+        kinds, addrs = (np.concatenate([blk[j] for blk in stream]) for j in range(2))
+        assert_same_result(sim.finish(), unrepeated_feed(tiny_config(), kinds, addrs))

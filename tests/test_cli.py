@@ -154,10 +154,10 @@ class TestTraceAndMetrics:
         assert out.startswith("# schema")
         assert "structure" in out
         # How the block memo fared goes to stderr, as in ``pipeline``.
-        n, m, k, swapped = map(int, re.fullmatch(
+        n, m, k, swapped, resumed = map(int, re.fullmatch(
             r"simulated (\d+) of (\d+) blocks, replayed (\d+) "
-            r"\((\d+) under the d/dp swap\)\n", err).groups())
-        assert n + k == m and swapped <= k
+            r"\((\d+) under the d/dp swap\), resumed (\d+) mid-block\n", err).groups())
+        assert n + k == m and swapped <= k and resumed <= n
 
     @pytest.mark.parametrize("rate", ["-1", "inf", "nan"])
     def test_bad_fit_rate_is_refused(self, tmp_path, capfd, rate):

@@ -1002,10 +1002,19 @@ class TestSettlements:
         *_, ctx = small_problem
         cps = ctx.baseline.checkpoints
         last = len(cps) - 1
+        ts = (1, 3, last - 1)
+        x_starts = []
+        for t in ts:
+            # The access before iteration t + 1 opens is in t's x_update.
+            end = cps[t + 1].state.ordinal - 1
+            it, phase, offset = cg.locate(cps, end, ctx.n, ctx.nnz)
+            assert (it, phase) == (t, X_UPDATE)
+            x_starts.append(end - offset)
+        # The ordinals the pinned rows were chosen at, from the phase length.
         x_len = X_UPDATE.length(ctx.n, ctx.nnz)
+        assert x_starts == [cps[t + 1].state.ordinal - x_len for t in ts]
         ordinals = {0: [cps[last].state.ordinal + 1]}
-        for t in (1, 3, last - 1):
-            x_start = cps[t + 1].state.ordinal - x_len
+        for t, x_start in zip(ts, x_starts):
             for w in (0, 9, ctx.n - 1):
                 ordinals.setdefault(w, []).extend(
                     [cps[t].state.ordinal] + [x_start + 3 * w + k for k in range(-1, 4)]
